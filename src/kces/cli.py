@@ -38,7 +38,7 @@ _EXIT_CONFIG = 4
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (never changes results)")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads for the sweep's training cells (never changes results)")
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     parser.add_argument("--manifest-out", default=None, help="manifest path (default: <output>.manifest.json)")
 

@@ -38,9 +38,20 @@ GRAM_HEADER = struct.Struct("<4sII4x")  # magic, u32 N, u32 reserved, padding
 
 
 def arccos_kernel(dots: np.ndarray) -> np.ndarray:
-    """Apply the kernel map entrywise to a matrix of inner products."""
-    d = np.clip(dots, -1.0, 1.0)
-    return d * (np.pi - np.arccos(d)) / (2.0 * np.pi)
+    """Apply the kernel map entrywise to a matrix of inner products.
+
+    Works in place: a float64 array is overwritten with the result and
+    returned, so callers must not rely on their input surviving.  The
+    operations run in the order of d * (pi - arccos(d)) / (2 pi), so the
+    values are those of that expression to the bit.
+    """
+    d = np.asarray(dots, dtype=np.float64)
+    np.clip(d, -1.0, 1.0, out=d)
+    t = np.arccos(d)
+    np.subtract(np.pi, t, out=t)
+    d *= t
+    d /= 2.0 * np.pi
+    return d
 
 
 class GramMatrix:

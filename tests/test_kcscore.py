@@ -1,6 +1,7 @@
 """Per-edge complexity scores: naive route, fast route, golden case."""
 
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,17 @@ import pytest
 
 from helpers import oracle_kc, oracle_one_hot
 
-from kces.errors import ConfigError, InputError, MissingEdgeError
+from kces.errors import (
+    ConfigError,
+    GraphFormatError,
+    InputError,
+    KcesWarning,
+    MissingEdgeError,
+)
 from kces.graph import Graph, aggregate_features, remove_edge
 from kces.kernel import gram_matrix
 from kces.kcscore import (
+    BLOCK_EDGES,
     KcScoreTable,
     build_score_cache,
     kc_score_fast,
@@ -230,6 +238,77 @@ def test_table_tsv_round_trip(tmp_path):
         assert back.entries[edge].method == table.entries[edge].method
     assert np.isnan(back.base_gkc)
     assert back.label_digest == ""
+
+
+def test_read_tsv_rejects_headerless_file(tmp_path):
+    path = tmp_path / "scores.tsv"
+    path.write_text("0\t1\t0.5\tfast\n1\t2\t0.25\tfast\n", encoding="utf-8")
+    with pytest.raises(GraphFormatError, match="line 1"):
+        KcScoreTable.read_tsv(path)
+
+
+def test_read_tsv_rejects_repeated_edge(tmp_path):
+    path = tmp_path / "scores.tsv"
+    path.write_text(
+        "u\tv\tkc_score\tmethod\n0\t1\t0.5\tfast\n1\t2\t0.4\tfast\n0\t1\t0.3\tnaive\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(GraphFormatError, match="line 4: repeated edge"):
+        KcScoreTable.read_tsv(path)
+
+
+def _hub_ring_graph():
+    # ring over 40 nodes plus a hub at node 10 joined to nodes 20..39: the
+    # hub's edges have affected sets of at least N/2 and take the naive
+    # route, every other edge takes the fast one, and the first block of
+    # the canonical edge order holds both kinds
+    n = 40
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(10, k) for k in range(20, n) if k != 11]
+    feats = np.random.default_rng(17).standard_normal((n, 5))
+    return Graph(features=feats, edges=edges)
+
+
+def test_block_with_mixed_routes_matches_single_edge_scoring(tmp_path):
+    g = _hub_ring_graph()
+    lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
+    table = kc_scores_all(g, lm, method="fast")
+    first_block = [tuple(e) for e in g.edges[:BLOCK_EDGES].tolist()]
+    assert {table.entries[e].method for e in first_block} == {"fast", "naive"}
+
+    cache = build_score_cache(g, lm)
+    assert cache.h_inv is not None
+    for (u, v), entry in table.entries.items():
+        before = cache.fallbacks
+        kc_score_fast(g, cache, lm, u, v)
+        alone = "naive" if cache.fallbacks > before else "fast"
+        assert entry.method == alone, f"edge {(u, v)}"
+        ref = kc_score_naive(g, lm, u, v)
+        if entry.method == "naive":
+            assert entry.score == ref, f"edge {(u, v)}"
+        else:
+            assert abs(entry.score - ref) <= max(1e-8 * abs(ref), 1e-12), f"edge {(u, v)}"
+
+    first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    table.write_tsv(first)
+    kc_scores_all(g, lm, method="fast").write_tsv(second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_ridged_base_scores_every_edge_naively():
+    # nodes 8 and 9 share the closed neighborhood {0, 8, 9}, so their
+    # aggregated rows coincide and the base Gram matrix needs a ridge
+    edges = [(i, (i + 1) % 8) for i in range(8)] + [(0, 8), (0, 9), (8, 9)]
+    feats = np.random.default_rng(5).standard_normal((10, 3))
+    g = Graph(features=feats, edges=edges)
+    lm = encode_labels(np.arange(10) % 2, "one-hot")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KcesWarning)
+        assert build_score_cache(g, lm).gm.ridge > 0.0
+        table = kc_scores_all(g, lm, method="fast")
+        for (u, v), entry in table.entries.items():
+            assert entry.method == "naive"
+            assert entry.score == kc_score_naive(g, lm, u, v)
 
 
 @pytest.mark.slow

@@ -47,6 +47,16 @@ def test_arccos_kernel_clips_out_of_range_dots():
     assert abs(vals[0] - 0.5) <= 1e-12 and abs(vals[1]) <= 1e-12
 
 
+def test_arccos_kernel_bitwise_equals_reference_expression():
+    rng = np.random.default_rng(11)
+    dots = rng.uniform(-1.2, 1.2, size=(64, 48))
+    dots[0, :4] = [1.0, -1.0, 1.0 + 1e-15, -1.0 - 1e-15]
+    d = np.clip(dots, -1.0, 1.0)
+    want = d * (np.pi - np.arccos(d)) / (2.0 * np.pi)
+    got = arccos_kernel(dots.copy())
+    assert got.tobytes() == want.tobytes()
+
+
 def test_gram_matches_entrywise_oracle():
     for seed in range(15):
         g = random_graph(n=10, edge_prob=0.3, n_features=4, seed=seed, avoid_twins=True)
