@@ -9,6 +9,7 @@ return new graphs that share the (read-only) feature matrix.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ class Graph:
 
     Parameters
     ----------
-    features : (N, F) array of float64, one row per node.
+    features : (N, F) array of finite float64, one row per node.
     edges : iterable of (u, v) pairs; any orientation, no duplicates,
         no self-loops.  Stored canonically with u < v, sorted.
     labels : optional length-N integer vector of ground-truth classes.
@@ -61,6 +62,9 @@ class Graph:
         feats = np.asarray(features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] == 0 or feats.shape[1] == 0:
             raise InputError("features must be a nonempty N x F matrix")
+        if not np.isfinite(feats).all():
+            i, j = np.argwhere(~np.isfinite(feats))[0]
+            raise InputError(f"feature ({i}, {j}) is not finite")
         self.features = _readonly(feats)
         n = feats.shape[0]
 
@@ -267,7 +271,7 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
     comment line; blank lines are skipped.  Duplicate edges (in either
     orientation) are dropped and counted in a single warning; explicit
     self-loops are likewise dropped with a warning.  Feature file:
-    headerless CSV of floats, one row per node; node count is inferred
+    headerless CSV of finite floats, one row per node; node count is inferred
     from it.  Label file: one integer per line, exactly N lines.
     """
     features = []
@@ -288,12 +292,18 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
             row = []
             for cell in cells:
                 try:
-                    row.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise GraphFormatError(
                         f"{feature_path}: line {line_no}: non-numeric value "
                         f"{cell.strip()!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise GraphFormatError(
+                        f"{feature_path}: line {line_no}: non-finite value "
+                        f"{cell.strip()!r}"
+                    )
+                row.append(value)
             features.append(row)
     if not features:
         raise GraphFormatError(f"{feature_path}: no feature rows")

@@ -254,7 +254,8 @@ def _block_gkc_removed(cache: ScoreCache, g: Graph, labels: LabelMatrix, block):
         np.fill_diagonal(inner, 1.0)
         dots[s_all[a:b], a:b] = inner
     m_all = arccos_kernel(dots)
-    m_all -= cache.gm.h[:, s_all]
+    # h is exactly symmetric, so its rows are the columns, read contiguously.
+    m_all -= cache.gm.h[s_all].T
     h_inv_m_all = cache.h_inv @ m_all
     mt_z_all = m_all.T @ cache.z
 

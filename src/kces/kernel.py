@@ -6,10 +6,20 @@ The Gram matrix over unit-norm aggregated rows x_i is
 
 so H[i, i] = 0.5 exactly and |H[i, j]| <= 0.5.  GKC is the label-norm
 functional 2 y^T H^{-1} y / N, summed over label columns, evaluated
-through a cached Cholesky factorization; an explicit inverse is never
-formed.  When the factorization fails or its smallest pivot marks the
-matrix as numerically rank-deficient, a small ridge proportional to
-trace(H)/N is added once and flagged.
+through a cached Cholesky factorization.  This module never forms an
+explicit inverse; the fast scoring route's cache does, once per scoring
+run, by solving the identity against the cached factor.  When the
+factorization fails or its smallest pivot marks the matrix as
+numerically rank-deficient, a small ridge proportional to trace(H)/N is
+added once and flagged.
+
+The rebuild (Gram product, factorization, solves and the residual
+check) runs entirely in scipy's BLAS and LAPACK.  numpy and scipy wheels
+each bundle their own OpenBLAS with its own thread pool, and a product
+in numpy's runtime leaves that pool spinning while scipy's factors, which
+made each factorization several times slower.  The BLAS calls here hand
+over the operands numpy's matmul would, so every value is the one numpy
+computes, to the bit.
 """
 
 from __future__ import annotations
@@ -20,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas
 
 from .errors import IllConditionedError, InputError, KcesWarning, NumericError
-from .graph import AggregatedFeatures, _readonly
+from .graph import AggregatedFeatures
 from .pseudolabel import LabelMatrix
 
 RIDGE_SCALE = 1e-8
@@ -57,18 +68,22 @@ def arccos_kernel(dots: np.ndarray) -> np.ndarray:
 class GramMatrix:
     """Kernel Gram matrix with its Cholesky factor and ridge bookkeeping.
 
-    ``h`` is the raw (pre-ridge) matrix; ``ridge`` is 0.0 unless the
-    factorization needed regularization; ``chol_lower`` factors
-    h + ridge * I.  ``lambda_min`` is the smallest eigenvalue of the raw
-    matrix, computed on first access.
+    ``h`` is the raw (pre-ridge) matrix, C-ordered and exactly
+    symmetric; ``ridge`` is 0.0 unless the factorization needed
+    regularization; ``chol_lower`` factors h + ridge * I and is kept in
+    the Fortran order the LAPACK solves take.  ``lambda_min`` is the
+    smallest eigenvalue of the raw matrix, computed on first access.
+    The instance takes ownership of both arrays and makes them read-only.
     """
 
     __slots__ = ("h", "ridge", "chol_lower", "_lambda_min")
 
     def __init__(self, h: np.ndarray, ridge: float, chol_lower: np.ndarray):
-        self.h = _readonly(h)
+        h.setflags(write=False)
+        chol_lower.setflags(write=False)
+        self.h = h
         self.ridge = float(ridge)
-        self.chol_lower = _readonly(chol_lower)
+        self.chol_lower = chol_lower
         self._lambda_min = None
 
     @property
@@ -83,7 +98,9 @@ class GramMatrix:
 
     def solve_factored(self, rhs: np.ndarray) -> np.ndarray:
         """Raw triangular solve against the cached factor (no residual check)."""
-        return scipy.linalg.cho_solve((self.chol_lower, True), rhs)
+        return scipy.linalg.cho_solve(
+            (self.chol_lower, True), rhs, check_finite=False
+        )
 
 
 def _factor_with_ridge(h: np.ndarray):
@@ -94,20 +111,25 @@ def _factor_with_ridge(h: np.ndarray):
         h.shape[0] * PIVOT_RTOL * max(float(np.max(np.diag(h))), 0.0)
     )
     try:
-        chol = scipy.linalg.cholesky(h, lower=True)
+        chol = scipy.linalg.cholesky(h, lower=True, check_finite=False)
         if float(np.min(np.diag(chol))) > pivot_floor:
             return 0.0, chol
     except scipy.linalg.LinAlgError:
         pass
+    # Release the rejected factor before the ridged copy is made.
+    chol = None
     ridge = RIDGE_SCALE * float(np.trace(h)) / h.shape[0]
     warnings.warn(
         f"Gram matrix not positive definite; adding ridge {ridge:.3e}",
         KcesWarning,
         stacklevel=3,
     )
+    hr = np.array(h, order="F")
+    np.fill_diagonal(hr, np.diagonal(h) + ridge)
     try:
-        hr = h + ridge * np.eye(h.shape[0])
-        return ridge, scipy.linalg.cholesky(hr, lower=True)
+        return ridge, scipy.linalg.cholesky(
+            hr, lower=True, overwrite_a=True, check_finite=False
+        )
     except scipy.linalg.LinAlgError as exc:
         raise NumericError(
             "Gram matrix is not factorizable even with ridge"
@@ -117,12 +139,20 @@ def _factor_with_ridge(h: np.ndarray):
 def gram_matrix(xt: AggregatedFeatures) -> GramMatrix:
     """Build the Gram matrix of the aggregated rows and factor it.
 
-    Inner products are symmetrized and the diagonal pinned to exact
-    unit dot products, so H[i, i] is 0.5 to the last bit.
+    The inner products come from one syrk into the lower triangle,
+    mirrored, so they are exactly symmetric and equal to numpy's
+    ``rows @ rows.T``; the diagonal is pinned to exact unit dot products,
+    so H[i, i] is 0.5 to the last bit.
     """
     rows = xt.matrix
-    dots = rows @ rows.T
-    dots = (dots + dots.T) / 2.0
+    # LAPACK's factorization returns NaN factors without an error, and the
+    # factor and solve calls skip scipy's finiteness scans.
+    if not np.isfinite(rows).all():
+        raise InputError("aggregated rows must be finite")
+    # rows.T is the Fortran-ordered view of the C-ordered rows.
+    tri = blas.dsyrk(1.0, rows.T, trans=1, lower=1)
+    dots = tri.T + tri
+    tri = None  # freed before the kernel map takes its temporary
     np.fill_diagonal(dots, 1.0)
     h = arccos_kernel(dots)
     ridge, chol = _factor_with_ridge(h)
@@ -130,10 +160,12 @@ def gram_matrix(xt: AggregatedFeatures) -> GramMatrix:
 
 
 def gram_from_matrix(h: np.ndarray) -> GramMatrix:
-    """Re-wrap a stored Gram matrix (refactorizes; ridge re-decided)."""
-    h = np.asarray(h, dtype=np.float64)
+    """Re-wrap a copy of a stored Gram matrix (refactorizes; ridge re-decided)."""
+    h = np.array(h, dtype=np.float64, order="C")
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise InputError("Gram matrix must be square")
+    if not np.isfinite(h).all():
+        raise InputError("Gram matrix must be finite")
     ridge, chol = _factor_with_ridge(h)
     return GramMatrix(h, ridge, chol)
 
@@ -146,6 +178,20 @@ def min_eigenvalue(gm: GramMatrix) -> float:
         raise NumericError("eigenvalue computation failed") from exc
 
 
+def _h_times(h: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``h @ z`` for a C-ordered h, in scipy's BLAS.
+
+    numpy's matmul hands a column right-hand side to gemv and a
+    Fortran-ordered matrix to gemm as a transposed operand; the same
+    calls here give the same bits.  Another operand order moves the
+    residual's rounding noise, and with it the residual gate.
+    """
+    if z.ndim == 1 or z.shape[1] == 1:
+        return blas.dgemv(1.0, h.T, z.ravel(), trans=1).reshape(z.shape)
+    # cho_solve returns Fortran order, so this never copies.
+    return blas.dgemm(1.0, np.asfortranarray(z), h.T, trans_a=1).T
+
+
 def solve_spd(gm: GramMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve (h + ridge I) z = rhs via the cached factor, with residual check.
 
@@ -156,12 +202,12 @@ def solve_spd(gm: GramMatrix, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=np.float64)
     rhs_norm = float(np.linalg.norm(rhs))
     z = gm.solve_factored(rhs)
-    residual = rhs - (gm.h @ z + gm.ridge * z)
+    residual = rhs - (_h_times(gm.h, z) + gm.ridge * z)
     res_norm = float(np.linalg.norm(residual))
     refinements = 0
     while res_norm > SOLVE_RESIDUAL_TOL * rhs_norm and refinements < MAX_REFINEMENTS:
         z = z + gm.solve_factored(residual)
-        residual = rhs - (gm.h @ z + gm.ridge * z)
+        residual = rhs - (_h_times(gm.h, z) + gm.ridge * z)
         res_norm = float(np.linalg.norm(residual))
         refinements += 1
     if res_norm > SOLVE_RESIDUAL_TOL * rhs_norm:

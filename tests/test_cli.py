@@ -117,6 +117,25 @@ def test_exit_code_input_error(tmp_path):
     assert rc == 2
 
 
+def test_exit_code_input_error_on_non_finite_feature(tmp_path, capsys):
+    rows = (GOLDEN / "features.csv").read_text().splitlines()
+    rows[1] = ",".join(["nan"] + rows[1].split(",")[1:])
+    features = tmp_path / "features.csv"
+    features.write_text("\n".join(rows) + "\n")
+    rc = main(
+        [
+            "score",
+            "--edges", str(GOLDEN / "edges.tsv"),
+            "--features", str(features),
+            "--k", "2",
+            "--out", str(tmp_path / "out.tsv"),
+        ]
+    )
+    assert rc == 2
+    assert "line 2: non-finite value 'nan'" in capsys.readouterr().err
+    assert not (tmp_path / "out.tsv").exists()
+
+
 def test_exit_code_config_error(tmp_path, graph_files):
     base = [
         "--edges", graph_files["edges"],

@@ -78,6 +78,14 @@ def test_constructor_validation():
         Graph(features=[[1.0], [2.0]], edges=[(0, 1), (1, 0)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constructor_rejects_non_finite_features(bad):
+    feats = np.ones((3, 2))
+    feats[2, 1] = bad
+    with pytest.raises(InputError, match=r"feature \(2, 1\) is not finite"):
+        Graph(features=feats, edges=[(0, 1)])
+
+
 def test_edges_are_canonical_and_sorted():
     g = Graph(features=np.eye(4), edges=[(3, 1), (2, 0), (1, 0)])
     assert g.edges.tolist() == [[0, 1], [0, 2], [1, 3]]
@@ -155,6 +163,16 @@ def test_load_graph_reports_line_numbers(tmp_path):
     f.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(GraphFormatError, match="line 2"):
         load_graph(tmp_path / "e.tsv", f)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_graph_rejects_non_finite_features(tmp_path, cell):
+    f = tmp_path / "f.csv"
+    f.write_text(f"1.0,2.0\n3.0,4.0\n5.0,{cell}\n")
+    e = tmp_path / "e.tsv"
+    e.write_text("0\t1\n")
+    with pytest.raises(GraphFormatError, match=f"line 3: non-finite value '{cell}'"):
+        load_graph(e, f)
 
 
 def test_load_graph_warns_and_cleans(tmp_path):

@@ -8,10 +8,11 @@ import pytest
 from helpers import oracle_aggregate, oracle_gkc, oracle_gram, random_label_columns
 
 from kces.errors import InputError, KcesWarning, NumericError
-from kces.graph import AggregatedFeatures, aggregate_features
+from kces.graph import AggregatedFeatures, Graph, aggregate_features
 from kces.kernel import (
     RIDGE_SCALE,
     GramMatrix,
+    _h_times,
     arccos_kernel,
     gkc,
     gram_from_matrix,
@@ -65,6 +66,59 @@ def test_gram_matches_entrywise_oracle():
         rows, _ = oracle_aggregate(g.features, g.edges.tolist())
         assert np.abs(gm.h - oracle_gram(rows)).max() <= 1e-12, f"seed {seed}"
         assert gm.ridge == 0.0, f"seed {seed}: unexpected ridge"
+
+
+@pytest.mark.parametrize("n", [5, 64, 400])
+def test_gram_rebuild_is_symmetric_pinned_and_matches_numpy_product(n):
+    rng = np.random.default_rng(n)
+    xt = AggregatedFeatures.from_unit_rows(rng.standard_normal((n, 6)))
+    rows = xt.matrix
+    gm = gram_matrix(xt)
+    h = gm.h
+    assert np.array_equal(h, h.T)
+    assert (np.diag(h) == 0.5).all()
+    dots = rows @ rows.T
+    dots = (dots + dots.T) / 2.0
+    np.fill_diagonal(dots, 1.0)
+    assert np.abs(h - arccos_kernel(dots)).max() <= 1e-14
+    assert not h.flags.writeable and not gm.chol_lower.flags.writeable
+
+
+def test_ridged_gram_keeps_its_arrays_read_only():
+    # nodes 8 and 9 share the closed neighborhood {0, 8, 9}: twin rows
+    edges = [(i, (i + 1) % 8) for i in range(8)] + [(0, 8), (0, 9), (8, 9)]
+    g = Graph(features=np.random.default_rng(5).standard_normal((10, 3)), edges=edges)
+    with pytest.warns(KcesWarning, match="ridge"):
+        gm = gram_matrix(aggregate_features(g))
+    assert gm.ridge > 0.0
+    assert not gm.h.flags.writeable and not gm.chol_lower.flags.writeable
+    assert np.array_equal(np.diag(gm.h), np.full(10, 0.5))
+    lower = np.tril(gm.chol_lower)
+    assert np.abs(lower @ lower.T - gm.h - gm.ridge * np.eye(10)).max() <= 1e-12
+
+
+def test_gram_from_matrix_validates_and_copies():
+    with pytest.raises(InputError, match="square"):
+        gram_from_matrix(np.ones((2, 3)))
+    for bad in (np.nan, np.inf):
+        h = np.eye(3) * 0.5
+        h[0, 2] = h[2, 0] = bad
+        with pytest.raises(InputError, match="finite"):
+            gram_from_matrix(h)
+    h = np.eye(3) * 0.5
+    gm = gram_from_matrix(h)
+    assert h.flags.writeable and not np.shares_memory(h, gm.h)
+
+
+def test_residual_product_is_bitwise_numpy_matmul():
+    # the residual gate compares rounding noise, so the product must keep
+    # numpy's bits for every right-hand side shape solve_spd sees
+    rng = np.random.default_rng(3)
+    for n in (5, 64, 401):
+        h = rng.standard_normal((n, n))
+        for shape in ((n,), (n, 1), (n, 2), (n, 3)):
+            z = np.asfortranarray(rng.standard_normal(shape))
+            assert _h_times(h, z).tobytes() == (h @ z).tobytes(), (n, shape)
 
 
 def test_gkc_matches_explicit_inverse_oracle():
