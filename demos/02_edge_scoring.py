@@ -2,7 +2,8 @@
 
 The naive route recomputes the full kernel matrix per edge; the fast
 route patches the cached factorization with a low-rank update, in
-blocks of edges that share one product against the cached inverse.
+blocks of edges that share one triangular product against the inverse
+of the cached Cholesky factor.
 An edge the update cannot handle (a hub edge, an ill-conditioned
 update, a ridged base) falls back to the naive route, and the table's
 method column says which route each edge took.  The two routes must

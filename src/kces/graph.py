@@ -200,17 +200,32 @@ class AggregatedFeatures:
         )
 
 
+def finite_row_norms(raw: np.ndarray) -> np.ndarray:
+    """Row 2-norms of ``raw``; InputError when one overflows.
+
+    A row whose norm is not finite would otherwise be divided down to
+    zeros or NaNs and pass every vanishing-norm check.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(raw, axis=1)
+    if not np.isfinite(norms).all():
+        i = int(np.argmax(~np.isfinite(norms)))
+        raise InputError(f"feature sums overflow at node {i}")
+    return norms
+
+
 def aggregate_features(g: Graph) -> AggregatedFeatures:
     """Average each node's features over its closed neighborhood.
 
     Computes D^{-1/2} (A + I) D^{-1/2} X with D the self-loop-inclusive
     degree matrix, then rescales every row to unit 2-norm.  A row whose
     pre-normalization norm falls below 1e-10 is a hard error: the kernel
-    downstream is undefined on zero rows.
+    downstream is undefined on zero rows.  A row whose sum overflows is
+    an input error.
     """
     w = 1.0 / np.sqrt(g.degrees.astype(np.float64))
     raw = w[:, None] * (g.adjacency_with_self_loops() @ (w[:, None] * g.features))
-    norms = np.linalg.norm(raw, axis=1)
+    norms = finite_row_norms(raw)
     if (norms < DEGENERATE_ROW_NORM).any():
         i = int(np.argmax(norms < DEGENERATE_ROW_NORM))
         raise DegenerateFeatureError(

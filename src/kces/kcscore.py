@@ -7,19 +7,26 @@ scratch per edge and is the reference.  The fast route exploits that a
 single removal only touches the aggregated rows of the closed
 neighborhoods of u and v, so the Gram update has low rank and the new
 quadratic form follows from the Woodbury identity against the cached
-base inverse, with no refactorization.
+base factorization, with no refactorization.
 
-The fast route walks ``g.edges`` in consecutive blocks of
-``BLOCK_EDGES``.  For each block it replays the affected aggregated rows
-of every edge in one vectorized pass over the sparse A + I, builds all
-changed kernel columns with one product and one kernel map, and
-multiplies them by the cached inverse in one BLAS-3 call; only the small
-capacitance systems are built and solved edge by edge.  The partition
-depends on the edge list alone, never on a thread count, so every score
-is the same however the caller is configured.  An edge goes to the naive
-route when the base Gram matrix needed a ridge, when its affected set
-covers half the graph, or when its capacitance system is not finite or
-is ill-conditioned.
+The fast route works from the inverse Cholesky factor L^-1 of the base
+Gram matrix H = L L^T, so H^-1 = L^-T L^-1 is never formed.  It walks
+``g.edges`` in consecutive blocks of ``BLOCK_EDGES``.  For each block it
+replays the affected aggregated rows of every edge in one vectorized
+pass over the sparse A + I, builds all changed kernel columns M with one
+product and one kernel map, and overwrites M with Y = L^-1 M in one
+triangular product.  Per edge, with V = [Y_e, L^-1[:, s]], the
+capacitance matrix is C^-1 + V^T V, one symmetric rank-k product, and
+it is factored, condition-estimated and solved with LAPACK's symmetric
+indefinite routines.  The partition depends on the edge list alone,
+never on a thread count, so every score is the same however the caller
+is configured.  An edge goes to the naive route when the base Gram
+matrix needed a ridge, when its affected set covers half the graph, or
+when its capacitance system is not finite, singular or ill-conditioned
+by its 1-norm condition estimate.
+
+Every BLAS and LAPACK call of the fast route goes through scipy, the
+runtime the Gram rebuild uses (see ``kernel``).
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import blas, lapack
 
 from .errors import (
     ConfigError,
@@ -35,6 +43,7 @@ from .errors import (
     GraphFormatError,
     InputError,
     MissingEdgeError,
+    NumericError,
 )
 from .graph import (
     DEGENERATE_ROW_NORM,
@@ -46,7 +55,8 @@ from .graph import (
 from .kernel import arccos_kernel, gkc, gram_matrix
 from .pseudolabel import LabelMatrix
 
-#: Fast path falls back to naive when the capacitance system is worse than this.
+#: Fast path falls back to naive when the capacitance system's estimated
+#: 1-norm condition number is worse than this.
 CAPACITANCE_COND_LIMIT = 1e12
 #: Edges per fast-route block.  At N=1000 on a 2-vCPU Xeon, blocks of 32
 #: were no faster than 16 and held 13 MB more.
@@ -134,11 +144,14 @@ class KcScoreTable:
 class ScoreCache:
     """Base-graph quantities shared by all fast per-edge evaluations.
 
-    Holds the aggregated rows, the Gram matrix with its explicit inverse
-    (one cached solve of the identity against the Cholesky factor), the
-    solved label columns, and the pre-normalization neighbor sums needed
-    to replay aggregation on the handful of rows an edge removal touches.
-    ``fallbacks`` counts fast-route requests that took the naive route.
+    Holds the aggregated rows, the Gram matrix with the inverse of its
+    lower Cholesky factor ``l_inv`` (one triangular inversion, in place
+    of an explicit H^-1), ``l_inv_y`` = L^-1 y, the solved label columns
+    ``z`` = H^-1 y with ``quad`` = y^T z, and the pre-normalization
+    neighbor sums needed to replay aggregation on the handful of rows an
+    edge removal touches.  The fast-route fields are None when the base
+    needed a ridge.  ``fallbacks`` counts fast-route requests that took
+    the naive route.
     """
 
     def __init__(self, g: Graph, labels: LabelMatrix):
@@ -156,11 +169,19 @@ class ScoreCache:
             * self.xt.pre_norm_row_norms[:, None]
             / self.weights[:, None]
         )
-        self.h_inv = None
+        self.l_inv = None
+        self.l_inv_y = None
         self.z = None
         self.quad = None
         if self.gm.ridge == 0.0:
-            self.h_inv = self.gm.solve_factored(np.eye(g.n_nodes))
+            # The blocks read whole columns of l_inv, so its upper triangle
+            # must be zero: the factor's is, and dtrtri leaves it alone.
+            l_inv, info = lapack.dtrtri(self.gm.chol_lower, lower=1)
+            if info != 0:
+                raise NumericError("Cholesky factor of the Gram matrix is singular")
+            l_inv.setflags(write=False)
+            self.l_inv = l_inv
+            self.l_inv_y = blas.dtrmm(1.0, l_inv, labels.columns, lower=1)
             self.z = self.gm.solve_factored(labels.columns)
             self.quad = np.einsum("nc,nc->c", labels.columns, self.z)
         self.columns = labels.columns
@@ -244,29 +265,37 @@ def _block_gkc_removed(cache: ScoreCache, g: Graph, labels: LabelMatrix, block):
     bounds = hit.indptr.tolist()
     s_all = hit.indices
 
-    # (a) row replay, (b) kernel columns, (c) one product with H^-1.
+    # (a) row replay, (b) kernel columns, (c) one triangular product with
+    # L^-1.  Both dgemm operands are Fortran-ordered views of C-ordered
+    # arrays, so neither is copied, and the product comes out Fortran-ordered.
     rows, norms = _replay_rows(cache, g, us, vs, hit)
-    dots = cache.xt.matrix @ rows.T
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        new = rows[a:b]
-        inner = new @ new.T
-        inner = (inner + inner.T) / 2.0
+    dots = blas.dgemm(1.0, cache.xt.matrix.T, rows.T, trans_a=1)
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    for a, b in spans:
+        tri = blas.dsyrk(1.0, rows[a:b].T, trans=1, lower=1)
+        inner = tri + tri.T
         np.fill_diagonal(inner, 1.0)
         dots[s_all[a:b], a:b] = inner
     m_all = arccos_kernel(dots)
     # h is exactly symmetric, so its rows are the columns, read contiguously.
     m_all -= cache.gm.h[s_all].T
-    h_inv_m_all = cache.h_inv @ m_all
-    mt_z_all = m_all.T @ cache.z
+    # The product overwrites M, so each edge's m[s] is kept first.  It is
+    # exactly symmetric: the inner products above are mirrored, the kernel
+    # map is entrywise and h is exactly symmetric.
+    m_s_all = [m_all[s_all[a:b], a:b] for a, b in spans]
+    y_all = blas.dtrmm(1.0, cache.l_inv, m_all, lower=1, overwrite_b=1)
+    mt_z_all = blas.dgemm(1.0, y_all, cache.l_inv_y, trans_a=1)
 
     # (d) per-edge capacitance: Delta H = W C W^T with W = [m, P_s] and
-    # C^{-1} = [[b, I], [I, 0]], b the symmetrized m[s]; m^T H^-1 P_s is
-    # (H^-1 m)[s]^T because H^-1 is symmetric.
+    # C^{-1} = [[b, I], [I, 0]], b = m[s].  With H^-1 = L^-T L^-1,
+    # W^T H^-1 W = V^T V for V = L^-1 W = [Y_e, L^-1[:, s]], so one syrk
+    # gives m^T H^-1 m, (H^-1 m)[s] and H^-1[s, s] at once.
     j = 0
     for pos in range(nb):
         u, v = int(block[pos, 0]), int(block[pos, 1])
         if fast[pos]:
-            a, b = bounds[j], bounds[j + 1]
+            a, b = spans[j]
+            m_s = m_s_all[j]
             j += 1
             s = s_all[a:b]
             bad = norms[a:b] < DEGENERATE_ROW_NORM
@@ -276,25 +305,51 @@ def _block_gkc_removed(cache: ScoreCache, g: Graph, labels: LabelMatrix, block):
                     f"at node {int(s[np.argmax(bad)])}"
                 )
             ns = b - a
-            m, h_inv_m = m_all[:, a:b], h_inv_m_all[:, a:b]
-            m_s = m[s, :]
-            cap = np.empty((2 * ns, 2 * ns))
-            cap[:ns, :ns] = (m_s + m_s.T) / 2.0 + m.T @ h_inv_m
-            cap[:ns, ns:] = np.eye(ns) + h_inv_m[s, :].T
-            cap[ns:, :ns] = cap[:ns, ns:].T
-            cap[ns:, ns:] = cache.h_inv[np.ix_(s, s)]
-            if np.isfinite(cap).all() and np.linalg.cond(cap) <= CAPACITANCE_COND_LIMIT:
-                wt_z = np.vstack([mt_z_all[a:b], cache.z[s, :]])
-                correction = np.einsum("kc,kc->c", wt_z, np.linalg.solve(cap, wt_z))
+            vv = np.empty((n, 2 * ns), order="F")
+            vv[:, :ns] = y_all[:, a:b]
+            vv[:, ns:] = cache.l_inv[:, s]
+            # syrk fills the lower triangle of a zeroed array, so the
+            # mirror below doubles nothing but the diagonal.
+            low = blas.dsyrk(1.0, vv, trans=1, lower=1)
+            low[ns:, :ns] += np.eye(ns)
+            cap = low + low.T
+            np.fill_diagonal(cap, np.diagonal(low))
+            cap[:ns, :ns] += m_s
+            wt_z = np.vstack([mt_z_all[a:b], cache.z[s, :]])
+            solved = _solve_capacitance(cap, wt_z)
+            if solved is not None:
+                correction = np.einsum("kc,kc->c", wt_z, solved)
                 yield float(2.0 * (cache.quad - correction).sum() / n), "fast"
                 continue
         cache.fallbacks += 1
         yield _gkc_removed_naive(g, labels, u, v), "naive"
 
 
+def _solve_capacitance(cap, rhs):
+    """Solve the symmetric system ``cap x = rhs`` by LAPACK's ``?sytrf``.
+
+    ``cap`` holds the full matrix: LAPACK reads its lower triangle, and
+    the 1-norm that ``?sycon`` needs is taken over all of it.  Returns
+    None when cap is not finite, is exactly singular, or its 1-norm
+    condition estimate exceeds ``CAPACITANCE_COND_LIMIT``.
+    """
+    if not np.isfinite(cap).all():
+        return None
+    anorm = float(np.abs(cap).sum(axis=0).max())
+    ldu, ipiv, info = lapack.dsytrf(cap, lower=1)
+    if info != 0:
+        return None
+    rcond, info = lapack.dsycon(ldu, ipiv, anorm, lower=1)
+    # Written so that a NaN estimate falls back too.
+    if info != 0 or not rcond * CAPACITANCE_COND_LIMIT >= 1.0:
+        return None
+    x, info = lapack.dsytrs(ldu, ipiv, rhs, lower=1)
+    return x if info == 0 else None
+
+
 def _gkc_removed(cache: ScoreCache, g: Graph, labels: LabelMatrix, edges, fast: bool):
     """Yield (GKC after removal, route) for each row of ``edges``, in order."""
-    if not fast or cache.h_inv is None:
+    if not fast or cache.l_inv is None:
         for u, v in edges.tolist():
             if fast:
                 cache.fallbacks += 1

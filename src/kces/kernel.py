@@ -6,9 +6,9 @@ The Gram matrix over unit-norm aggregated rows x_i is
 
 so H[i, i] = 0.5 exactly and |H[i, j]| <= 0.5.  GKC is the label-norm
 functional 2 y^T H^{-1} y / N, summed over label columns, evaluated
-through a cached Cholesky factorization.  This module never forms an
-explicit inverse; the fast scoring route's cache does, once per scoring
-run, by solving the identity against the cached factor.  When the
+through a cached Cholesky factorization H = L L^T.  No explicit H^{-1}
+is ever formed: this module solves against L, and the fast scoring
+route's cache inverts the triangular L once per scoring run.  When the
 factorization fails or its smallest pivot marks the matrix as
 numerically rank-deficient, a small ridge proportional to trace(H)/N is
 added once and flagged.

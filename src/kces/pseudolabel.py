@@ -21,7 +21,7 @@ from .errors import (
     EncodingError,
     InfeasibleKError,
 )
-from .graph import Graph, _readonly
+from .graph import Graph, _readonly, finite_row_norms
 
 MAX_LLOYD_ITERATIONS = 300
 CENTROID_SHIFT_TOL = 1e-6
@@ -64,7 +64,7 @@ class LabelMatrix:
 
 def _cluster_inputs(g: Graph) -> np.ndarray:
     raw = g.adjacency_with_self_loops() @ g.features
-    norms = np.linalg.norm(raw, axis=1)
+    norms = finite_row_norms(raw)
     if (norms < 1e-10).any():
         i = int(np.argmax(norms < 1e-10))
         raise DegenerateFeatureError(

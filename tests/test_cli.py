@@ -136,6 +136,26 @@ def test_exit_code_input_error_on_non_finite_feature(tmp_path, capsys):
     assert not (tmp_path / "out.tsv").exists()
 
 
+def test_exit_code_input_error_on_overflowing_features(tmp_path, capsys):
+    rows = (GOLDEN / "features.csv").read_text().splitlines()
+    rows[0] = "1e308,1e308,1e308"
+    rows[1] = "1e308,1.0,1.0"
+    features = tmp_path / "features.csv"
+    features.write_text("\n".join(rows) + "\n")
+    rc = main(
+        [
+            "score",
+            "--edges", str(GOLDEN / "edges.tsv"),
+            "--features", str(features),
+            "--k", "2",
+            "--out", str(tmp_path / "out.tsv"),
+        ]
+    )
+    assert rc == 2
+    assert "feature sums overflow at node 0" in capsys.readouterr().err
+    assert not (tmp_path / "out.tsv").exists()
+
+
 def test_exit_code_config_error(tmp_path, graph_files):
     base = [
         "--edges", graph_files["edges"],

@@ -86,6 +86,14 @@ def test_constructor_rejects_non_finite_features(bad):
         Graph(features=feats, edges=[(0, 1)])
 
 
+def test_aggregate_rejects_overflowing_features():
+    # each aggregated row's norm overflows, so normalizing would turn the
+    # rows into zeros that pass the vanishing-norm check
+    g = Graph([[1e308, 1e308], [1e308, 1.0], [1.0, 1.0]], [(0, 1), (1, 2)])
+    with pytest.raises(InputError, match="feature sums overflow at node 0"):
+        aggregate_features(g)
+
+
 def test_edges_are_canonical_and_sorted():
     g = Graph(features=np.eye(4), edges=[(3, 1), (2, 0), (1, 0)])
     assert g.edges.tolist() == [[0, 1], [0, 2], [1, 3]]

@@ -16,10 +16,12 @@ from kces.errors import (
     KcesWarning,
     MissingEdgeError,
 )
-from kces.graph import Graph, aggregate_features, remove_edge
+from kces import kcscore
+from kces.graph import Graph, affected_nodes, aggregate_features, remove_edge
 from kces.kernel import gram_matrix
 from kces.kcscore import (
     BLOCK_EDGES,
+    CAPACITANCE_COND_LIMIT,
     KcScoreTable,
     build_score_cache,
     kc_score_fast,
@@ -277,7 +279,7 @@ def test_block_with_mixed_routes_matches_single_edge_scoring(tmp_path):
     assert {table.entries[e].method for e in first_block} == {"fast", "naive"}
 
     cache = build_score_cache(g, lm)
-    assert cache.h_inv is not None
+    assert cache.l_inv is not None
     for (u, v), entry in table.entries.items():
         before = cache.fallbacks
         kc_score_fast(g, cache, lm, u, v)
@@ -293,6 +295,117 @@ def test_block_with_mixed_routes_matches_single_edge_scoring(tmp_path):
     table.write_tsv(first)
     kc_scores_all(g, lm, method="fast").write_tsv(second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def _explicit_capacitance(g, u, v):
+    """The Woodbury capacitance matrix of removing (u, v), built in full
+    from an explicit inverse of the base Gram matrix."""
+    h = gram_matrix(aggregate_features(g)).h
+    h_new = gram_matrix(aggregate_features(remove_edge(g, u, v))).h
+    s = affected_nodes(g, u, v)
+    m = (h_new - h)[:, s]
+    h_inv = np.linalg.inv(h)
+    h_inv_m = h_inv @ m
+    eye = np.eye(s.size)
+    return np.block(
+        [
+            [m[s] + m.T @ h_inv_m, eye + h_inv_m[s].T],
+            [eye + h_inv_m[s], h_inv[np.ix_(s, s)]],
+        ]
+    )
+
+
+def test_ill_conditioning_limit_sends_every_edge_naive(monkeypatch):
+    g = _hub_ring_graph()
+    lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
+    # no capacitance matrix has a condition number of 1 or less
+    monkeypatch.setattr(kcscore, "CAPACITANCE_COND_LIMIT", 1.0)
+    table = kc_scores_all(g, lm, method="fast")
+    for (u, v), entry in table.entries.items():
+        assert entry.method == "naive", f"edge {(u, v)}"
+        assert entry.score == kc_score_naive(g, lm, u, v), f"edge {(u, v)}"
+
+
+def test_route_follows_capacitance_condition_number(monkeypatch):
+    g = _hub_ring_graph()
+    lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
+    table = kc_scores_all(g, lm, method="fast")
+    cond_1 = {}
+    for (u, v), entry in table.entries.items():
+        if 2 * affected_nodes(g, u, v).size >= g.n_nodes:
+            assert entry.method == "naive", f"edge {(u, v)}"
+            continue
+        cap = _explicit_capacitance(g, u, v)
+        cond = np.linalg.cond(cap)
+        want = "fast" if cond <= CAPACITANCE_COND_LIMIT else "naive"
+        assert entry.method == want, f"edge {(u, v)}: cond {cond:.3e}"
+        cond_1[(u, v)] = np.linalg.cond(cap, 1)
+    assert len(cond_1) > 30
+
+    # At a limit inside the range (the 1-norm condition numbers span 378 to
+    # 3213), LAPACK's estimate, which never exceeds the exact 1-norm
+    # condition number and on this graph is at least 0.32 of it, keeps
+    # every edge at or under the limit fast and sends every edge over 3.5
+    # times the limit to the naive route.
+    limit = max(cond_1.values()) / 5.0
+    monkeypatch.setattr(kcscore, "CAPACITANCE_COND_LIMIT", limit)
+    table = kc_scores_all(g, lm, method="fast")
+    below = [e for e, c in cond_1.items() if c <= limit]
+    above = [e for e, c in cond_1.items() if c > 3.5 * limit]
+    assert below and above
+    assert all(table.entries[e].method == "fast" for e in below)
+    assert all(table.entries[e].method == "naive" for e in above)
+
+
+def test_capacitance_solve_estimates_the_full_1_norm_condition(monkeypatch):
+    # column 2 sums to 48 in full but to 40 below the diagonal, so a norm
+    # read from one triangle alone would understate the condition number;
+    # LAPACK's estimate is exact on this matrix (264)
+    cap = np.array([[1.0, 0.0, 4.0], [0.0, 1.0, 4.0], [4.0, 4.0, 40.0]])
+    rhs = np.array([[1.0], [2.0], [3.0]])
+    cond = np.linalg.cond(cap, 1)
+    monkeypatch.setattr(kcscore, "CAPACITANCE_COND_LIMIT", 1.01 * cond)
+    x = kcscore._solve_capacitance(cap.copy(), rhs)
+    np.testing.assert_allclose(x, np.linalg.solve(cap, rhs), rtol=1e-12)
+    monkeypatch.setattr(kcscore, "CAPACITANCE_COND_LIMIT", 0.99 * cond)
+    assert kcscore._solve_capacitance(cap.copy(), rhs) is None
+
+    monkeypatch.setattr(kcscore, "CAPACITANCE_COND_LIMIT", 1e12)
+    singular = np.ones((2, 2))
+    assert kcscore._solve_capacitance(singular, rhs[:2]) is None
+    cap[1, 1] = np.inf
+    assert kcscore._solve_capacitance(cap, rhs) is None
+
+
+def _twin_forming_graph():
+    # ring over 40 nodes plus nodes 40 and 41, both joined to ring node 5
+    # and to each other, and 41 also to ring node 25: the base has no twin
+    # rows, but removing (25, 41) leaves 40 and 41 with the same closed
+    # neighborhood, so that removal's Gram matrix is singular
+    n = 42
+    edges = [(i, (i + 1) % 40) for i in range(40)]
+    edges += [(5, 40), (5, 41), (40, 41), (25, 41)]
+    feats = np.random.default_rng(17).standard_normal((n, 5))
+    return Graph(features=feats, edges=edges)
+
+
+def test_fast_matches_naive_on_graph_with_twin_forming_removal():
+    g = _twin_forming_graph()
+    lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
+    assert build_score_cache(g, lm).gm.ridge == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KcesWarning)
+        table = kc_scores_all(g, lm, method="fast")
+        assert table.entries[(25, 41)].method == "naive"
+        n_fast = 0
+        for (u, v), entry in table.entries.items():
+            ref = kc_score_naive(g, lm, u, v)
+            if entry.method == "naive":
+                assert entry.score == ref, f"edge {(u, v)}"
+            else:
+                n_fast += 1
+                assert abs(entry.score - ref) <= max(1e-8 * abs(ref), 1e-12), f"edge {(u, v)}"
+    assert n_fast == g.n_edges - 1
 
 
 def test_ridged_base_scores_every_edge_naively():
