@@ -2,10 +2,13 @@
 
 The KC score of edge (u, v) is |GKC(H) - GKC(H_without_uv)|: how much the
 label-norm complexity moves when the edge is deleted.  Two routes compute
-it.  The naive route rebuilds aggregation, Gram matrix, and GKC from
-scratch per edge and is the reference.  The fast route exploits that a
-single removal only touches the aggregated rows of the closed
-neighborhoods of u and v, so the Gram update has low rank and the new
+it.  Both rest on one fact: a single removal only touches the aggregated
+rows of the closed neighborhoods of u and v.  The naive route
+re-aggregates the removed graph and rebuilds its Gram matrix from the
+base's, mapping only those rows' columns through the kernel, then
+refactors it under the base's ridge; the result has the bits of a full
+rebuild, which ``kc_score_naive`` makes from scratch as the reference.
+The fast route notes that the Gram update has low rank, so the new
 quadratic form follows from the Woodbury identity against the cached
 base factorization, with no refactorization.
 
@@ -48,11 +51,12 @@ from .errors import (
 from .graph import (
     DEGENERATE_ROW_NORM,
     Graph,
+    affected_nodes,
     aggregate_features,
     format_float,
     remove_edge,
 )
-from .kernel import arccos_kernel, gkc, gram_matrix
+from .kernel import GramPatcher, arccos_kernel, gkc, gram_matrix
 from .pseudolabel import LabelMatrix
 
 #: Fast path falls back to naive when the capacitance system's estimated
@@ -106,7 +110,8 @@ class KcScoreTable:
     def read_tsv(cls, path) -> "KcScoreTable":
         """Read a table written by ``write_tsv``.
 
-        Line 1 must be the header, and each edge may appear once.
+        Line 1 must be the header, each edge may appear once, and each
+        score must be finite and non-negative.
         """
         entries = {}
         with open(path, "r", encoding="utf-8") as fh:
@@ -131,6 +136,12 @@ class KcScoreTable:
                     raise GraphFormatError(
                         f"{path}: line {line_no}: unparseable row {line!r}"
                     ) from None
+                # A NaN would sort first and be pruned first.
+                if not 0.0 <= score < float("inf"):
+                    raise GraphFormatError(
+                        f"{path}: line {line_no}: kc_score must be finite "
+                        f"and non-negative, got {parts[2]!r}"
+                    )
                 if (u, v) in entries or (v, u) in entries:
                     raise GraphFormatError(
                         f"{path}: line {line_no}: repeated edge ({u}, {v})"
@@ -142,16 +153,18 @@ class KcScoreTable:
 
 
 class ScoreCache:
-    """Base-graph quantities shared by all fast per-edge evaluations.
+    """Base-graph quantities shared by all per-edge evaluations.
 
-    Holds the aggregated rows, the Gram matrix with the inverse of its
-    lower Cholesky factor ``l_inv`` (one triangular inversion, in place
-    of an explicit H^-1), ``l_inv_y`` = L^-1 y, the solved label columns
+    Holds the aggregated rows, the Gram matrix with its ``patcher`` for
+    the naive route's rebuilds, the inverse of its lower Cholesky factor
+    ``l_inv`` (one triangular inversion, in place of an explicit H^-1),
+    ``l_inv_y`` = L^-1 y, the solved label columns
     ``z`` = H^-1 y with ``quad`` = y^T z, and the pre-normalization
     neighbor sums needed to replay aggregation on the handful of rows an
     edge removal touches.  The fast-route fields are None when the base
     needed a ridge.  ``fallbacks`` counts fast-route requests that took
-    the naive route.
+    the naive route.  A cache scores one edge at a time: the patcher
+    rebuilds every removal in the same buffers.
     """
 
     def __init__(self, g: Graph, labels: LabelMatrix):
@@ -159,6 +172,7 @@ class ScoreCache:
             raise InputError("label matrix does not match graph size")
         self.xt = aggregate_features(g)
         self.gm = gram_matrix(self.xt)
+        self.patcher = GramPatcher(self.gm)
         self.base_gkc = gkc(self.gm, labels)
         self.label_digest = labels.digest()
         self.weights = 1.0 / np.sqrt(g.degrees.astype(np.float64))
@@ -193,21 +207,33 @@ def build_score_cache(g: Graph, labels: LabelMatrix) -> ScoreCache:
     return ScoreCache(g, labels)
 
 
-def _gkc_removed_naive(g: Graph, labels: LabelMatrix, u: int, v: int) -> float:
-    reduced = remove_edge(g, u, v)
+def _removed_rows(g: Graph, u: int, v: int):
+    """Aggregated rows of g without edge (u, v)."""
     try:
-        xt = aggregate_features(reduced)
+        return aggregate_features(remove_edge(g, u, v))
     except DegenerateFeatureError as exc:
         raise DegenerateFeatureError(
             f"removing edge ({u}, {v}) degenerates aggregation: {exc}"
         ) from None
-    return gkc(gram_matrix(xt), labels).value
+
+
+def _gkc_removed_naive(
+    cache: ScoreCache, g: Graph, labels: LabelMatrix, u: int, v: int
+) -> float:
+    # Only the rows of the closed neighborhoods of u and v change.
+    gm = cache.patcher.gram(_removed_rows(g, u, v), affected_nodes(g, u, v))
+    return gkc(gm, labels).value
 
 
 def kc_score_naive(g: Graph, labels: LabelMatrix, u: int, v: int) -> float:
-    """Reference score: full recompute of the edge-removed complexity."""
-    base = gkc(gram_matrix(aggregate_features(g)), labels).value
-    return abs(base - _gkc_removed_naive(g, labels, u, v))
+    """Reference score: full recompute of the edge-removed complexity.
+
+    The removal is factored under the ridge the base graph got, as in
+    ``kc_scores_all``.
+    """
+    base = gram_matrix(aggregate_features(g))
+    removed = gram_matrix(_removed_rows(g, u, v), base.ridge)
+    return abs(gkc(base, labels).value - gkc(removed, labels).value)
 
 
 def _replay_rows(cache: ScoreCache, g: Graph, us, vs, hit):
@@ -322,7 +348,7 @@ def _block_gkc_removed(cache: ScoreCache, g: Graph, labels: LabelMatrix, block):
                 yield float(2.0 * (cache.quad - correction).sum() / n), "fast"
                 continue
         cache.fallbacks += 1
-        yield _gkc_removed_naive(g, labels, u, v), "naive"
+        yield _gkc_removed_naive(cache, g, labels, u, v), "naive"
 
 
 def _solve_capacitance(cap, rhs):
@@ -353,7 +379,7 @@ def _gkc_removed(cache: ScoreCache, g: Graph, labels: LabelMatrix, edges, fast: 
         for u, v in edges.tolist():
             if fast:
                 cache.fallbacks += 1
-            yield _gkc_removed_naive(g, labels, u, v), "naive"
+            yield _gkc_removed_naive(cache, g, labels, u, v), "naive"
         return
     for start in range(0, edges.shape[0], BLOCK_EDGES):
         yield from _block_gkc_removed(

@@ -11,7 +11,14 @@ is ever formed: this module solves against L, and the fast scoring
 route's cache inverts the triangular L once per scoring run.  When the
 factorization fails or its smallest pivot marks the matrix as
 numerically rank-deficient, a small ridge proportional to trace(H)/N is
-added once and flagged.
+added once and flagged.  The ridge is decided once per scoring run, on
+the base graph: every edge removal is factored under the base's ridge,
+a ridged one in a single factorization with no flag.
+
+An edge removal changes only the aggregated rows of the closed
+neighborhoods of its endpoints, so ``GramPatcher`` rebuilds its Gram
+matrix from the base's: it maps only the changed columns through the
+kernel and copies every other entry, into buffers reused across edges.
 
 The rebuild (Gram product, factorization, solves and the residual
 check) runs entirely in scipy's BLAS and LAPACK.  numpy and scipy wheels
@@ -103,32 +110,46 @@ class GramMatrix:
         )
 
 
-def _factor_with_ridge(h: np.ndarray):
-    # The factorization routine can return on an exactly singular matrix
-    # with a tiny lucky pivot whose factor is useless for solves, so a
-    # pivot-quality gate decides rank deficiency deterministically.
-    pivot_floor = np.sqrt(
-        h.shape[0] * PIVOT_RTOL * max(float(np.max(np.diag(h))), 0.0)
-    )
-    try:
-        chol = scipy.linalg.cholesky(h, lower=True, check_finite=False)
-        if float(np.min(np.diag(chol))) > pivot_floor:
-            return 0.0, chol
-    except scipy.linalg.LinAlgError:
-        pass
-    # Release the rejected factor before the ridged copy is made.
-    chol = None
-    ridge = RIDGE_SCALE * float(np.trace(h)) / h.shape[0]
-    warnings.warn(
-        f"Gram matrix not positive definite; adding ridge {ridge:.3e}",
-        KcesWarning,
-        stacklevel=3,
-    )
-    hr = np.array(h, order="F")
-    np.fill_diagonal(hr, np.diagonal(h) + ridge)
+def _factor_with_ridge(h: np.ndarray, ridge: float = 0.0, work=None):
+    """Factor h + ridge I; returns the ridge used and the lower factor.
+
+    A positive ``ridge`` is taken as decided: h is factored once with it,
+    and nothing is flagged.  From 0.0, h is factored plain first, and a
+    failure or a rank-deficient pivot adds ``RIDGE_SCALE * trace(h) / N``
+    with a warning.  h must be C-ordered and exactly symmetric, so that
+    h.T is h in Fortran order.  The factor is built in ``work``, an N x N
+    Fortran-ordered array, or in a new one.
+    """
+    if work is None:
+        work = np.empty(h.shape, order="F")
+    if ridge == 0.0:
+        # The factorization routine can return on an exactly singular
+        # matrix with a tiny lucky pivot whose factor is useless for
+        # solves, so a pivot-quality gate decides rank deficiency
+        # deterministically.
+        pivot_floor = np.sqrt(
+            h.shape[0] * PIVOT_RTOL * max(float(np.max(np.diag(h))), 0.0)
+        )
+        np.copyto(work, h.T)
+        try:
+            chol = scipy.linalg.cholesky(
+                work, lower=True, overwrite_a=True, check_finite=False
+            )
+            if float(np.min(np.diag(chol))) > pivot_floor:
+                return 0.0, chol
+        except scipy.linalg.LinAlgError:
+            pass
+        ridge = RIDGE_SCALE * float(np.trace(h)) / h.shape[0]
+        warnings.warn(
+            f"Gram matrix not positive definite; adding ridge {ridge:.3e}",
+            KcesWarning,
+            stacklevel=3,
+        )
+    np.copyto(work, h.T)
+    np.fill_diagonal(work, np.diagonal(h) + ridge)
     try:
         return ridge, scipy.linalg.cholesky(
-            hr, lower=True, overwrite_a=True, check_finite=False
+            work, lower=True, overwrite_a=True, check_finite=False
         )
     except scipy.linalg.LinAlgError as exc:
         raise NumericError(
@@ -136,27 +157,86 @@ def _factor_with_ridge(h: np.ndarray):
         ) from exc
 
 
-def gram_matrix(xt: AggregatedFeatures) -> GramMatrix:
-    """Build the Gram matrix of the aggregated rows and factor it.
-
-    The inner products come from one syrk into the lower triangle,
-    mirrored, so they are exactly symmetric and equal to numpy's
-    ``rows @ rows.T``; the diagonal is pinned to exact unit dot products,
-    so H[i, i] is 0.5 to the last bit.
-    """
-    rows = xt.matrix
+def _lower_dots(rows: np.ndarray, out=None) -> np.ndarray:
+    """Inner products of the rows in the lower triangle of ``out``, a
+    Fortran-ordered N x N array, or of a new zeroed one.  The upper
+    triangle is left as it was."""
     # LAPACK's factorization returns NaN factors without an error, and the
     # factor and solve calls skip scipy's finiteness scans.
     if not np.isfinite(rows).all():
         raise InputError("aggregated rows must be finite")
     # rows.T is the Fortran-ordered view of the C-ordered rows.
-    tri = blas.dsyrk(1.0, rows.T, trans=1, lower=1)
+    return blas.dsyrk(1.0, rows.T, trans=1, lower=1, c=out, overwrite_c=1)
+
+
+def gram_matrix(xt: AggregatedFeatures, ridge: float = 0.0) -> GramMatrix:
+    """Build the Gram matrix of the aggregated rows and factor it.
+
+    The inner products come from one syrk into the lower triangle,
+    mirrored, so they are exactly symmetric and equal to numpy's
+    ``rows @ rows.T``; the diagonal is pinned to exact unit dot products,
+    so H[i, i] is 0.5 to the last bit.  ``ridge`` is where the
+    factorization starts (see ``_factor_with_ridge``): an edge removal
+    is scored under the ridge its base graph got.
+    """
+    tri = _lower_dots(xt.matrix)
     dots = tri.T + tri
     tri = None  # freed before the kernel map takes its temporary
     np.fill_diagonal(dots, 1.0)
     h = arccos_kernel(dots)
-    ridge, chol = _factor_with_ridge(h)
+    ridge, chol = _factor_with_ridge(h, ridge)
     return GramMatrix(h, ridge, chol)
+
+
+class GramPatcher:
+    """Gram matrices of row sets that differ from a base's at a few rows.
+
+    ``gram(xt, changed)`` equals ``gram_matrix(xt, base.ridge)`` bit for
+    bit when the rows of ``xt`` equal the base's rows except at the
+    sorted indices ``changed``.  The inner products come from the syrk
+    ``gram_matrix`` makes, so every entry has the same bits, but only the
+    changed columns are taken out of the triangle and mapped through the
+    kernel; every other entry is copied from ``base.h``.  (A separate
+    product for the changed entries would not do: OpenBLAS rounds a
+    product's edge tiles differently.)  The factorization starts from
+    the base's ridge, so a removal from a ridged base is factored once.
+
+    The matrix and its factor live in two N x N buffers that every call
+    reuses, so a returned GramMatrix holds only until the next call.  The
+    syrk writes into the factor's buffer before the factorization does.
+    """
+
+    def __init__(self, base: GramMatrix):
+        self.base = base
+        self._h = None
+        self._work = None
+
+    def gram(self, xt: AggregatedFeatures, changed: np.ndarray) -> GramMatrix:
+        if self._h is None:
+            # Made on first use: a run whose edges all take the fast route
+            # never touches them.
+            n = self.base.n
+            self._h = np.empty((n, n))
+            self._work = np.empty((n, n), order="F")
+        tri = _lower_dots(xt.matrix, self._work)
+        # Column c of the mirrored products is tri[i, c] on and below the
+        # diagonal and tri[c, i] above it; the syrk does not touch the
+        # upper triangle, which holds what the last call left there.
+        panel = tri[:, changed]
+        above = np.arange(self.base.n)[:, None] < changed
+        panel[above] = tri[changed].T[above]
+        # gram_matrix's mirror adds a zero to every entry, turning -0.0
+        # into 0.0; so does this.
+        panel += 0.0
+        panel[changed, np.arange(changed.size)] = 1.0
+        panel = arccos_kernel(panel)
+        h = self._h
+        np.copyto(h, self.base.h)
+        h[:, changed] = panel
+        h[changed] = panel.T
+        ridge, chol = _factor_with_ridge(h, self.base.ridge, self._work)
+        # Read-only views: the buffers stay writable for the next call.
+        return GramMatrix(h.view(), ridge, chol.view())
 
 
 def gram_from_matrix(h: np.ndarray) -> GramMatrix:
@@ -166,6 +246,8 @@ def gram_from_matrix(h: np.ndarray) -> GramMatrix:
         raise InputError("Gram matrix must be square")
     if not np.isfinite(h).all():
         raise InputError("Gram matrix must be finite")
+    if not np.array_equal(h, h.T):
+        raise InputError("Gram matrix must be symmetric")
     ridge, chol = _factor_with_ridge(h)
     return GramMatrix(h, ridge, chol)
 

@@ -74,6 +74,28 @@ def test_prune_from_score_file(tmp_path):
     assert kept.edge_set() == {(1, 2), (2, 3), (3, 4)}
 
 
+def test_prune_rejects_nan_score(tmp_path, capsys):
+    # a NaN score would sort first and be pruned first
+    scores = tmp_path / "scores.tsv"
+    rows = (GOLDEN / "scores.tsv").read_text().splitlines()
+    rows[4] = "1\t2\tnan\tnaive"
+    scores.write_text("\n".join(rows) + "\n")
+    pruned = tmp_path / "pruned.tsv"
+    rc = main(
+        [
+            "prune",
+            "--edges", str(GOLDEN / "edges.tsv"),
+            "--features", str(GOLDEN / "features.csv"),
+            "--scores", str(scores),
+            "--alpha", "0.25",
+            "--out", str(pruned),
+        ]
+    )
+    assert rc == 2
+    assert "line 5: kc_score must be finite and non-negative" in capsys.readouterr().err
+    assert not pruned.exists()
+
+
 def test_manifest_replay_and_thread_invariance(tmp_path, graph_files):
     out = tmp_path / "scores.tsv"
     argv = [

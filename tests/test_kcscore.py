@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from helpers import oracle_kc, oracle_one_hot
+from helpers import oracle_gkc_from_graph, oracle_kc, oracle_one_hot
 
 from kces.errors import (
     ConfigError,
@@ -29,7 +30,7 @@ from kces.kcscore import (
     kc_scores_all,
 )
 from kces.pseudolabel import encode_labels, kmeans_pseudo_labels
-from kces.synth import random_graph
+from kces.synth import make_sbm_benchmark, random_graph
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden5"
 
@@ -249,6 +250,17 @@ def test_read_tsv_rejects_headerless_file(tmp_path):
         KcScoreTable.read_tsv(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-0.5"])
+def test_read_tsv_rejects_non_finite_or_negative_score(tmp_path, bad):
+    path = tmp_path / "scores.tsv"
+    path.write_text(
+        f"u\tv\tkc_score\tmethod\n1\t2\t0.4\tfast\n0\t1\t{bad}\tfast\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(GraphFormatError, match=f"line 3: kc_score .* got '{bad}'"):
+        KcScoreTable.read_tsv(path)
+
+
 def test_read_tsv_rejects_repeated_edge(tmp_path):
     path = tmp_path / "scores.tsv"
     path.write_text(
@@ -408,12 +420,21 @@ def test_fast_matches_naive_on_graph_with_twin_forming_removal():
     assert n_fast == g.n_edges - 1
 
 
-def test_ridged_base_scores_every_edge_naively():
+def _ridged_twin_graph():
     # nodes 8 and 9 share the closed neighborhood {0, 8, 9}, so their
     # aggregated rows coincide and the base Gram matrix needs a ridge
     edges = [(i, (i + 1) % 8) for i in range(8)] + [(0, 8), (0, 9), (8, 9)]
     feats = np.random.default_rng(5).standard_normal((10, 3))
-    g = Graph(features=feats, edges=edges)
+    return Graph(features=feats, edges=edges)
+
+
+def _sparse_sbm_202():
+    # N = 202 is not a multiple of OpenBLAS's tile sizes
+    return make_sbm_benchmark(seed=202, n=202, p_in=4 / 202, p_out=1 / 202)
+
+
+def test_ridged_base_scores_every_edge_naively():
+    g = _ridged_twin_graph()
     lm = encode_labels(np.arange(10) % 2, "one-hot")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", KcesWarning)
@@ -422,6 +443,70 @@ def test_ridged_base_scores_every_edge_naively():
         for (u, v), entry in table.entries.items():
             assert entry.method == "naive"
             assert entry.score == kc_score_naive(g, lm, u, v)
+
+
+@pytest.mark.parametrize(
+    "make_graph", [_twin_forming_graph, _sparse_sbm_202, _ridged_twin_graph]
+)
+def test_patched_rebuild_is_bitwise_the_full_rebuild(make_graph):
+    g = make_graph()
+    lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KcesWarning)
+        cache = build_score_cache(g, lm)
+        for u, v in g.edges.tolist():
+            xt = aggregate_features(remove_edge(g, u, v))
+            want = gram_matrix(xt, cache.gm.ridge)
+            got = cache.patcher.gram(xt, affected_nodes(g, u, v))
+            assert got.h.tobytes() == want.h.tobytes(), f"edge {(u, v)}"
+            assert got.chol_lower.tobytes() == want.chol_lower.tobytes(), f"edge {(u, v)}"
+            assert got.ridge == want.ridge, f"edge {(u, v)}"
+            # nothing a call leaves in the reused buffer may leak into the next
+            cache.patcher._work.fill(np.nan)
+        table = kc_scores_all(g, lm, method="fast")
+        naive = [e for e, entry in table.entries.items() if entry.method == "naive"]
+        assert naive
+        for u, v in naive:
+            assert table.entries[(u, v)].score == kc_score_naive(g, lm, u, v), f"edge {(u, v)}"
+
+
+def test_removal_from_ridged_base_keeps_the_base_ridge(monkeypatch):
+    g = _ridged_twin_graph()
+    lm = encode_labels(np.arange(10) % 2, "one-hot")
+    cols = oracle_one_hot(np.arange(10) % 2, 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", KcesWarning)
+        cache = build_score_cache(g, lm)
+        table = kc_scores_all(g, lm, method="fast")
+    ridge = cache.gm.ridge
+    assert ridge > 0.0
+    # one warning per base; the removals take the base's ridge silently
+    assert len(caught) == 2
+
+    # removing (8, 9) gives the twins the distinct neighborhoods {0, 8}
+    # and {0, 9}: the removed graph's Gram matrix would factor plainly,
+    # but it is scored under the base's ridge
+    assert gram_matrix(aggregate_features(remove_edge(g, 8, 9))).ridge == 0.0
+    kept = [e for e in g.edges.tolist() if tuple(e) != (8, 9)]
+    got = table.entries[(8, 9)].gkc_removed
+    with_ridge = oracle_gkc_from_graph(g.features, kept, cols, ridge=ridge)
+    without = oracle_gkc_from_graph(g.features, kept, cols)
+    assert abs(got - with_ridge) <= 1e-10 * with_ridge
+    assert abs(got - without) > 1e-10 * without
+
+    calls = []
+    cholesky = scipy.linalg.cholesky
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", counting)
+    for u, v in g.edges.tolist():
+        before = len(calls)
+        kc_score_fast(g, cache, lm, u, v)
+        assert len(calls) - before == 1, f"edge {(u, v)}"
+    assert cache.fallbacks == g.n_edges
 
 
 @pytest.mark.slow

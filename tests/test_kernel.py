@@ -105,6 +105,8 @@ def test_gram_from_matrix_validates_and_copies():
         h[0, 2] = h[2, 0] = bad
         with pytest.raises(InputError, match="finite"):
             gram_from_matrix(h)
+    with pytest.raises(InputError, match="symmetric"):
+        gram_from_matrix(np.array([[0.5, 0.1], [0.2, 0.5]]))
     h = np.eye(3) * 0.5
     gm = gram_from_matrix(h)
     assert h.flags.writeable and not np.shares_memory(h, gm.h)
