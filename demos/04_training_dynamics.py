@@ -48,9 +48,7 @@ print(f"\ncomplexity {complexity.value:.4f} -> test-error bound {bound:.4f}")
 
 table = kc_scores_all(g, labels, method="fast")
 top_edge = table.sorted_edges()[0]
-slack = edge_bound(
-    complexity, table.entries[top_edge].score, 16, gm.lambda_min, 0.05
-)
+slack = edge_bound(complexity, float(table.scores.max()), 16, gm.lambda_min, 0.05)
 print(
     f"worst-case bound if edge {top_edge} (the top scorer) is removed: "
     f"{slack:.4f}"

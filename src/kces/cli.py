@@ -2,7 +2,9 @@
 
 Commands compose through files only.  Every run writes a manifest with
 content digests of its inputs and outputs; re-running a manifest's argv
-reproduces the outputs byte for byte, regardless of --threads.
+reproduces the outputs byte for byte.  ``--threads`` is accepted and
+ignored, so that manifests written when it set the sweep's worker count
+still replay.
 
 Exit codes: 0 success, 2 input error, 3 numeric error, 4 infeasible
 configuration.
@@ -14,7 +16,6 @@ import argparse
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,7 +39,7 @@ _EXIT_CONFIG = 4
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for the sweep's training cells (never changes results)")
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored (kept so stored manifests replay); must be >= 1")
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     parser.add_argument("--manifest-out", default=None, help="manifest path (default: <output>.manifest.json)")
 
@@ -93,7 +94,7 @@ def _label_matrix(g: Graph, args):
 
 def _score_table(g: Graph, args) -> tuple[KcScoreTable, dict]:
     matrix, params = _label_matrix(g, args)
-    table = kc_scores_all(g, matrix, method=args.method, threads=args.threads)
+    table = kc_scores_all(g, matrix, method=args.method)
     params = dict(params, method=args.method, seed=args.seed)
     return table, params
 
@@ -119,6 +120,13 @@ def cmd_prune(args):
         if args.k is not None:
             raise ConfigError("pass --scores or --k, not both")
         table = KcScoreTable.read_tsv(args.scores)
+        # k is computed from the table's size, so a table of another edge
+        # set would prune a different share of the graph.
+        if not np.array_equal(table.edges, g.edges):
+            raise InputError(
+                f"{args.scores}: its {table.edges.shape[0]} edges are not "
+                f"the graph's {g.n_edges} edges"
+            )
         params = {"scores": "file"}
     else:
         table, params = _score_table(g, args)
@@ -213,10 +221,7 @@ def cmd_dist(args):
     for name, edge_path in variants:
         g = load_graph(edge_path, args.features, args.labels)
         table, score_params = _score_table(g, args)
-        scores = np.array(
-            [table.entries[edge].score for edge in sorted(table.entries)], dtype=np.float64
-        )
-        export = score_distribution(scores, samples=args.samples, seed=args.seed)
+        export = score_distribution(table.scores, samples=args.samples, seed=args.seed)
         out = f"{args.out_prefix}{name}.csv"
         write_distribution_csv(export, out)
         log.info("%s: %d scores summarized -> %s", name, export.sample_size, out)
@@ -243,30 +248,17 @@ def cmd_sweep(args):
         raise ConfigError("no seeds given")
     k = args.k if args.k is not None else int(np.unique(g.labels).size)
 
-    cells = []
+    rows = []
     for seed in seeds:
         pseudo = kmeans_pseudo_labels(g, k, seed, restarts=args.restarts)
-        matrix = encode_labels(pseudo, args.encoding)
-        table = kc_scores_all(g, matrix, method=args.method, threads=args.threads)
+        table = kc_scores_all(g, encode_labels(pseudo, args.encoding), method=args.method)
+        split = make_split(g.n_nodes, seed if args.split_seed is None else args.split_seed)
+        cfg = TrainConfig(m=args.m, steps=args.steps, eta=args.eta, kappa=args.kappa, seed=seed)
         for strategy in strategies:
             for alpha in SWEEP_ALPHAS:
-                cells.append((strategy, alpha, seed, table))
-
-    def run_cell(cell):
-        strategy, alpha, seed, table = cell
-        plan = select_edges(table, PruneConfig(alpha=alpha, strategy=strategy, seed=seed))
-        pruned = apply_prune(g, plan)
-        split_seed = seed if args.split_seed is None else args.split_seed
-        split = make_split(g.n_nodes, split_seed)
-        cfg = TrainConfig(m=args.m, steps=args.steps, eta=args.eta, kappa=args.kappa, seed=seed)
-        report = evaluate_classifier(pruned, g.labels, split, cfg)
-        return strategy, alpha, seed, report.test_accuracy
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(cell) for cell in cells]
+                plan = select_edges(table, PruneConfig(alpha=alpha, strategy=strategy, seed=seed))
+                report = evaluate_classifier(apply_prune(g, plan), g.labels, split, cfg)
+                rows.append((strategy, alpha, seed, report.test_accuracy))
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
 
     lines = ["strategy,alpha,seed,test_accuracy"]

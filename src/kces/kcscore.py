@@ -1,16 +1,19 @@
 """Per-edge kernel complexity (KC) scores.
 
 The KC score of edge (u, v) is |GKC(H) - GKC(H_without_uv)|: how much the
-label-norm complexity moves when the edge is deleted.  Two routes compute
-it.  Both rest on one fact: a single removal only touches the aggregated
-rows of the closed neighborhoods of u and v.  The naive route
-re-aggregates the removed graph and rebuilds its Gram matrix from the
-base's, mapping only those rows' columns through the kernel, then
-refactors it under the base's ridge; the result has the bits of a full
-rebuild, which ``kc_score_naive`` makes from scratch as the reference.
-The fast route notes that the Gram update has low rank, so the new
-quadratic form follows from the Woodbury identity against the cached
-base factorization, with no refactorization.
+label-norm complexity moves when the edge is deleted.  ``kc_scores_all``
+scores every edge of a graph into a ``KcScoreTable``; ``kc_score_naive``
+recomputes one edge from scratch as the reference.
+
+Two routes compute a score.  Both rest on one fact: a single removal only
+touches the aggregated rows of the closed neighborhoods of u and v.  The
+naive route re-aggregates the removed graph and rebuilds its Gram matrix
+from the base's, mapping only those rows' columns through the kernel,
+then refactors it under the base's ridge; the result has the bits of a
+full rebuild, which ``kc_score_naive`` makes.  The fast route notes that
+the Gram update has low rank, so the new quadratic form follows from the
+Woodbury identity against the base factorization, with no
+refactorization.
 
 The fast route works from the inverse Cholesky factor L^-1 of the base
 Gram matrix H = L L^T, so H^-1 = L^-T L^-1 is never formed.  It walks
@@ -21,12 +24,12 @@ product and one kernel map, and overwrites M with Y = L^-1 M in one
 triangular product.  Per edge, with V = [Y_e, L^-1[:, s]], the
 capacitance matrix is C^-1 + V^T V, one symmetric rank-k product, and
 it is factored, condition-estimated and solved with LAPACK's symmetric
-indefinite routines.  The partition depends on the edge list alone,
-never on a thread count, so every score is the same however the caller
-is configured.  An edge goes to the naive route when the base Gram
-matrix needed a ridge, when its affected set covers half the graph, or
-when its capacitance system is not finite, singular or ill-conditioned
-by its 1-norm condition estimate.
+indefinite routines.  The partition depends on the edge list alone, so
+every score is the same however the caller is configured.  An edge goes
+to the naive route when the base Gram matrix needed a ridge, when its
+affected set covers half the graph, or when its capacitance system is
+not finite, singular or ill-conditioned by its 1-norm condition
+estimate.
 
 Every BLAS and LAPACK call of the fast route goes through scipy, the
 runtime the Gram rebuild uses (see ``kernel``).
@@ -45,7 +48,6 @@ from .errors import (
     DegenerateFeatureError,
     GraphFormatError,
     InputError,
-    MissingEdgeError,
     NumericError,
 )
 from .graph import (
@@ -66,54 +68,66 @@ CAPACITANCE_COND_LIMIT = 1e12
 #: were no faster than 16 and held 13 MB more.
 BLOCK_EDGES = 16
 TSV_HEADER = "u\tv\tkc_score\tmethod"
-
-
-@dataclass(frozen=True)
-class KcEntry:
-    """Score of one edge plus the GKC of its removal and the path used."""
-
-    score: float
-    gkc_removed: float
-    method: str
+#: The ``method`` column's route names, indexed by the ``fast`` flag.
+ROUTES = ("naive", "fast")
 
 
 @dataclass
 class KcScoreTable:
-    """KC scores for a full edge set.
+    """KC scores for a full edge set, one row per edge.
 
-    ``entries`` maps canonical (u, v) pairs to entries; ``base_gkc`` is
-    the unperturbed complexity; ``label_digest`` fingerprints the label
-    matrix the scores were computed against (empty for tables re-read
-    from disk, which do not carry enough to recompute it).
+    ``edges`` holds canonical (u, v) pairs, u < v, in the (u, v) order of
+    ``Graph.edges``; the constructor puts the rows in that order.  Row i
+    of ``scores``, of ``gkc_removed`` (the complexity once edge i is
+    removed) and of ``fast`` (whether the edge took the fast route)
+    belongs to edge i.  ``base_gkc`` is the unperturbed complexity.  A
+    table read from a file has NaN for ``gkc_removed`` and ``base_gkc``.
     """
 
-    entries: dict
+    edges: np.ndarray
+    scores: np.ndarray
+    gkc_removed: np.ndarray
+    fast: np.ndarray
     base_gkc: float
-    label_digest: str
+
+    def __post_init__(self):
+        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        order = np.lexsort((edges[:, 1], edges[:, 0]))
+        self.edges = edges[order]
+        self.scores = np.asarray(self.scores, dtype=np.float64)[order]
+        self.gkc_removed = np.asarray(self.gkc_removed, dtype=np.float64)[order]
+        self.fast = np.asarray(self.fast, dtype=bool)[order]
+
+    def _high_first(self) -> np.ndarray:
+        """Row order by score descending, ties by (u, v) ascending."""
+        return np.lexsort((self.edges[:, 1], self.edges[:, 0], -self.scores))
 
     def sorted_edges(self) -> list:
         """Edges by score descending, ties by (u, v) ascending."""
-        return sorted(
-            self.entries, key=lambda e: (-self.entries[e].score, e[0], e[1])
-        )
+        return [tuple(e) for e in self.edges[self._high_first()].tolist()]
 
     def write_tsv(self, path) -> None:
+        """One ``u v kc_score method`` line per edge, in ``sorted_edges`` order."""
+        order = self._high_first()
+        rows = zip(
+            self.edges[order].tolist(),
+            self.scores[order].tolist(),
+            self.fast[order].tolist(),
+        )
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(TSV_HEADER + "\n")
-            for u, v in self.sorted_edges():
-                entry = self.entries[(u, v)]
-                fh.write(
-                    f"{u}\t{v}\t{format_float(entry.score)}\t{entry.method}\n"
-                )
+            for (u, v), score, fast in rows:
+                fh.write(f"{u}\t{v}\t{format_float(score)}\t{ROUTES[fast]}\n")
 
     @classmethod
     def read_tsv(cls, path) -> "KcScoreTable":
         """Read a table written by ``write_tsv``.
 
-        Line 1 must be the header, each edge may appear once, and each
-        score must be finite and non-negative.
+        Line 1 must be the header, each edge may appear once (in either
+        orientation; it is stored as (min, max)), each score must be
+        finite and non-negative, and each method must be a route name.
         """
-        entries = {}
+        edges, scores, fast, seen = [], [], [], set()
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
             if header != TSV_HEADER:
@@ -142,39 +156,51 @@ class KcScoreTable:
                         f"{path}: line {line_no}: kc_score must be finite "
                         f"and non-negative, got {parts[2]!r}"
                     )
-                if (u, v) in entries or (v, u) in entries:
+                if parts[3] not in ROUTES:
+                    raise GraphFormatError(
+                        f"{path}: line {line_no}: method must be one of "
+                        f"{', '.join(ROUTES)}, got {parts[3]!r}"
+                    )
+                edge = (min(u, v), max(u, v))
+                if edge in seen:
                     raise GraphFormatError(
                         f"{path}: line {line_no}: repeated edge ({u}, {v})"
                     )
-                entries[(u, v)] = KcEntry(
-                    score=score, gkc_removed=float("nan"), method=parts[3]
-                )
-        return cls(entries=entries, base_gkc=float("nan"), label_digest="")
+                seen.add(edge)
+                edges.append(edge)
+                scores.append(score)
+                fast.append(parts[3] == "fast")
+        return cls(
+            edges=edges,
+            scores=scores,
+            gkc_removed=np.full(len(scores), np.nan),
+            fast=fast,
+            base_gkc=float("nan"),
+        )
 
 
-class ScoreCache:
+class _ScoreCache:
     """Base-graph quantities shared by all per-edge evaluations.
 
-    Holds the aggregated rows, the Gram matrix with its ``patcher`` for
-    the naive route's rebuilds, the inverse of its lower Cholesky factor
-    ``l_inv`` (one triangular inversion, in place of an explicit H^-1),
-    ``l_inv_y`` = L^-1 y, the solved label columns
+    Holds the labels, the aggregated rows, the Gram matrix with its
+    ``patcher`` for the naive route's rebuilds, the inverse of its lower
+    Cholesky factor ``l_inv`` (one triangular inversion, in place of an
+    explicit H^-1), ``l_inv_y`` = L^-1 y, the solved label columns
     ``z`` = H^-1 y with ``quad`` = y^T z, and the pre-normalization
     neighbor sums needed to replay aggregation on the handful of rows an
     edge removal touches.  The fast-route fields are None when the base
-    needed a ridge.  ``fallbacks`` counts fast-route requests that took
-    the naive route.  A cache scores one edge at a time: the patcher
+    needed a ridge.  A cache scores one edge at a time: the patcher
     rebuilds every removal in the same buffers.
     """
 
     def __init__(self, g: Graph, labels: LabelMatrix):
         if labels.columns.shape[0] != g.n_nodes:
             raise InputError("label matrix does not match graph size")
+        self.labels = labels
         self.xt = aggregate_features(g)
         self.gm = gram_matrix(self.xt)
         self.patcher = GramPatcher(self.gm)
-        self.base_gkc = gkc(self.gm, labels)
-        self.label_digest = labels.digest()
+        self.base_gkc = gkc(self.gm, labels).value
         self.weights = 1.0 / np.sqrt(g.degrees.astype(np.float64))
         # Sum_{j in closed nbhd(k)} X_j / sqrt(d_j), recoverable from the
         # stored rows and their pre-normalization norms.
@@ -198,13 +224,6 @@ class ScoreCache:
             self.l_inv_y = blas.dtrmm(1.0, l_inv, labels.columns, lower=1)
             self.z = self.gm.solve_factored(labels.columns)
             self.quad = np.einsum("nc,nc->c", labels.columns, self.z)
-        self.columns = labels.columns
-        self.fallbacks = 0
-
-
-def build_score_cache(g: Graph, labels: LabelMatrix) -> ScoreCache:
-    """Precompute everything the fast path reuses across edges."""
-    return ScoreCache(g, labels)
 
 
 def _removed_rows(g: Graph, u: int, v: int):
@@ -217,12 +236,10 @@ def _removed_rows(g: Graph, u: int, v: int):
         ) from None
 
 
-def _gkc_removed_naive(
-    cache: ScoreCache, g: Graph, labels: LabelMatrix, u: int, v: int
-) -> float:
+def _gkc_removed_naive(cache: _ScoreCache, g: Graph, u: int, v: int) -> float:
     # Only the rows of the closed neighborhoods of u and v change.
     gm = cache.patcher.gram(_removed_rows(g, u, v), affected_nodes(g, u, v))
-    return gkc(gm, labels).value
+    return gkc(gm, cache.labels).value
 
 
 def kc_score_naive(g: Graph, labels: LabelMatrix, u: int, v: int) -> float:
@@ -236,7 +253,7 @@ def kc_score_naive(g: Graph, labels: LabelMatrix, u: int, v: int) -> float:
     return abs(gkc(base, labels).value - gkc(removed, labels).value)
 
 
-def _replay_rows(cache: ScoreCache, g: Graph, us, vs, hit):
+def _replay_rows(cache: _ScoreCache, g: Graph, us, vs, hit):
     """Aggregated rows of the affected sets after each edge's removal.
 
     ``hit`` holds one row per edge (u, v) of ``us``/``vs``: 1 on the
@@ -271,8 +288,8 @@ def _replay_rows(cache: ScoreCache, g: Graph, us, vs, hit):
     return raw / np.maximum(norms, DEGENERATE_ROW_NORM)[:, None], norms
 
 
-def _block_gkc_removed(cache: ScoreCache, g: Graph, labels: LabelMatrix, block):
-    """Yield (GKC after removal, route) for each edge of one block, in order."""
+def _score_block(cache: _ScoreCache, g: Graph, block, gkc_removed, fast):
+    """Fill ``gkc_removed`` and ``fast`` for the edges of one block, in order."""
     n, nb = g.n_nodes, block.shape[0]
     us, vs = block[:, 0], block[:, 1]
     # Row e of hit is 1 on N[u] only, 2 on N[v] only and 3 on both.
@@ -285,9 +302,9 @@ def _block_gkc_removed(cache: ScoreCache, g: Graph, labels: LabelMatrix, block):
     )
     hit = pick @ g.adjacency_with_self_loops()
     hit.sort_indices()
-    fast = 2 * np.diff(hit.indptr) < n
-    hit = hit[fast]
-    us, vs = us[fast], vs[fast]
+    small = 2 * np.diff(hit.indptr) < n
+    hit = hit[small]
+    us, vs = us[small], vs[small]
     bounds = hit.indptr.tolist()
     s_all = hit.indices
 
@@ -319,7 +336,7 @@ def _block_gkc_removed(cache: ScoreCache, g: Graph, labels: LabelMatrix, block):
     j = 0
     for pos in range(nb):
         u, v = int(block[pos, 0]), int(block[pos, 1])
-        if fast[pos]:
+        if small[pos]:
             a, b = spans[j]
             m_s = m_s_all[j]
             j += 1
@@ -345,10 +362,10 @@ def _block_gkc_removed(cache: ScoreCache, g: Graph, labels: LabelMatrix, block):
             solved = _solve_capacitance(cap, wt_z)
             if solved is not None:
                 correction = np.einsum("kc,kc->c", wt_z, solved)
-                yield float(2.0 * (cache.quad - correction).sum() / n), "fast"
+                gkc_removed[pos] = 2.0 * (cache.quad - correction).sum() / n
+                fast[pos] = True
                 continue
-        cache.fallbacks += 1
-        yield _gkc_removed_naive(cache, g, labels, u, v), "naive"
+        gkc_removed[pos] = _gkc_removed_naive(cache, g, u, v)
 
 
 def _solve_capacitance(cap, rhs):
@@ -373,60 +390,31 @@ def _solve_capacitance(cap, rhs):
     return x if info == 0 else None
 
 
-def _gkc_removed(cache: ScoreCache, g: Graph, labels: LabelMatrix, edges, fast: bool):
-    """Yield (GKC after removal, route) for each row of ``edges``, in order."""
-    if not fast or cache.l_inv is None:
-        for u, v in edges.tolist():
-            if fast:
-                cache.fallbacks += 1
-            yield _gkc_removed_naive(cache, g, labels, u, v), "naive"
-        return
-    for start in range(0, edges.shape[0], BLOCK_EDGES):
-        yield from _block_gkc_removed(
-            cache, g, labels, edges[start : start + BLOCK_EDGES]
-        )
+def kc_scores_all(g: Graph, labels: LabelMatrix, method: str = "fast") -> KcScoreTable:
+    """Score every edge of g; the table's rows follow ``g.edges``.
 
-
-def kc_score_fast(
-    g: Graph, cache: ScoreCache, labels: LabelMatrix, u: int, v: int
-) -> float:
-    """Low-rank update score; falls back to the naive route when the base
-    needed a ridge, the affected set is too large, or the capacitance
-    system is ill-conditioned."""
-    if cache.label_digest != labels.digest():
-        raise InputError("score cache was built for different labels")
-    if not g.has_edge(u, v):
-        raise MissingEdgeError(f"edge ({min(u, v)}, {max(u, v)}) not in graph")
-    ((value, _),) = _gkc_removed(cache, g, labels, np.array([[u, v]]), fast=True)
-    return abs(cache.base_gkc.value - value)
-
-
-def kc_scores_all(
-    g: Graph,
-    labels: LabelMatrix,
-    method: str = "fast",
-    threads: int = 1,
-) -> KcScoreTable:
-    """Score every edge of g; returns a table keyed by canonical edge.
-
-    ``method`` picks the route; fast-path edges that had to fall back are
-    tagged 'naive' in the table.  ``threads`` is accepted so that stored
-    command lines replay, and does not change how scoring runs.
+    ``method`` picks the route.  With 'fast', an edge the update cannot
+    handle takes the naive route, and its ``fast`` flag is False.
     """
-    if method not in ("naive", "fast"):
+    if method not in ROUTES:
         raise ConfigError(f"unknown scoring method {method!r}")
     if g.n_edges == 0:
         raise ConfigError("cannot score a graph with no edges")
 
-    cache = build_score_cache(g, labels)
-    base = cache.base_gkc.value
-    routes = _gkc_removed(cache, g, labels, g.edges, fast=method == "fast")
-    entries = {
-        (u, v): KcEntry(abs(base - value), value, route)
-        for (u, v), (value, route) in zip(g.edges.tolist(), routes)
-    }
+    cache = _ScoreCache(g, labels)
+    gkc_removed = np.empty(g.n_edges)
+    fast = np.zeros(g.n_edges, dtype=bool)
+    if method == "fast" and cache.l_inv is not None:
+        for start in range(0, g.n_edges, BLOCK_EDGES):
+            rows = slice(start, start + BLOCK_EDGES)
+            _score_block(cache, g, g.edges[rows], gkc_removed[rows], fast[rows])
+    else:
+        for i, (u, v) in enumerate(g.edges.tolist()):
+            gkc_removed[i] = _gkc_removed_naive(cache, g, u, v)
     return KcScoreTable(
-        entries=entries,
-        base_gkc=base,
-        label_digest=cache.label_digest,
+        edges=g.edges,
+        scores=np.abs(cache.base_gkc - gkc_removed),
+        gkc_removed=gkc_removed,
+        fast=fast,
+        base_gkc=cache.base_gkc,
     )

@@ -31,7 +31,6 @@ computes, to the bit.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 
@@ -50,9 +49,6 @@ SOLVE_RESIDUAL_TOL = 1e-8
 PIVOT_RTOL = np.finfo(np.float64).eps
 #: Refinement passes allowed before the residual gate gives up.
 MAX_REFINEMENTS = 2
-
-GRAM_MAGIC = b"GKGM"
-GRAM_HEADER = struct.Struct("<4sII4x")  # magic, u32 N, u32 reserved, padding
 
 
 def arccos_kernel(dots: np.ndarray) -> np.ndarray:
@@ -240,7 +236,7 @@ class GramPatcher:
 
 
 def gram_from_matrix(h: np.ndarray) -> GramMatrix:
-    """Re-wrap a copy of a stored Gram matrix (refactorizes; ridge re-decided)."""
+    """Wrap a copy of a symmetric matrix as a Gram matrix, factored afresh."""
     h = np.array(h, dtype=np.float64, order="C")
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise InputError("Gram matrix must be square")
@@ -326,29 +322,3 @@ def gkc(gm: GramMatrix, labels: LabelMatrix) -> GkcValue:
         per_column=per_column,
         ridge_used=gm.ridge > 0.0,
     )
-
-
-def save_gram(gm: GramMatrix, path) -> None:
-    """Dump the raw Gram matrix: 16-byte header, then row-major float64."""
-    with open(path, "wb") as fh:
-        fh.write(GRAM_HEADER.pack(GRAM_MAGIC, gm.n, 0))
-        fh.write(np.ascontiguousarray(gm.h, dtype="<f8").tobytes())
-
-
-def load_gram(path) -> GramMatrix:
-    """Load a dumped Gram matrix and refactorize it."""
-    with open(path, "rb") as fh:
-        header = fh.read(GRAM_HEADER.size)
-        if len(header) != GRAM_HEADER.size:
-            raise InputError(f"{path}: truncated header")
-        magic, n, _reserved = GRAM_HEADER.unpack(header)
-        if magic != GRAM_MAGIC:
-            raise InputError(f"{path}: bad magic {magic!r}")
-        payload = fh.read()
-    expected = 8 * n * n
-    if len(payload) != expected:
-        raise InputError(
-            f"{path}: expected {expected} payload bytes, found {len(payload)}"
-        )
-    h = np.frombuffer(payload, dtype="<f8").reshape(n, n)
-    return gram_from_matrix(h)

@@ -64,21 +64,20 @@ def select_edges(table: KcScoreTable, config: PruneConfig) -> PrunePlan:
     seeded uniform subset; score ties always break toward the
     lexicographically smaller (u, v).
     """
-    n = len(table.entries)
+    n = table.scores.shape[0]
     if n == 0 and config.alpha > 0.0:
         raise ConfigError("cannot prune from an empty score table")
     k = prune_count(config.alpha, n)
-    if config.strategy == "high-kc":
-        chosen = table.sorted_edges()[:k]
-    elif config.strategy == "low-kc":
-        chosen = sorted(
-            table.entries, key=lambda e: (table.entries[e].score, e[0], e[1])
-        )[:k]
-    else:
-        edges = sorted(table.entries)
+    if config.strategy == "random":
+        # Indices into rows kept in (u, v) order: the pick depends on the
+        # edge set alone, not on how the table was built.
         rng = np.random.default_rng([int(config.seed) & 0xFFFFFFFFFFFFFFFF, 0x9A])
         idx = rng.choice(n, size=k, replace=False) if k else []
-        chosen = [edges[i] for i in idx]
+    else:
+        sign = -1.0 if config.strategy == "high-kc" else 1.0
+        u, v = table.edges.T
+        idx = np.lexsort((v, u, sign * table.scores))[:k]
+    chosen = [tuple(e) for e in table.edges[idx].tolist()]
     return PrunePlan(removed=tuple(chosen), k=k, config=config)
 
 
@@ -117,7 +116,6 @@ def kces_pipeline(
     method: str = "fast",
     encoding: str = "one-hot",
     restarts: int = 10,
-    threads: int = 1,
 ) -> SanitizationResult:
     """Cluster, score, and prune the highest-complexity edges.
 
@@ -127,7 +125,7 @@ def kces_pipeline(
     """
     pseudo = kmeans_pseudo_labels(g, k_clusters, seed, restarts=restarts)
     labels = encode_labels(pseudo, encoding)
-    table = kc_scores_all(g, labels, method=method, threads=threads)
+    table = kc_scores_all(g, labels, method=method)
     plan = select_edges(table, PruneConfig(alpha=alpha, strategy="high-kc"))
     return SanitizationResult(
         graph=apply_prune(g, plan),

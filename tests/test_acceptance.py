@@ -39,8 +39,6 @@ from kces.sanitize import PruneConfig, apply_prune, select_edges
 from kces.synth import make_sbm_benchmark, random_graph
 from kces.cli import main as cli_main
 
-THREADS = 8
-
 
 def _scoreboard(number, name, ok, detail):
     print(f"criterion {number:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -90,14 +88,13 @@ def test_criterion_03_fast_path_equivalence():
         n = int(rng.integers(8, 65))
         g = random_graph(n, 0.12, 8, seed=seed, avoid_twins=True)
         lm = encode_labels(_two_class_labels(rng, n), "one-hot")
-        fast = kc_scores_all(g, lm, method="fast", threads=THREADS)
-        naive = kc_scores_all(g, lm, method="naive", threads=THREADS)
-        assert fast.entries.keys() == naive.entries.keys()
-        for edge, ref in naive.entries.items():
-            got = fast.entries[edge].score
-            diff = abs(got - ref.score)
+        fast = kc_scores_all(g, lm, method="fast")
+        naive = kc_scores_all(g, lm, method="naive")
+        assert np.array_equal(fast.edges, naive.edges)
+        for got, ref in zip(fast.scores, naive.scores):
+            diff = abs(got - ref)
             if diff > 1e-12:
-                worst_rel = max(worst_rel, diff / abs(ref.score))
+                worst_rel = max(worst_rel, diff / abs(ref))
             n_edges += 1
     ok = worst_rel <= 1e-8
     _scoreboard(
@@ -156,11 +153,12 @@ def test_criterion_06_injected_edges_score_higher():
         attacked, record = random_attack(g, 0.25, seed + 1000)
         pseudo = kmeans_pseudo_labels(attacked, 2, seed)
         table = kc_scores_all(
-            attacked, encode_labels(pseudo, "one-hot"), method="fast", threads=THREADS
+            attacked, encode_labels(pseudo, "one-hot"), method="fast"
         )
         added = set(record.added)
-        injected = [e.score for edge, e in table.entries.items() if edge in added]
-        clean = [e.score for edge, e in table.entries.items() if edge not in added]
+        hit = np.array([tuple(e) in added for e in table.edges.tolist()])
+        injected = table.scores[hit]
+        clean = table.scores[~hit]
         med_inj = float(np.median(injected))
         med_clean = float(np.median(clean))
         margins.append(med_inj / med_clean)
@@ -183,7 +181,7 @@ def defense_benchmark():
         attacked, _ = dice_attack(g, g.labels, 0.5, seed + 1000)
         pseudo = kmeans_pseudo_labels(attacked, 2, seed)
         table = kc_scores_all(
-            attacked, encode_labels(pseudo, "one-hot"), method="fast", threads=THREADS
+            attacked, encode_labels(pseudo, "one-hot"), method="fast"
         )
         split = make_split(g.n_nodes, seed)
         cfg = TrainConfig(m=256, steps=200, kappa=0.1, seed=seed)

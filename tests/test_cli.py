@@ -96,6 +96,36 @@ def test_prune_rejects_nan_score(tmp_path, capsys):
     assert not pruned.exists()
 
 
+@pytest.mark.parametrize("change", ["subset", "extra-edge", "unknown-route"])
+def test_prune_rejects_score_file_that_does_not_fit_the_graph(
+    tmp_path, graph_files, capsys, change
+):
+    graph = ["--edges", graph_files["edges"], "--features", graph_files["features"]]
+    scores = tmp_path / "scores.tsv"
+    assert main(["score", *graph, "--k", "2", "--out", str(scores)]) == 0
+    header, *rows = scores.read_text().splitlines()
+    if change == "subset":
+        # k would come from the table's size: half the rows, half the cut
+        rows = rows[: len(rows) // 2]
+        message = f"its {len(rows)} edges are not the graph's"
+    elif change == "extra-edge":
+        scored = {tuple(sorted(map(int, row.split("\t")[:2]))) for row in rows}
+        u, v = next((0, v) for v in range(1, 30) if (0, v) not in scored)
+        rows.append(f"{u}\t{v}\t0.0\tfast")
+        message = f"its {len(rows)} edges are not the graph's"
+    else:
+        rows = [row.replace("\tfast", "\tbogus") for row in rows]
+        message = "method must be one of naive, fast, got 'bogus'"
+    scores.write_text("\n".join([header, *rows]) + "\n")
+    pruned = tmp_path / "pruned.tsv"
+    rc = main(
+        ["prune", *graph, "--scores", str(scores), "--alpha", "0.5", "--out", str(pruned)]
+    )
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not pruned.exists()
+
+
 def test_manifest_replay_and_thread_invariance(tmp_path, graph_files):
     out = tmp_path / "scores.tsv"
     argv = [

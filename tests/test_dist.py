@@ -131,11 +131,9 @@ def test_benchmark_distribution_shape():
     for name, graph in (("clean", g), ("attacked", attacked)):
         pseudo = kmeans_pseudo_labels(graph, 2, 0)
         table = kc_scores_all(
-            graph, encode_labels(pseudo.assignments, "one-hot"),
-            method="fast", threads=8,
+            graph, encode_labels(pseudo.assignments, "one-hot"), method="fast"
         )
-        scores = np.array([e.score for e in table.entries.values()])
-        export = score_distribution(scores, seed=0)
+        export = score_distribution(table.scores, seed=0)
         if name == "clean":
             mode = float(export.kde_x[np.argmax(export.kde_y)])
             assert mode < 0.2

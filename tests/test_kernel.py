@@ -17,9 +17,7 @@ from kces.kernel import (
     gkc,
     gram_from_matrix,
     gram_matrix,
-    load_gram,
     min_eigenvalue,
-    save_gram,
     solve_spd,
 )
 from kces.pseudolabel import encode_labels
@@ -202,40 +200,3 @@ def test_gkc_shape_validation():
     lm = encode_labels(np.array([0, 1]), "one-hot")
     with pytest.raises(InputError):
         gkc(gm, lm)
-
-
-def test_gram_dump_round_trip(tmp_path):
-    g = random_graph(n=7, edge_prob=0.5, n_features=3, seed=11)
-    gm = gram_matrix(aggregate_features(g))
-    path = tmp_path / "gram.bin"
-    save_gram(gm, path)
-    back = load_gram(path)
-    assert np.array_equal(back.h, gm.h)
-    assert back.ridge == gm.ridge
-    # dumps are deterministic
-    path2 = tmp_path / "gram2.bin"
-    save_gram(gm, path2)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_gram_load_rejects_corruption(tmp_path):
-    g = random_graph(n=5, edge_prob=0.5, n_features=3, seed=12)
-    gm = gram_matrix(aggregate_features(g))
-    path = tmp_path / "gram.bin"
-    save_gram(gm, path)
-    blob = path.read_bytes()
-
-    bad_magic = tmp_path / "magic.bin"
-    bad_magic.write_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(InputError, match="magic"):
-        load_gram(bad_magic)
-
-    short = tmp_path / "short.bin"
-    short.write_bytes(blob[:-8])
-    with pytest.raises(InputError, match="payload"):
-        load_gram(short)
-
-    stub = tmp_path / "stub.bin"
-    stub.write_bytes(blob[:10])
-    with pytest.raises(InputError, match="header"):
-        load_gram(stub)

@@ -1,10 +1,13 @@
 """Edge selection, prune plans, and the end-to-end sanitization pipeline."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from kces.errors import ConfigError, StalePlanError
-from kces.kcscore import KcEntry, KcScoreTable, kc_scores_all
+from kces.errors import ConfigError, KcesWarning, StalePlanError
+from kces.graph import Graph
+from kces.kcscore import KcScoreTable, kc_scores_all
 from kces.pseudolabel import encode_labels
 from kces.sanitize import (
     PruneConfig,
@@ -18,11 +21,14 @@ from kces.synth import random_graph
 
 
 def _table(scores):
-    entries = {
-        edge: KcEntry(score=s, gkc_removed=0.0, method="fast")
-        for edge, s in scores.items()
-    }
-    return KcScoreTable(entries=entries, base_gkc=1.0, label_digest="test")
+    n = len(scores)
+    return KcScoreTable(
+        edges=list(scores),
+        scores=list(scores.values()),
+        gkc_removed=np.zeros(n),
+        fast=np.ones(n, dtype=bool),
+        base_gkc=1.0,
+    )
 
 
 def test_prune_count_boundaries():
@@ -79,6 +85,29 @@ def test_select_edges_random_is_seeded_and_order_free():
     assert set(first.removed) <= set(scores)
     other = select_edges(_table(scores), PruneConfig(alpha=0.6, strategy="random", seed=12))
     assert set(other.removed) <= set(scores)
+
+
+def test_plans_from_a_score_file_equal_the_computed_tables(tmp_path):
+    # three isolated pairs, each pair on one axis, keep their aggregated
+    # rows when their edge goes: those edges tie at exactly 0 and exercise
+    # the (u, v) tie-break; the file lists edges by score, not by (u, v)
+    base = random_graph(24, 0.15, 4, seed=8, avoid_twins=True)
+    feats = np.vstack([base.features, np.repeat(np.eye(4)[:3], 2, axis=0)])
+    pairs = [[24, 25], [26, 27], [28, 29]]
+    g = Graph(features=feats, edges=base.edges.tolist() + pairs)
+    with warnings.catch_warnings():
+        # the pairs' equal rows make the base Gram matrix need a ridge
+        warnings.simplefilter("ignore", KcesWarning)
+        table = kc_scores_all(g, encode_labels(np.arange(30) % 2, "one-hot"))
+    assert (table.scores == 0.0).sum() == 3
+    path = tmp_path / "scores.tsv"
+    table.write_tsv(path)
+    back = KcScoreTable.read_tsv(path)
+    assert np.array_equal(back.edges, table.edges)
+    for strategy in ("high-kc", "low-kc", "random"):
+        for alpha in (0.1, 0.5, 1.0):
+            config = PruneConfig(alpha=alpha, strategy=strategy, seed=5)
+            assert select_edges(back, config) == select_edges(table, config)
 
 
 def test_select_edges_empty_table():
@@ -138,8 +167,8 @@ def test_pipeline_matches_manual_stages():
     manual = kc_scores_all(
         g, encode_labels(result.pseudo_labels.assignments, "one-hot"), method="fast"
     )
-    for edge, entry in manual.entries.items():
-        assert result.table.entries[edge].score == entry.score
+    assert np.array_equal(result.table.edges, manual.edges)
+    assert np.array_equal(result.table.scores, manual.scores)
 
 
 @pytest.mark.slow
@@ -158,7 +187,7 @@ def test_pipeline_enriches_for_injected_edges():
         attacked, record = random_attack(g, 0.25, seed + 1000, add_fraction=1.0)
         added = set(record.added)
         alpha = len(added) / attacked.n_edges
-        result = kces_pipeline(attacked, alpha, 2, seed, threads=8)
+        result = kces_pipeline(attacked, alpha, 2, seed)
         hits = sum(1 for e in result.plan.removed if e in added)
         precisions.append(hits / result.plan.k)
         base_rates.append(len(added) / attacked.n_edges)
