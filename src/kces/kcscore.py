@@ -25,11 +25,12 @@ triangular product.  Per edge, with V = [Y_e, L^-1[:, s]], the
 capacitance matrix is C^-1 + V^T V, one symmetric rank-k product, and
 it is factored, condition-estimated and solved with LAPACK's symmetric
 indefinite routines.  The partition depends on the edge list alone, so
-every score is the same however the caller is configured.  An edge goes
-to the naive route when the base Gram matrix needed a ridge, when its
-affected set covers half the graph, or when its capacitance system is
-not finite, singular or ill-conditioned by its 1-norm condition
-estimate.
+every score is the same however the caller is configured.  A ridged
+base changes nothing here: its removals are scored under its ridge, so
+the update is exact against the factor of H + ridge I.  An edge goes to
+the naive route when its affected set covers half the graph, or when
+its capacitance system is not finite, singular or ill-conditioned by
+its 1-norm condition estimate.
 
 Every BLAS and LAPACK call of the fast route goes through scipy, the
 runtime the Gram rebuild uses (see ``kernel``).
@@ -62,8 +63,13 @@ from .kernel import GramPatcher, arccos_kernel, gkc, gram_matrix
 from .pseudolabel import LabelMatrix
 
 #: Fast path falls back to naive when the capacitance system's estimated
-#: 1-norm condition number is worse than this.
-CAPACITANCE_COND_LIMIT = 1e12
+#: 1-norm condition number is worse than this.  On 400-node sparse SBM
+#: graphs with twin rows (seeds 0-5, about 480 edges each), 434-470
+#: estimates per seed fall below 1e3, 1-6 in [1e3, 1e4), none in
+#: [1e4, 1e7) and 20-30 at 1.68e7 or above; every fast score that missed
+#: the naive one by more than 1e-8 relative (by 1.1e-8 to 0.47) was among
+#: those last.
+CAPACITANCE_COND_LIMIT = 1e6
 #: Edges per fast-route block.  At N=1000 on a 2-vCPU Xeon, blocks of 32
 #: were no faster than 16 and held 13 MB more.
 BLOCK_EDGES = 16
@@ -188,12 +194,14 @@ class _ScoreCache:
     explicit H^-1), ``l_inv_y`` = L^-1 y, the solved label columns
     ``z`` = H^-1 y with ``quad`` = y^T z, and the pre-normalization
     neighbor sums needed to replay aggregation on the handful of rows an
-    edge removal touches.  The fast-route fields are None when the base
-    needed a ridge.  A cache scores one edge at a time: the patcher
-    rebuilds every removal in the same buffers.
+    edge removal touches.  A ridged base is factored as H + ridge I and
+    its removals are scored under the same ridge, so the fast-route
+    fields come from that factor; they are None unless ``fast``.  A
+    cache scores one edge at a time: the patcher rebuilds every removal
+    in the same buffers.
     """
 
-    def __init__(self, g: Graph, labels: LabelMatrix):
+    def __init__(self, g: Graph, labels: LabelMatrix, fast: bool):
         if labels.columns.shape[0] != g.n_nodes:
             raise InputError("label matrix does not match graph size")
         self.labels = labels
@@ -209,11 +217,8 @@ class _ScoreCache:
             * self.xt.pre_norm_row_norms[:, None]
             / self.weights[:, None]
         )
-        self.l_inv = None
-        self.l_inv_y = None
-        self.z = None
-        self.quad = None
-        if self.gm.ridge == 0.0:
+        self.l_inv = self.l_inv_y = self.z = self.quad = None
+        if fast:
             # The blocks read whole columns of l_inv, so its upper triangle
             # must be zero: the factor's is, and dtrtri leaves it alone.
             l_inv, info = lapack.dtrtri(self.gm.chol_lower, lower=1)
@@ -401,10 +406,10 @@ def kc_scores_all(g: Graph, labels: LabelMatrix, method: str = "fast") -> KcScor
     if g.n_edges == 0:
         raise ConfigError("cannot score a graph with no edges")
 
-    cache = _ScoreCache(g, labels)
+    cache = _ScoreCache(g, labels, fast=method == "fast")
     gkc_removed = np.empty(g.n_edges)
     fast = np.zeros(g.n_edges, dtype=bool)
-    if method == "fast" and cache.l_inv is not None:
+    if method == "fast":
         for start in range(0, g.n_edges, BLOCK_EDGES):
             rows = slice(start, start + BLOCK_EDGES)
             _score_block(cache, g, g.edges[rows], gkc_removed[rows], fast[rows])

@@ -9,7 +9,6 @@ cluster re-seeding keeps the result deterministic for a given
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,13 +52,6 @@ class LabelMatrix:
     @property
     def n_columns(self) -> int:
         return self.columns.shape[1]
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.encoding.encode())
-        h.update(np.ascontiguousarray(self.columns).tobytes())
-        h.update(str(self.columns.shape).encode())
-        return h.hexdigest()
 
 
 def _cluster_inputs(g: Graph) -> np.ndarray:

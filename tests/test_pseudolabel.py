@@ -136,12 +136,3 @@ def test_scalar_truth_encoding():
     with pytest.raises(EncodingError):
         encode_labels(np.array([0.0]), "no-such-encoding")
 
-
-def test_label_digest_tracks_content():
-    a = encode_labels(np.array([0, 1, 0]), "one-hot")
-    b = encode_labels(np.array([0, 1, 0]), "one-hot")
-    c = encode_labels(np.array([0, 1, 1]), "one-hot")
-    d = encode_labels(np.array([0, 1, 0]), "signed-binary")
-    assert a.digest() == b.digest()
-    assert a.digest() != c.digest()
-    assert a.digest() != d.digest(), "encoding tag is part of the fingerprint"
