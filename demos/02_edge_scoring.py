@@ -3,7 +3,9 @@
 The naive route recomputes the full kernel matrix per edge; the fast
 route patches the cached factorization with a low-rank update, in
 blocks of edges that share one triangular product against the inverse
-of the cached Cholesky factor.
+of the cached Cholesky factor.  Edges of a block that share an endpoint
+share the kernel columns of that endpoint's neighbors, so each distinct
+column is built once per block.
 An edge the update cannot handle (a hub edge, an ill-conditioned
 update) falls back to the naive route, and the table's method column
 says which route each edge took.  The two routes must agree to

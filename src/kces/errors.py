@@ -39,7 +39,8 @@ class MissingEdgeError(InputError):
 
 
 class StalePlanError(InputError):
-    """Prune plan references edges absent from the target graph."""
+    """Prune plan references edges absent from the target graph, or was
+    sized for another edge count."""
 
 
 class DegenerateFeatureError(NumericError):

@@ -16,21 +16,36 @@ Woodbury identity against the base factorization, with no
 refactorization.
 
 The fast route works from the inverse Cholesky factor L^-1 of the base
-Gram matrix H = L L^T, so H^-1 = L^-T L^-1 is never formed.  It walks
-``g.edges`` in consecutive blocks of ``BLOCK_EDGES``.  For each block it
-replays the affected aggregated rows of every edge in one vectorized
-pass over the sparse A + I, builds all changed kernel columns M with one
-product and one kernel map, and overwrites M with Y = L^-1 M in one
-triangular product.  Per edge, with V = [Y_e, L^-1[:, s]], the
-capacitance matrix is C^-1 + V^T V, one symmetric rank-k product, and
-it is factored, condition-estimated and solved with LAPACK's symmetric
-indefinite routines.  The partition depends on the edge list alone, so
-every score is the same however the caller is configured.  A ridged
-base changes nothing here: its removals are scored under its ridge, so
-the update is exact against the factor of H + ridge I.  An edge goes to
-the naive route when its affected set covers half the graph, or when
-its capacitance system is not finite, singular or ill-conditioned by
-its 1-norm condition estimate.
+Gram matrix H = L L^T, so H^-1 = L^-T L^-1 is never formed.  Removing
+edge e changes the rows and columns s of H:
+H_e = H + M_e P_s^T + P_s M_e^T - P_s b P_s^T, where the N x |s| matrix
+M_e holds the change of those columns and b = M_e[s, :].  A node k in
+N(u) but not N[v] gets a new row that depends on (k, u) alone, and
+likewise for N(v) without N[u].  So the fast route maps every new row
+against the *base* rows, M~_e, whose column for such a k is the same
+for every edge at u; only the edge's own rows s differ, and
+M_e = M~_e + P_s (b - b~) with b~ = M~_e[s, :].  Substituting, Delta H =
+W~ C~ W~^T with W~ = [M~_e, P_s] and C~^-1 = [[b~ + b~^T - b, I], [I, 0]],
+and with z = H^-1 y the Woodbury identity gives
+
+    y^T H_e^-1 y = y^T z - (W~^T z)^T (C~^-1 + W~^T H^-1 W~)^-1 (W~^T z),
+
+where W~^T z = [M~_e^T z; z[s]].  The route walks ``g.edges`` in
+consecutive blocks of ``BLOCK_EDGES``.  For each block it replays the new
+row of each distinct key, (k, u), (k, v) or an endpoint or common
+neighbor of one edge, builds those kernel columns M~ with one product
+and one kernel map, and overwrites M~ with Y~ = L^-1 M~ in one
+triangular product, so each shared column is built once per block.  Per
+edge, b comes from the inner products of its own new rows, and with
+V = [Y~_e, L^-1[:, s]] the capacitance matrix is C~^-1 + V^T V, one
+symmetric rank-k product; it is factored, condition-estimated and
+solved with LAPACK's symmetric indefinite routines.  The partition
+depends on the edge list alone, so every score is the same however the
+caller is configured.  A ridged base changes nothing here: its removals
+are scored under its ridge, so the update is exact against the factor
+of H + ridge I.  An edge goes to the naive route when its affected set
+covers half the graph, or when its capacitance system is not finite,
+singular or ill-conditioned by its 1-norm condition estimate.
 
 Every BLAS and LAPACK call of the fast route goes through scipy, the
 runtime the Gram rebuild uses (see ``kernel``).
@@ -70,9 +85,17 @@ from .pseudolabel import LabelMatrix
 #: the naive one by more than 1e-8 relative (by 1.1e-8 to 0.47) was among
 #: those last.
 CAPACITANCE_COND_LIMIT = 1e6
-#: Edges per fast-route block.  At N=1000 on a 2-vCPU Xeon, blocks of 32
-#: were no faster than 16 and held 13 MB more.
+#: Edges per fast-route block.  On ``dense-sbm-1000`` seeds 0-4 (15 s runs
+#: of ``benchmarks/run.py``, 2-vCPU AMD EPYC) blocks of 32 built 4% fewer
+#: kernel columns than 16 but were no faster (median ``pipeline_s`` 1.70
+#: against 1.65 s) and peaked at 112.3 MB RSS against 104.7 MB.
 BLOCK_EDGES = 16
+#: Blocks whose kernel-column keys are assigned in one pass.  On a
+#: 1000-node SBM (5506 edges) the numpy memory that scoring holds peaked
+#: at 38.3 MB with every edge keyed at once and at 28.7 MB in passes of
+#: 16 blocks (30.9 MB before columns were shared); on a 200-node graph
+#: (1074 edges) passes of 16 and of 64 both key in 3.4 ms.
+KEY_PASS_BLOCKS = 16
 TSV_HEADER = "u\tv\tkc_score\tmethod"
 #: The ``method`` column's route names, indexed by the ``fast`` flag.
 ROUTES = ("naive", "fast")
@@ -258,95 +281,176 @@ def kc_score_naive(g: Graph, labels: LabelMatrix, u: int, v: int) -> float:
     return abs(gkc(base, labels).value - gkc(removed, labels).value)
 
 
-def _replay_rows(cache: _ScoreCache, g: Graph, us, vs, hit):
-    """Aggregated rows of the affected sets after each edge's removal.
+def _replay_rows(cache: _ScoreCache, g: Graph, s, eu, ev, side):
+    """Aggregated row of node s[i] once edge (eu[i], ev[i]) is removed.
 
-    ``hit`` holds one row per edge (u, v) of ``us``/``vs``: 1 on the
-    closed neighborhood of u only, 2 on that of v only, 3 on both, with
-    column indices sorted.  Returns the new unit rows, stacked edge after
-    edge, and the pre-normalization norm of each.
+    ``side[i]`` is 1 when s[i] is in the closed neighborhood of eu[i]
+    only, 2 when in that of ev[i] only and 3 when in both.  Returns the
+    new unit rows and the pre-normalization norm of each.
     """
     x, w = g.features, cache.weights
-    s = hit.indices
-    owner = np.repeat(np.arange(hit.shape[0]), np.diff(hit.indptr))
-    eu, ev = us[owner], vs[owner]
-    wu_new = 1.0 / np.sqrt(g.degrees[us] - 1.0)
-    wv_new = 1.0 / np.sqrt(g.degrees[vs] - 1.0)
+    wu_new = 1.0 / np.sqrt(g.degrees[eu] - 1.0)
+    wv_new = 1.0 / np.sqrt(g.degrees[ev] - 1.0)
     at_u, at_v = s == eu, s == ev
 
     # Node k gains du * x_u if it hangs off u and dv * x_v if it hangs off
-    # v; an endpoint instead loses the other endpoint's term.
-    coef_u = np.where(hit.data != 2.0, (wu_new - w[us])[owner], 0.0)
+    # v; an endpoint instead loses the other endpoint's term.  A row off
+    # one endpoint adds an exact zero for the other, so its bits depend on
+    # (k, that endpoint) alone, whichever edge it was replayed for.
+    coef_u = np.where(side != 2, wu_new - w[eu], 0.0)
     coef_u[at_v] = -w[eu[at_v]]
-    coef_v = np.where(hit.data >= 2.0, (wv_new - w[vs])[owner], 0.0)
+    coef_v = np.where(side >= 2, wv_new - w[ev], 0.0)
     coef_v[at_u] = -w[ev[at_u]]
     sums = cache.neighbor_sums[s]
     sums += coef_u[:, None] * x[eu]
     sums += coef_v[:, None] * x[ev]
 
     w_new = w[s]
-    w_new[at_u] = wu_new[owner[at_u]]
-    w_new[at_v] = wv_new[owner[at_v]]
+    w_new[at_u] = wu_new[at_u]
+    w_new[at_v] = wv_new[at_v]
     raw = w_new[:, None] * sums
     norms = np.linalg.norm(raw, axis=1)
     # Rows of a degenerate removal are never used, but stay finite.
     return raw / np.maximum(norms, DEGENERATE_ROW_NORM)[:, None], norms
 
 
-def _score_block(cache: _ScoreCache, g: Graph, block, gkc_removed, fast):
+@dataclass
+class _Block:
+    """The edges ``g.edges[rows]`` of one fast-route block and the kernel
+    columns they need.
+
+    ``small`` flags the edges whose affected set covers less than half the
+    graph; only those have columns.  ``spans`` holds each such edge's
+    range of affected rows, whose nodes are ``s`` (sorted per edge) and
+    whose kernel columns are ``col``, an index into the block's distinct
+    columns.  Column j is the new row of ``node[j]`` after removing edge
+    (``eu[j]``, ``ev[j]``), on that edge's ``side[j]``.
+    """
+
+    rows: slice
+    small: np.ndarray
+    spans: list
+    s: np.ndarray
+    col: np.ndarray
+    node: np.ndarray
+    eu: np.ndarray
+    ev: np.ndarray
+    side: np.ndarray
+
+
+def _blocks(g: Graph):
+    """Split ``g.edges`` into consecutive blocks of ``BLOCK_EDGES``.
+
+    A node k in N(u) but not N[v] gets a new row that depends on (k, u)
+    alone when (u, v) is removed, and likewise for N(v) without N[u]; the
+    edges of a block that share such a key share its kernel column.  An
+    endpoint or a common neighbor gets a column of its own edge.  Keys
+    are assigned ``KEY_PASS_BLOCKS`` blocks at a time, which bounds the
+    bookkeeping however large the graph; the blocks are yielded in order.
+    """
+    n, adjacency = g.n_nodes, g.adjacency_with_self_loops()
+    per_pass = KEY_PASS_BLOCKS * BLOCK_EDGES
+    for lo in range(0, g.n_edges, per_pass):
+        edges = g.edges[lo : lo + per_pass]
+        ne = edges.shape[0]
+        # Row e of hit is 1 on N[u] only, 2 on N[v] only and 3 on both.
+        pick = sp.csr_matrix(
+            (
+                np.repeat([1.0, 2.0], ne),
+                (np.tile(np.arange(ne), 2), edges.T.ravel()),
+            ),
+            shape=(ne, n),
+        )
+        hit = pick @ adjacency
+        hit.sort_indices()
+        small = 2 * np.diff(hit.indptr) < n
+        hit = hit[small]
+        edge_at = np.flatnonzero(small)
+        owner = np.repeat(edge_at, np.diff(hit.indptr))
+        s, side = hit.indices, hit.data
+        eu, ev = edges[owner, 0], edges[owner, 1]
+        block = owner // BLOCK_EDGES
+        # Keys sort by block first, so each block's columns are consecutive.
+        key = np.where(
+            side == 3,
+            n * n + np.arange(s.size),
+            s.astype(np.int64) * n + np.where(side == 2, ev, eu),
+        )
+        key += block * (n * n + s.size)
+        _, first, col = np.unique(key, return_index=True, return_inverse=True)
+
+        n_blocks = -(-ne // BLOCK_EDGES)
+        cuts = np.arange(n_blocks + 1)
+        col_cut = np.searchsorted(block[first], cuts).tolist()
+        edge_cut = np.searchsorted(edge_at, cuts * BLOCK_EDGES).tolist()
+        bounds = hit.indptr.tolist()
+        # Each column is replayed from the first row that takes it.
+        node, eu, ev, side = s[first], eu[first], ev[first], side[first]
+        for i in range(n_blocks):
+            j0, j1 = edge_cut[i], edge_cut[i + 1]
+            a0, a1 = bounds[j0], bounds[j1]
+            c0, c1 = col_cut[i], col_cut[i + 1]
+            at = [b - a0 for b in bounds[j0 : j1 + 1]]
+            start = i * BLOCK_EDGES
+            yield _Block(
+                rows=slice(lo + start, lo + start + BLOCK_EDGES),
+                small=small[start : start + BLOCK_EDGES],
+                spans=list(zip(at[:-1], at[1:])),
+                s=s[a0:a1],
+                col=col[a0:a1] - c0,
+                node=node[c0:c1],
+                eu=eu[c0:c1],
+                ev=ev[c0:c1],
+                side=side[c0:c1],
+            )
+
+
+def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, gkc_removed, fast):
     """Fill ``gkc_removed`` and ``fast`` for the edges of one block, in order."""
-    n, nb = g.n_nodes, block.shape[0]
-    us, vs = block[:, 0], block[:, 1]
-    # Row e of hit is 1 on N[u] only, 2 on N[v] only and 3 on both.
-    pick = sp.csr_matrix(
-        (
-            np.repeat([1.0, 2.0], nb),
-            (np.tile(np.arange(nb), 2), np.concatenate([us, vs])),
-        ),
-        shape=(nb, n),
-    )
-    hit = pick @ g.adjacency_with_self_loops()
-    hit.sort_indices()
-    small = 2 * np.diff(hit.indptr) < n
-    hit = hit[small]
-    us, vs = us[small], vs[small]
-    bounds = hit.indptr.tolist()
-    s_all = hit.indices
-
-    # (a) row replay, (b) kernel columns, (c) one triangular product with
-    # L^-1.  Both dgemm operands are Fortran-ordered views of C-ordered
-    # arrays, so neither is copied, and the product comes out Fortran-ordered.
-    rows, norms = _replay_rows(cache, g, us, vs, hit)
-    dots = blas.dgemm(1.0, cache.xt.matrix.T, rows.T, trans_a=1)
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    for a, b in spans:
-        tri = blas.dsyrk(1.0, rows[a:b].T, trans=1, lower=1)
-        inner = tri + tri.T
-        np.fill_diagonal(inner, 1.0)
-        dots[s_all[a:b], a:b] = inner
-    m_all = arccos_kernel(dots)
+    n = g.n_nodes
+    h = cache.gm.h
+    # (a) row replay, (b) kernel columns against the base rows, (c) one
+    # triangular product with L^-1.  Both dgemm operands are
+    # Fortran-ordered views of C-ordered arrays, so neither is copied, and
+    # the product comes out Fortran-ordered.
+    rows, norms = _replay_rows(cache, g, blk.node, blk.eu, blk.ev, blk.side)
+    m = arccos_kernel(blas.dgemm(1.0, cache.xt.matrix.T, rows.T, trans_a=1))
     # h is exactly symmetric, so its rows are the columns, read contiguously.
-    m_all -= cache.gm.h[s_all].T
-    # The product overwrites M, so each edge's m[s] is kept first.  It is
-    # exactly symmetric: the inner products above are mirrored, the kernel
-    # map is entrywise and h is exactly symmetric.
-    m_s_all = [m_all[s_all[a:b], a:b] for a, b in spans]
-    y_all = blas.dtrmm(1.0, cache.l_inv, m_all, lower=1, overwrite_b=1)
-    mt_z_all = blas.dgemm(1.0, y_all, cache.l_inv_y, trans_a=1)
+    m -= h[blk.node].T
 
-    # (d) per-edge capacitance: Delta H = W C W^T with W = [m, P_s] and
-    # C^{-1} = [[b, I], [I, 0]], b = m[s].  With H^-1 = L^-T L^-1,
-    # W^T H^-1 W = V^T V for V = L^-1 W = [Y_e, L^-1[:, s]], so one syrk
-    # gives m^T H^-1 m, (H^-1 m)[s] and H^-1[s, s] at once.
+    # Each edge's true block b = m_e[s] takes the new rows on both sides,
+    # where its shared columns took the base rows.  The inner products of
+    # all the block's edges share one buffer and one kernel map, and each
+    # edge's b~ = m~_e[s] is gathered before the product overwrites m~.
+    # Both are exactly symmetric: the inner products are mirrored, the
+    # kernel map is entrywise and h is exactly symmetric.
+    buf = np.empty(sum((b - a) ** 2 for a, b in blk.spans))
+    true, shared = [], []
+    end = 0
+    for a, b in blk.spans:
+        s, c = blk.s[a:b], blk.col[a:b]
+        tri = blas.dsyrk(1.0, rows[c].T, trans=1, lower=1)
+        start, end = end, end + (b - a) ** 2
+        inner = buf[start:end].reshape(b - a, b - a)
+        np.add(tri, tri.T, out=inner)
+        np.fill_diagonal(inner, 1.0)
+        true.append(inner)
+        shared.append(m[s[:, None], c])
+    arccos_kernel(buf)
+    y = blas.dtrmm(1.0, cache.l_inv, m, lower=1, overwrite_b=1)
+    mt_z = blas.dgemm(1.0, y, cache.l_inv_y, trans_a=1)
+
+    # (d) per-edge capacitance C~^-1 + V^T V (see the module docstring).
+    # With V = [Y~_e, L^-1[:, s]], one syrk gives m~^T H^-1 m~,
+    # (H^-1 m~)[s] and H^-1[s, s] at once.
     j = 0
-    for pos in range(nb):
-        u, v = int(block[pos, 0]), int(block[pos, 1])
-        if small[pos]:
-            a, b = spans[j]
-            m_s = m_s_all[j]
+    for pos, (u, v) in enumerate(g.edges[blk.rows].tolist()):
+        if blk.small[pos]:
+            a, b = blk.spans[j]
+            b_true, b_shared = true[j], shared[j]
             j += 1
-            s = s_all[a:b]
-            bad = norms[a:b] < DEGENERATE_ROW_NORM
+            s, c = blk.s[a:b], blk.col[a:b]
+            bad = norms[c] < DEGENERATE_ROW_NORM
             if bad.any():
                 raise DegenerateFeatureError(
                     f"removing edge ({u}, {v}) degenerates aggregation "
@@ -354,7 +458,7 @@ def _score_block(cache: _ScoreCache, g: Graph, block, gkc_removed, fast):
                 )
             ns = b - a
             vv = np.empty((n, 2 * ns), order="F")
-            vv[:, :ns] = y_all[:, a:b]
+            vv[:, :ns] = y[:, c]
             vv[:, ns:] = cache.l_inv[:, s]
             # syrk fills the lower triangle of a zeroed array, so the
             # mirror below doubles nothing but the diagonal.
@@ -362,8 +466,11 @@ def _score_block(cache: _ScoreCache, g: Graph, block, gkc_removed, fast):
             low[ns:, :ns] += np.eye(ns)
             cap = low + low.T
             np.fill_diagonal(cap, np.diagonal(low))
-            cap[:ns, :ns] += m_s
-            wt_z = np.vstack([mt_z_all[a:b], cache.z[s, :]])
+            b_true -= h[s[:, None], s]
+            corner = b_shared + b_shared.T
+            corner -= b_true
+            cap[:ns, :ns] += corner
+            wt_z = np.concatenate((mt_z[c], cache.z[s]))
             solved = _solve_capacitance(cap, wt_z)
             if solved is not None:
                 correction = np.einsum("kc,kc->c", wt_z, solved)
@@ -410,9 +517,8 @@ def kc_scores_all(g: Graph, labels: LabelMatrix, method: str = "fast") -> KcScor
     gkc_removed = np.empty(g.n_edges)
     fast = np.zeros(g.n_edges, dtype=bool)
     if method == "fast":
-        for start in range(0, g.n_edges, BLOCK_EDGES):
-            rows = slice(start, start + BLOCK_EDGES)
-            _score_block(cache, g, g.edges[rows], gkc_removed[rows], fast[rows])
+        for blk in _blocks(g):
+            _score_block(cache, g, blk, gkc_removed[blk.rows], fast[blk.rows])
     else:
         for i, (u, v) in enumerate(g.edges.tolist()):
             gkc_removed[i] = _gkc_removed_naive(cache, g, u, v)

@@ -82,7 +82,19 @@ def select_edges(table: KcScoreTable, config: PruneConfig) -> PrunePlan:
 
 
 def apply_prune(g: Graph, plan: PrunePlan) -> Graph:
-    """Delete the planned edges; every one must still be present."""
+    """Delete the planned edges; every one must still be present.
+
+    The plan's size must be ceil(alpha * |E|) of g's edges too: a plan
+    selected from a score table of another edge set would prune another
+    share of the graph.
+    """
+    want = prune_count(plan.config.alpha, g.n_edges)
+    if plan.k != want:
+        raise StalePlanError(
+            f"plan prunes {plan.k} edge(s), but alpha={plan.config.alpha} of "
+            f"the graph's {g.n_edges} edges is {want}: its score table "
+            "covers another edge set"
+        )
     edge_set = g.edge_set()
     missing = [e for e in plan.removed if e not in edge_set]
     if missing:

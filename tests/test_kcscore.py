@@ -328,18 +328,23 @@ def test_block_with_mixed_routes_matches_single_edge_scoring(tmp_path, monkeypat
 
 
 def _explicit_capacitance(g, u, v):
-    """The Woodbury capacitance matrix of removing (u, v), built in full
-    from an explicit inverse of the base Gram matrix."""
+    """The Woodbury capacitance matrix of removing (u, v), as the fast
+    route factors it, built in full from an explicit inverse of the base
+    Gram matrix: the changed columns map the new rows against the base
+    rows, and the corner block corrects the affected rows."""
+    xt = aggregate_features(g).matrix
     h = gram_matrix(aggregate_features(g)).h
-    h_new = gram_matrix(aggregate_features(remove_edge(g, u, v))).h
+    removed = aggregate_features(remove_edge(g, u, v))
     s = affected_nodes(g, u, v)
-    m = (h_new - h)[:, s]
+    b = (gram_matrix(removed).h - h)[np.ix_(s, s)]
+    m = xt @ removed.matrix[s].T
+    m = m * (np.pi - np.arccos(np.clip(m, -1.0, 1.0))) / (2.0 * np.pi) - h[:, s]
     h_inv = np.linalg.inv(h)
     h_inv_m = h_inv @ m
     eye = np.eye(s.size)
     return np.block(
         [
-            [m[s] + m.T @ h_inv_m, eye + h_inv_m[s].T],
+            [m[s] + m[s].T - b + m.T @ h_inv_m, eye + h_inv_m[s].T],
             [eye + h_inv_m[s], h_inv[np.ix_(s, s)]],
         ]
     )
@@ -371,9 +376,9 @@ def test_route_follows_capacitance_condition_number(monkeypatch):
         cond_1[(u, v)] = np.linalg.cond(cap, 1)
     assert len(cond_1) > 30
 
-    # At a limit inside the range (the 1-norm condition numbers span 378 to
-    # 3213), LAPACK's estimate, which never exceeds the exact 1-norm
-    # condition number and on this graph is at least 0.32 of it, keeps
+    # At a limit inside the range (the 1-norm condition numbers span 315 to
+    # 2809), LAPACK's estimate, which never exceeds the exact 1-norm
+    # condition number and on this graph is at least 0.30 of it, keeps
     # every edge at or under the limit fast and sends every edge over 3.5
     # times the limit to the naive route.
     limit = max(cond_1.values()) / 5.0
@@ -475,6 +480,82 @@ def test_routes_match_naive_on_ridged_and_ill_conditioned_bases(make_graph, ridg
             else:
                 assert score == ref, f"edge {(u, v)}"
     assert table.fast.any() and not table.fast.all()
+
+
+def _star_ring_graph():
+    # ring over 60 nodes plus a hub at node 0 joined to every fifth ring
+    # node: the hub's edges are small enough for the fast route and share
+    # the hub's side of their affected sets
+    n = 60
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(0, k) for k in range(5, n, 5)]
+    feats = np.random.default_rng(23).standard_normal((n, 5))
+    return Graph(features=feats, edges=edges)
+
+
+@pytest.mark.parametrize(
+    "make_graph",
+    [_hub_ring_graph, _star_ring_graph, _sparse_sbm_202, _sparse_sbm_204],
+    ids=["_hub_ring_graph", "_star_ring_graph", "_sparse_sbm_202", "_sparse_sbm_204"],
+)
+def test_scores_do_not_depend_on_the_block_partition(make_graph, monkeypatch):
+    g = make_graph()
+    lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
+    tables = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KcesWarning)
+        # one edge per block shares nothing; one block shares everything
+        for block_edges in (1, BLOCK_EDGES, g.n_edges):
+            with monkeypatch.context() as m:
+                m.setattr(kcscore, "BLOCK_EDGES", block_edges)
+                tables.append(kc_scores_all(g, lm, method="fast"))
+        ref = np.array([kc_score_naive(g, lm, u, v) for u, v in g.edges.tolist()])
+    for table in tables:
+        assert np.array_equal(table.fast, tables[0].fast)
+        fast = table.fast
+        assert np.all(np.abs(table.scores - ref)[fast] <= np.maximum(1e-8 * np.abs(ref), 1e-12)[fast])
+        assert np.array_equal(table.scores[~fast], ref[~fast])
+    assert tables[0].fast.any()
+
+
+def _kernel_columns(g, block_edges):
+    """Kernel columns the fast route builds: per block, one per distinct
+    (node, endpoint) key of a node off one endpoint only, and one per
+    endpoint or common neighbor of each edge; and the sum of |S|."""
+    columns = total = 0
+    nbrs = [set(g.neighbors(i).tolist()) for i in range(g.n_nodes)]
+    edges = g.edges.tolist()
+    for start in range(0, len(edges), block_edges):
+        keys = set()
+        for u, v in edges[start : start + block_edges]:
+            near_u, near_v = nbrs[u] | {u}, nbrs[v] | {v}
+            if 2 * len(near_u | near_v) >= g.n_nodes:
+                continue
+            total += len(near_u | near_v)
+            keys |= {(k, u) for k in near_u - near_v}
+            keys |= {(k, v) for k in near_v - near_u}
+            keys |= {(k, (u, v)) for k in near_u & near_v}
+        columns += len(keys)
+    return columns, total
+
+
+def test_block_builds_each_distinct_kernel_column_once(monkeypatch):
+    g = _star_ring_graph()
+    lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
+    built = []
+    dtrmm = kcscore.blas.dtrmm
+
+    def counting(alpha, a, b, *args, **kwargs):
+        built.append(b.shape[1])
+        return dtrmm(alpha, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(kcscore.blas, "dtrmm", counting)
+    table = kc_scores_all(g, lm, method="fast")
+    assert table.fast.all()
+    columns, total = _kernel_columns(g, BLOCK_EDGES)
+    # the cache maps the label columns once; the blocks map the rest
+    assert sum(built) == lm.columns.shape[1] + columns
+    assert columns < total
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from kces.sanitize import (
     prune_count,
     select_edges,
 )
-from kces.synth import random_graph
+from kces.synth import make_sbm_benchmark, random_graph
 
 
 def _table(scores):
@@ -131,10 +131,31 @@ def test_apply_prune_alpha_extremes():
 def test_apply_prune_rejects_stale_plan():
     g = random_graph(10, 0.4, 4, seed=5)
     edge = tuple(g.edges.tolist()[0])
-    plan = PrunePlan(removed=(edge,), k=1, config=PruneConfig(alpha=0.1))
+    # k = 1 is ceil(alpha * |E|) both before and after the removal
+    plan = PrunePlan(removed=(edge,), k=1, config=PruneConfig(alpha=1 / g.n_edges))
     pruned = apply_prune(g, plan)
     with pytest.raises(StalePlanError, match="1 edge"):
         apply_prune(pruned, plan)
+
+
+def test_apply_prune_rejects_plan_from_score_file_of_another_edge_set(tmp_path):
+    # a score file that covers the first half of the graph's edges plans
+    # ceil(0.5 * 536) = 268 removals, a quarter of the graph
+    g = make_sbm_benchmark(seed=0)
+    assert g.n_edges == 1073
+    labels = encode_labels(np.arange(g.n_nodes) % 2, "one-hot")
+    full, half = tmp_path / "full.tsv", tmp_path / "half.tsv"
+    kc_scores_all(g, labels).write_tsv(full)
+    half.write_text("".join(full.read_text().splitlines(keepends=True)[:537]))
+    table = KcScoreTable.read_tsv(half)
+    assert table.edges.shape[0] == 536
+    plan = select_edges(table, PruneConfig(alpha=0.5))
+    assert plan.k == 268
+    with pytest.raises(StalePlanError, match="268 edge.*1073 edges is 537"):
+        apply_prune(g, plan)
+    # the full file plans the graph's own share
+    plan = select_edges(KcScoreTable.read_tsv(full), PruneConfig(alpha=0.5))
+    assert apply_prune(g, plan).n_edges == 1073 - 537
 
 
 def test_plan_tsv_lists_edges_in_removal_order(tmp_path):
