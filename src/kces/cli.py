@@ -21,7 +21,13 @@ import numpy as np
 
 from .dist import score_distribution, write_distribution_csv
 from .errors import ConfigError, InputError, NumericError
-from .gnn import TrainConfig, evaluate_classifier, make_split, write_trace_csv
+from .gnn import (
+    TrainConfig,
+    evaluate_classifier,
+    evaluate_classifiers,
+    make_split,
+    write_trace_csv,
+)
 from .graph import Graph, format_float, load_graph, write_edge_tsv
 from .kcscore import KcScoreTable, kc_scores_all
 from .manifest import build_manifest, write_manifest
@@ -255,9 +261,13 @@ def cmd_sweep(args):
         split = make_split(g.n_nodes, seed if args.split_seed is None else args.split_seed)
         cfg = TrainConfig(m=args.m, steps=args.steps, eta=args.eta, kappa=args.kappa, seed=seed)
         for strategy in strategies:
-            for alpha in SWEEP_ALPHAS:
-                plan = select_edges(table, PruneConfig(alpha=alpha, strategy=strategy, seed=seed))
-                report = evaluate_classifier(apply_prune(g, plan), g.labels, split, cfg)
+            # a row's cells share the split and config, so they train as one stack per class
+            pruned = [
+                apply_prune(g, select_edges(table, PruneConfig(alpha=alpha, strategy=strategy, seed=seed)))
+                for alpha in SWEEP_ALPHAS
+            ]
+            reports = evaluate_classifiers(pruned, g.labels, split, cfg)
+            for alpha, report in zip(SWEEP_ALPHAS, reports):
                 rows.append((strategy, alpha, seed, report.test_accuracy))
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
 

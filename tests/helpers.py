@@ -3,8 +3,13 @@
 Everything here recomputes results from first principles with dense
 numpy: explicit adjacency matrices, per-entry kernel loops, explicit
 matrix inverses.  None of it shares code with the library, so agreement
-is evidence of correctness rather than of shared bugs.
+is evidence of correctness rather than of shared bugs.  The one
+exception is ``oracle_evaluate``, which puts the library's unchanged
+aggregation, initial draw, step-size rule and forward pass around the
+one-model training loop ``oracle_train_gd``.
 """
+
+import math
 
 import numpy as np
 
@@ -119,6 +124,100 @@ def oracle_fd_loss_gradient(w, a, x, y, m, idx, h=1e-6):
     wn = w.copy()
     wn[idx] -= h
     return (loss(wp) - loss(wn)) / (2.0 * h)
+
+
+class OracleDivergence(Exception):
+    """The one-model loop met a non-finite loss at ``step``."""
+
+    def __init__(self, step):
+        super().__init__(f"training loss became non-finite at step {step}")
+        self.step = step
+
+
+def oracle_gradient(w, a, x, y, m):
+    z = x @ w
+    f = (np.maximum(z, 0.0) @ a) / math.sqrt(m)
+    residual = f - y
+    active = (z > 0.0).astype(np.float64)
+    grad = (x.T @ (active * residual[:, None])) * (a[None, :] / math.sqrt(m))
+    return f, grad
+
+
+def oracle_train_gd(w, a, x, y, m, eta, steps):
+    """Gradient descent one model at a time, one 2-D product per term.
+
+    The reference the stacked trainer must match bit for bit.  Returns
+    (final w, residual norms, losses) over steps 0..steps; raises
+    ``OracleDivergence`` at the first non-finite loss.
+    """
+    w = w.copy()
+    residual_norms = np.empty(steps + 1)
+    losses = np.empty(steps + 1)
+    for step in range(steps + 1):
+        f, grad = oracle_gradient(w, a, x, y, m)
+        r = float(np.linalg.norm(y - f))
+        loss = 0.5 * r * r
+        if not np.isfinite(loss):
+            raise OracleDivergence(step)
+        residual_norms[step] = r
+        losses[step] = loss
+        if step < steps:
+            w -= eta * grad
+    return w, residual_norms, losses
+
+
+def oracle_evaluate(g, labels, split, cfg):
+    """``evaluate_classifier`` as a loop over classes of ``oracle_train_gd``.
+
+    Returns the AccuracyReport and the per-class TrainTraces.
+    """
+    from dataclasses import replace
+
+    from kces.gnn import (
+        AccuracyReport,
+        ModelState,
+        TrainTrace,
+        forward,
+        init_model,
+        resolve_eta,
+    )
+    from kces.graph import aggregate_features
+
+    lab = np.asarray(labels, dtype=np.int64)
+    classes = np.unique(lab)
+    xt = aggregate_features(g)
+    x_train = xt.matrix[split.train]
+    eta = resolve_eta(cfg, x_train)
+    scores = np.empty((g.n_nodes, classes.shape[0]))
+    traces = []
+    for idx, c in enumerate(classes.tolist()):
+        targets = np.where(lab == c, 1.0, -1.0)
+        derived = int(
+            np.random.SeedSequence(
+                [int(cfg.seed) & 0xFFFFFFFFFFFFFFFF, idx]
+            ).generate_state(1)[0]
+        )
+        cls_cfg = replace(cfg, seed=derived, eta=eta)
+        state = init_model(cls_cfg, g.n_features)
+        w, norms, losses = oracle_train_gd(
+            state.w, state.a, x_train, targets[split.train], cfg.m, eta, cfg.steps
+        )
+        final = ModelState(w=w, a=state.a.copy(), config=cls_cfg)
+        traces.append(TrainTrace(residual_norms=norms, losses=losses, final_state=final))
+        scores[:, idx] = forward(final, xt)
+    pred = classes[np.argmax(scores, axis=1)]
+
+    def acc(mask):
+        return float((pred[mask] == lab[mask]).mean()) if mask.any() else float("nan")
+
+    report = AccuracyReport(
+        train_accuracy=acc(split.train),
+        val_accuracy=acc(split.val),
+        test_accuracy=acc(split.test),
+        eta=eta,
+        n_classes=int(classes.shape[0]),
+    )
+    return report, traces
 
 
 def oracle_kmeans_best_inertia(points, k=2):

@@ -15,7 +15,6 @@ from helpers import oracle_fd_loss_gradient, oracle_gkc
 from kces.errors import KcesWarning
 from kces.gnn import (
     TrainConfig,
-    _gradient,
     evaluate_classifier,
     init_model,
     make_split,
@@ -134,7 +133,9 @@ def test_criterion_05_gradient_matches_finite_differences():
     x = rng.standard_normal((n, f))
     y = rng.choice([-1.0, 1.0], size=n)
     state = init_model(TrainConfig(m=m, steps=0, kappa=0.1, seed=13), f)
-    _, grad = _gradient(state.w, state.a, x, y, m)
+    # the gradient the trainer applies: one step of train_gd at eta = 1
+    step = TrainConfig(m=m, steps=1, eta=1.0, kappa=0.1, seed=13)
+    grad = state.w - train_gd(state, x, y, step).final_state.w
     worst = 0.0
     for i, j in zip(rng.integers(0, f, 20), rng.integers(0, m, 20)):
         idx = (int(i), int(j))

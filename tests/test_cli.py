@@ -7,10 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import OracleDivergence, oracle_evaluate
+
 from kces.cli import SWEEP_ALPHAS, main
-from kces.graph import load_graph, write_edge_tsv, write_features_csv, write_labels
+from kces.gnn import TrainConfig, make_split, write_trace_csv
+from kces.graph import format_float, load_graph, write_edge_tsv, write_features_csv, write_labels
+from kces.kcscore import kc_scores_all
 from kces.manifest import load_manifest, sha256_file, verify_outputs
 from kces.perturb import apply_record, read_record_tsv
+from kces.pseudolabel import encode_labels, kmeans_pseudo_labels
+from kces.sanitize import PruneConfig, apply_prune, select_edges
 from kces.synth import make_sbm_benchmark
 
 GOLDEN = Path(__file__).parent / "data" / "golden5"
@@ -313,6 +319,100 @@ def test_train_reports_and_traces(tmp_path, graph_files):
     for idx in (0, 1):
         trace_lines = (traces / f"class_{idx}.csv").read_text().splitlines()
         assert len(trace_lines) == 42  # header + steps 0..40
+
+
+def test_train_writes_the_per_class_loops_report_and_traces(tmp_path, graph_files):
+    out = tmp_path / "report.csv"
+    traces = tmp_path / "traces"
+    rc = main(
+        [
+            "train",
+            "--edges", graph_files["edges"],
+            "--features", graph_files["features"],
+            "--labels", graph_files["labels"],
+            "--m", "64",
+            "--steps", "40",
+            "--seed", "2",
+            "--out", str(out),
+            "--trace-dir", str(traces),
+        ]
+    )
+    assert rc == 0
+    g = load_graph(graph_files["edges"], graph_files["features"], graph_files["labels"])
+    cfg = TrainConfig(m=64, steps=40, seed=2)
+    report, ref_traces = oracle_evaluate(g, g.labels, make_split(g.n_nodes, 2), cfg)
+    report.write_csv(tmp_path / "ref_report.csv")
+    assert out.read_bytes() == (tmp_path / "ref_report.csv").read_bytes()
+    for idx, trace in enumerate(ref_traces):
+        ref = tmp_path / f"ref_{idx}.csv"
+        write_trace_csv(trace, ref)
+        assert (traces / f"class_{idx}.csv").read_bytes() == ref.read_bytes()
+
+
+def _sweep_cells(graph_files, seeds, m, steps, eta=None):
+    """The sweep as a loop over cells: select, prune, then train per class."""
+    g = load_graph(graph_files["edges"], graph_files["features"], graph_files["labels"])
+    k = int(np.unique(g.labels).size)
+    for seed in seeds:
+        pseudo = kmeans_pseudo_labels(g, k, seed, restarts=10)
+        table = kc_scores_all(g, encode_labels(pseudo, "one-hot"))
+        split = make_split(g.n_nodes, seed)
+        cfg = TrainConfig(m=m, steps=steps, eta=eta, seed=seed)
+        for strategy in ("high-kc", "low-kc", "random"):
+            for alpha in SWEEP_ALPHAS:
+                plan = select_edges(table, PruneConfig(alpha=alpha, strategy=strategy, seed=seed))
+                report, _ = oracle_evaluate(apply_prune(g, plan), g.labels, split, cfg)
+                yield strategy, alpha, seed, report.test_accuracy
+
+
+def test_sweep_writes_the_per_cell_loops_csv(tmp_path, graph_files):
+    out = tmp_path / "sweep.csv"
+    argv = [
+        "sweep",
+        "--edges", graph_files["edges"],
+        "--features", graph_files["features"],
+        "--labels", graph_files["labels"],
+        "--seeds", "0,1",
+        "--m", "32",
+        "--steps", "20",
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    rows = sorted(_sweep_cells(graph_files, (0, 1), m=32, steps=20))
+    lines = ["strategy,alpha,seed,test_accuracy"] + [
+        f"{strategy},{format_float(alpha)},{seed},{format_float(acc)}"
+        for strategy, alpha, seed, acc in rows
+    ]
+    assert out.read_text() == "\n".join(lines) + "\n"
+
+
+def test_sweep_divergence_reports_the_per_cell_loops_first_error(tmp_path, graph_files, capsys):
+    first = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for _ in _sweep_cells(graph_files, (0,), m=8, steps=300, eta=1e6):
+                pass
+        except OracleDivergence as exc:
+            first = exc.step
+    assert first is not None
+    capsys.readouterr()
+    rc = main(
+        [
+            "sweep",
+            "--edges", graph_files["edges"],
+            "--features", graph_files["features"],
+            "--labels", graph_files["labels"],
+            "--eta", "1e6",
+            "--m", "8",
+            "--steps", "300",
+            "--out", str(tmp_path / "sweep.csv"),
+        ]
+    )
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"kces: numeric error: training loss became non-finite at step {first}\n"
+    )
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_dist_exports_one_csv_per_variant(tmp_path, graph_files):

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import oracle_fd_loss_gradient
+from helpers import (
+    OracleDivergence,
+    oracle_evaluate,
+    oracle_fd_loss_gradient,
+    oracle_train_gd,
+)
 
 from kces.errors import (
     BoundedLabelError,
@@ -18,9 +23,10 @@ from kces.gnn import (
     AccuracyReport,
     ModelState,
     TrainConfig,
-    _gradient,
+    _descend,
     edge_bound,
     evaluate_classifier,
+    evaluate_classifiers,
     forward,
     init_model,
     make_split,
@@ -48,21 +54,102 @@ def test_config_validation():
 
 
 def test_analytic_gradient_matches_finite_differences():
+    # the gradient is read off one step of the stacked trainer at eta = 1;
+    # model 1 is a second problem, so the slices of the stack are checked
     rng = np.random.default_rng(42)
     n, f, m = 8, 5, 32
-    x = rng.standard_normal((n, f))
-    y = rng.choice([-1.0, 1.0], size=n)
-    cfg = TrainConfig(m=m, steps=0, kappa=0.1, seed=7)
-    state = init_model(cfg, f)
-    _, grad = _gradient(state.w, state.a, x, y, m)
+    x = rng.standard_normal((2, n, f))
+    y = rng.choice([-1.0, 1.0], size=(2, n))
+    states = [init_model(TrainConfig(m=m, steps=0, kappa=0.1, seed=s), f) for s in (7, 8)]
+    w0 = np.stack([s.w for s in states])
+    a = np.stack([s.a for s in states])
+    w1 = w0.copy()
+    _descend(w1, a, x, y, np.ones(2), 1)
+    grad = w0 - w1
     coords = [
         (int(i), int(j))
         for i, j in zip(rng.integers(0, f, 20), rng.integers(0, m, 20))
     ]
-    for idx in coords:
-        fd = oracle_fd_loss_gradient(state.w, state.a, x, y, m, idx)
-        denom = max(abs(fd), 1e-10)
-        assert abs(grad[idx] - fd) / denom <= 1e-5
+    for k in range(2):
+        for idx in coords:
+            fd = oracle_fd_loss_gradient(w0[k], a[k], x[k], y[k], m, idx)
+            denom = max(abs(fd), 1e-10)
+            assert abs(grad[k][idx] - fd) / denom <= 1e-5
+
+
+def _stack_problem(k, seed, n=20, f=16, m=64):
+    """k unrelated models: own rows, targets, initial draw and step size."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((k, n, f))
+    x /= np.linalg.norm(x, axis=2, keepdims=True)
+    y = rng.choice([-1.0, 1.0], size=(k, n))
+    states = [init_model(TrainConfig(m=m, steps=0, seed=seed * 100 + i), f) for i in range(k)]
+    w = np.stack([s.w for s in states])
+    a = np.stack([s.a for s in states])
+    eta = rng.uniform(0.05, 0.5, size=k)
+    return x, y, w, a, eta
+
+
+@pytest.mark.parametrize("k", [1, 2, 19])
+def test_stacked_descent_equals_one_model_loop_bit_for_bit(k):
+    x, y, w0, a, eta = _stack_problem(k, seed=k)
+    steps, m = 30, w0.shape[2]
+    w = w0.copy()
+    norms, losses, failed = _descend(w, a, x, y, eta, steps)
+    assert failed is None
+    for i in range(k):
+        w_ref, norms_ref, losses_ref = oracle_train_gd(
+            w0[i], a[i], x[i], y[i], m, eta[i], steps
+        )
+        assert np.array_equal(w[i], w_ref)
+        assert np.array_equal(norms[i], norms_ref)
+        assert np.array_equal(losses[i], losses_ref)
+
+
+def test_train_gd_equals_one_model_loop_bit_for_bit():
+    x, y, w0, a, eta = _stack_problem(1, seed=5)
+    cfg = TrainConfig(m=w0.shape[2], steps=40, eta=float(eta[0]), seed=0)
+    trace = train_gd(ModelState(w=w0[0], a=a[0], config=cfg), x[0], y[0], cfg)
+    w_ref, norms_ref, losses_ref = oracle_train_gd(
+        w0[0], a[0], x[0], y[0], cfg.m, cfg.eta, cfg.steps
+    )
+    assert np.array_equal(trace.final_state.w, w_ref)
+    assert np.array_equal(trace.residual_norms, norms_ref)
+    assert np.array_equal(trace.losses, losses_ref)
+
+
+def _divergence_step(w, a, x, y, m, eta, steps):
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            oracle_train_gd(w, a, x, y, m, eta, steps)
+        except OracleDivergence as exc:
+            return exc.step
+    return None
+
+
+def test_stack_raises_the_first_models_divergence_not_the_earliest():
+    # model 1 diverges long before model 0; the one-model loop trains
+    # model 0 first, so model 0's step is the one it reports
+    rng = np.random.default_rng(0)
+    x = np.broadcast_to(rng.standard_normal((8, 4)), (2, 8, 4))
+    y = np.broadcast_to(rng.choice([-1.0, 1.0], size=8), (2, 8))
+    state = init_model(TrainConfig(m=4, steps=0, seed=1), 4)
+    w0 = np.stack([state.w, state.w])
+    a = np.stack([state.a, state.a])
+    eta = np.array([3.0, 1e6])
+    steps = [_divergence_step(w0[i], a[i], x[i], y[i], 4, eta[i], 400) for i in range(2)]
+    assert steps[1] < steps[0]
+    _, _, failed = _descend(w0.copy(), a, x, y, eta, 400)
+    assert failed == (0, steps[0])
+    # model 0 alone does not diverge: model 1's failure is reported, and
+    # model 0 trains to the same bits as on its own
+    w = w0.copy()
+    norms, _, failed = _descend(w, a, x, y, np.array([0.5, 1e6]), 400)
+    assert failed == (1, steps[1])
+    w_ref, norms_ref, _ = oracle_train_gd(w0[0], a[0], x[0], y[0], 4, 0.5, 400)
+    assert np.array_equal(w[0], w_ref)
+    assert np.array_equal(norms[0], norms_ref)
+    assert np.isfinite(w[1]).all()
 
 
 def test_init_model_statistics_and_determinism():
@@ -284,6 +371,74 @@ def test_evaluate_classifier_needs_every_class_in_train():
     labels[lonely] = 2
     with pytest.raises(DegenerateSplitError, match=r"\[2\]"):
         evaluate_classifier(g, labels, split, TrainConfig(m=16, steps=1), trace_sink=None)
+
+
+def _three_class_graph(seed=0, n=30):
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % 3
+    centers = np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 3.0]])
+    x = centers[labels] + rng.standard_normal((n, 3))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in rng.integers(0, n, (40, 2)) if u != v})
+    return Graph(features=x, edges=edges, labels=labels)
+
+
+def test_evaluate_classifier_equals_per_class_loop():
+    g = _three_class_graph()
+    split = make_split(g.n_nodes, seed=2, train_frac=0.3, val_frac=0.2)
+    cfg = TrainConfig(m=32, steps=25, seed=4)
+    traces = {}
+    report = evaluate_classifier(
+        g, g.labels, split, cfg, trace_sink=lambda i, t: traces.setdefault(i, t)
+    )
+    ref, ref_traces = oracle_evaluate(g, g.labels, split, cfg)
+    assert report == ref
+    assert sorted(traces) == [0, 1, 2]
+    for idx, ref_trace in enumerate(ref_traces):
+        assert np.array_equal(traces[idx].residual_norms, ref_trace.residual_norms)
+        assert np.array_equal(traces[idx].losses, ref_trace.losses)
+        assert np.array_equal(traces[idx].final_state.w, ref_trace.final_state.w)
+        assert traces[idx].final_state.config == ref_trace.final_state.config
+
+
+def test_evaluate_classifiers_equal_one_call_per_graph():
+    g = _three_class_graph(seed=1)
+    graphs = [g] + [
+        Graph(features=g.features, edges=g.edges[:-cut], labels=g.labels)
+        for cut in (3, 9, 20)
+    ]
+    split = make_split(g.n_nodes, seed=3, train_frac=0.3, val_frac=0.2)
+    cfg = TrainConfig(m=32, steps=25, seed=6)
+    reports = evaluate_classifiers(graphs, g.labels, split, cfg)
+    assert reports == [oracle_evaluate(h, g.labels, split, cfg)[0] for h in graphs]
+    assert len({r.eta for r in reports}) == len(graphs)
+    assert evaluate_classifiers([], g.labels, split, cfg) == []
+    other = _three_class_graph(seed=1, n=33)
+    with pytest.raises(ConfigError, match="node set"):
+        evaluate_classifiers([g, other], g.labels, split, cfg)
+
+
+def test_evaluate_classifiers_report_the_loops_first_divergence():
+    # the loop goes graph by graph, class by class; the first failure
+    # in that order is reported, whatever step other models fail at.
+    # Here class 0 fails only on graph 1, and class 1 fails on graph 1 at
+    # step 67, before it fails on graph 0 at step 77, the loop's first.
+    g = _three_class_graph(seed=2)
+    graphs = [g, Graph(features=g.features, edges=g.edges[:-12], labels=g.labels)]
+    split = make_split(g.n_nodes, seed=4, train_frac=0.3, val_frac=0.2)
+    cfg = TrainConfig(m=4, steps=300, eta=1000.0, seed=1)
+    first = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in graphs:
+            try:
+                oracle_evaluate(h, g.labels, split, cfg)
+            except OracleDivergence as exc:
+                first = exc.step
+                break
+    assert first is not None
+    with pytest.raises(DivergenceError) as info:
+        evaluate_classifiers(graphs, g.labels, split, cfg)
+    assert info.value.step == first
+    assert str(info.value) == f"training loss became non-finite at step {first}"
 
 
 def test_accuracy_report_csv(tmp_path):
