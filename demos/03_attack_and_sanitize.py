@@ -32,7 +32,7 @@ agreement = max(
 )
 print(f"pseudo-label agreement with ground truth: {agreement:.3f}")
 
-table = kc_scores_all(attacked, encode_labels(pseudo, "one-hot"), method="fast")
+table = kc_scores_all(attacked, encode_labels(pseudo, "one-hot"))
 injected = set(record.added)
 hit = np.array([tuple(e) in injected for e in table.edges.tolist()])
 med_inj = float(np.median(table.scores[hit]))

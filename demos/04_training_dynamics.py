@@ -46,7 +46,7 @@ complexity = gkc(gm, labels)
 bound = generalization_bound(complexity, n=16, lambda0=gm.lambda_min, delta=0.05)
 print(f"\ncomplexity {complexity.value:.4f} -> test-error bound {bound:.4f}")
 
-table = kc_scores_all(g, labels, method="fast")
+table = kc_scores_all(g, labels)
 top_edge = table.sorted_edges()[0]
 slack = edge_bound(complexity, float(table.scores.max()), 16, gm.lambda_min, 0.05)
 print(

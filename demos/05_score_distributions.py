@@ -30,7 +30,7 @@ tables = {}
 for name, g in (("clean", clean), ("attacked", attacked)):
     pseudo = kmeans_pseudo_labels(g, 2, SEED)
     labels = encode_labels(pseudo.assignments, "one-hot")
-    tables[name] = kc_scores_all(g, labels, method="fast")
+    tables[name] = kc_scores_all(g, labels)
 
 injected = set(record.added)
 att = tables["attacked"]

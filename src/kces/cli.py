@@ -2,9 +2,9 @@
 
 Commands compose through files only.  Every run writes a manifest with
 content digests of its inputs and outputs; re-running a manifest's argv
-reproduces the outputs byte for byte.  ``--threads`` is accepted and
-ignored, so that manifests written when it set the sweep's worker count
-still replay.
+reproduces the outputs byte for byte, given the same BLAS build and
+BLAS thread count.  Scoring always takes the fast route wherever it can;
+``kc_score_naive`` is the per-edge reference.
 
 Exit codes: 0 success, 2 input error, 3 numeric error, 4 infeasible
 configuration.
@@ -45,7 +45,6 @@ _EXIT_CONFIG = 4
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored (kept so stored manifests replay); must be >= 1")
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     parser.add_argument("--manifest-out", default=None, help="manifest path (default: <output>.manifest.json)")
 
@@ -59,7 +58,6 @@ def _graph_flags(parser: argparse.ArgumentParser, labels_help: str) -> None:
 def _scoring_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, default=None, help="pseudo-label cluster count")
     parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument("--method", choices=("naive", "fast"), default="fast")
     parser.add_argument(
         "--encoding", choices=("one-hot", "signed-binary", "scalar-truth"), default="one-hot"
     )
@@ -100,8 +98,8 @@ def _label_matrix(g: Graph, args):
 
 def _score_table(g: Graph, args) -> tuple[KcScoreTable, dict]:
     matrix, params = _label_matrix(g, args)
-    table = kc_scores_all(g, matrix, method=args.method)
-    params = dict(params, method=args.method, seed=args.seed)
+    table = kc_scores_all(g, matrix)
+    params = dict(params, seed=args.seed)
     return table, params
 
 
@@ -249,15 +247,22 @@ def cmd_sweep(args):
         raise ConfigError(f"unknown strategies: {', '.join(unknown)}")
     if not strategies:
         raise ConfigError("no strategies given")
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
+    except ValueError:
+        raise ConfigError(f"seeds must be comma-separated integers, got {args.seeds!r}") from None
     if not seeds:
         raise ConfigError("no seeds given")
+    # a repeated value would write each of its cells twice
+    for name, given in (("strategies", strategies), ("seeds", seeds)):
+        if len(set(given)) < len(given):
+            raise ConfigError(f"repeated {name}: {', '.join(map(str, given))}")
     k = args.k if args.k is not None else int(np.unique(g.labels).size)
 
     rows = []
     for seed in seeds:
         pseudo = kmeans_pseudo_labels(g, k, seed, restarts=args.restarts)
-        table = kc_scores_all(g, encode_labels(pseudo, args.encoding), method=args.method)
+        table = kc_scores_all(g, encode_labels(pseudo, args.encoding))
         split = make_split(g.n_nodes, seed if args.split_seed is None else args.split_seed)
         cfg = TrainConfig(m=args.m, steps=args.steps, eta=args.eta, kappa=args.kappa, seed=seed)
         for strategy in strategies:
@@ -282,7 +287,6 @@ def cmd_sweep(args):
         "seeds": list(seeds),
         "k": k,
         "restarts": args.restarts,
-        "method": args.method,
         "encoding": args.encoding,
         "m": args.m,
         "steps": args.steps,
@@ -356,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0", help="comma-separated seed list")
     p.add_argument("--k", type=int, default=None, help="pseudo-label cluster count (default: class count)")
     p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--method", choices=("naive", "fast"), default="fast")
     p.add_argument("--encoding", choices=("one-hot", "signed-binary"), default="one-hot")
     _train_flags(p)
     p.add_argument("--out", required=True, help="sweep CSV path")
@@ -375,9 +378,6 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(message)s",
         stream=sys.stderr,
     )
-    if args.threads < 1:
-        print("kces: --threads must be >= 1", file=sys.stderr)
-        return _EXIT_CONFIG
     try:
         params, inputs, outputs, primary = args.handler(args)
     except InputError as exc:

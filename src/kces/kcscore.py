@@ -96,6 +96,13 @@ BLOCK_EDGES = 16
 #: 16 blocks (30.9 MB before columns were shared); on a 200-node graph
 #: (1074 edges) passes of 16 and of 64 both key in 3.4 ms.
 KEY_PASS_BLOCKS = 16
+#: The blocks' triangular product runs on rows zero-padded to a multiple
+#: of this.  With OpenBLAS 0.3.30's Haswell kernels, a product whose row
+#: count is not a multiple of 8 rounds differently on one thread than on
+#: several (at N = 30 with 84 columns, 12 columns differ); padded, the
+#: scores of SBM graphs of 20-126 nodes have the same bits on 1, 2 and 3
+#: threads.  From N = 128 on, the base's Cholesky factor itself differs.
+PRODUCT_ROWS = 8
 TSV_HEADER = "u\tv\tkc_score\tmethod"
 #: The ``method`` column's route names, indexed by the ``fast`` flag.
 ROUTES = ("naive", "fast")
@@ -217,14 +224,14 @@ class _ScoreCache:
     explicit H^-1), ``l_inv_y`` = L^-1 y, the solved label columns
     ``z`` = H^-1 y with ``quad`` = y^T z, and the pre-normalization
     neighbor sums needed to replay aggregation on the handful of rows an
-    edge removal touches.  A ridged base is factored as H + ridge I and
-    its removals are scored under the same ridge, so the fast-route
-    fields come from that factor; they are None unless ``fast``.  A
-    cache scores one edge at a time: the patcher rebuilds every removal
-    in the same buffers.
+    edge removal touches; ``l_inv`` is zero-padded to a multiple of
+    ``PRODUCT_ROWS`` rows and columns.  A ridged base is factored as
+    H + ridge I and its removals are scored under the same ridge, so the
+    fast-route fields come from that factor.  A cache scores one edge at
+    a time: the patcher rebuilds every naive removal in the same buffers.
     """
 
-    def __init__(self, g: Graph, labels: LabelMatrix, fast: bool):
+    def __init__(self, g: Graph, labels: LabelMatrix):
         if labels.columns.shape[0] != g.n_nodes:
             raise InputError("label matrix does not match graph size")
         self.labels = labels
@@ -240,18 +247,17 @@ class _ScoreCache:
             * self.xt.pre_norm_row_norms[:, None]
             / self.weights[:, None]
         )
-        self.l_inv = self.l_inv_y = self.z = self.quad = None
-        if fast:
-            # The blocks read whole columns of l_inv, so its upper triangle
-            # must be zero: the factor's is, and dtrtri leaves it alone.
-            l_inv, info = lapack.dtrtri(self.gm.chol_lower, lower=1)
-            if info != 0:
-                raise NumericError("Cholesky factor of the Gram matrix is singular")
-            l_inv.setflags(write=False)
-            self.l_inv = l_inv
-            self.l_inv_y = blas.dtrmm(1.0, l_inv, labels.columns, lower=1)
-            self.z = self.gm.solve_factored(labels.columns)
-            self.quad = np.einsum("nc,nc->c", labels.columns, self.z)
+        # The blocks read whole columns of l_inv, so its upper triangle
+        # must be zero: the factor's is, and dtrtri leaves it alone.
+        l_inv, info = lapack.dtrtri(self.gm.chol_lower, lower=1)
+        if info != 0:
+            raise NumericError("Cholesky factor of the Gram matrix is singular")
+        self.l_inv_y = blas.dtrmm(1.0, l_inv, labels.columns, lower=1)
+        pad = -g.n_nodes % PRODUCT_ROWS
+        self.l_inv = np.pad(l_inv, (0, pad)) if pad else l_inv
+        self.l_inv.setflags(write=False)
+        self.z = self.gm.solve_factored(labels.columns)
+        self.quad = np.einsum("nc,nc->c", labels.columns, self.z)
 
 
 def _removed_rows(g: Graph, u: int, v: int):
@@ -262,12 +268,6 @@ def _removed_rows(g: Graph, u: int, v: int):
         raise DegenerateFeatureError(
             f"removing edge ({u}, {v}) degenerates aggregation: {exc}"
         ) from None
-
-
-def _gkc_removed_naive(cache: _ScoreCache, g: Graph, u: int, v: int) -> float:
-    # Only the rows of the closed neighborhoods of u and v change.
-    gm = cache.patcher.gram(_removed_rows(g, u, v), affected_nodes(g, u, v))
-    return gkc(gm, cache.labels).value
 
 
 def kc_score_naive(g: Graph, labels: LabelMatrix, u: int, v: int) -> float:
@@ -437,7 +437,9 @@ def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, gkc_removed, fast):
         true.append(inner)
         shared.append(m[s[:, None], c])
     arccos_kernel(buf)
-    y = blas.dtrmm(1.0, cache.l_inv, m, lower=1, overwrite_b=1)
+    if cache.l_inv.shape[0] > n:
+        m = np.pad(m, ((0, cache.l_inv.shape[0] - n), (0, 0)))
+    y = blas.dtrmm(1.0, cache.l_inv, m, lower=1, overwrite_b=1)[:n]
     mt_z = blas.dgemm(1.0, y, cache.l_inv_y, trans_a=1)
 
     # (d) per-edge capacitance C~^-1 + V^T V (see the module docstring).
@@ -459,7 +461,7 @@ def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, gkc_removed, fast):
             ns = b - a
             vv = np.empty((n, 2 * ns), order="F")
             vv[:, :ns] = y[:, c]
-            vv[:, ns:] = cache.l_inv[:, s]
+            vv[:, ns:] = cache.l_inv[:n, s]
             # syrk fills the lower triangle of a zeroed array, so the
             # mirror below doubles nothing but the diagonal.
             low = blas.dsyrk(1.0, vv, trans=1, lower=1)
@@ -477,7 +479,10 @@ def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, gkc_removed, fast):
                 gkc_removed[pos] = 2.0 * (cache.quad - correction).sum() / n
                 fast[pos] = True
                 continue
-        gkc_removed[pos] = _gkc_removed_naive(cache, g, u, v)
+        # Naive route; only the rows of the closed neighborhoods of u and
+        # v change.
+        gm = cache.patcher.gram(_removed_rows(g, u, v), affected_nodes(g, u, v))
+        gkc_removed[pos] = gkc(gm, cache.labels).value
 
 
 def _solve_capacitance(cap, rhs):
@@ -502,26 +507,20 @@ def _solve_capacitance(cap, rhs):
     return x if info == 0 else None
 
 
-def kc_scores_all(g: Graph, labels: LabelMatrix, method: str = "fast") -> KcScoreTable:
+def kc_scores_all(g: Graph, labels: LabelMatrix) -> KcScoreTable:
     """Score every edge of g; the table's rows follow ``g.edges``.
 
-    ``method`` picks the route.  With 'fast', an edge the update cannot
-    handle takes the naive route, and its ``fast`` flag is False.
+    An edge the update cannot handle takes the naive route, and its
+    ``fast`` flag is False.
     """
-    if method not in ROUTES:
-        raise ConfigError(f"unknown scoring method {method!r}")
     if g.n_edges == 0:
         raise ConfigError("cannot score a graph with no edges")
 
-    cache = _ScoreCache(g, labels, fast=method == "fast")
+    cache = _ScoreCache(g, labels)
     gkc_removed = np.empty(g.n_edges)
     fast = np.zeros(g.n_edges, dtype=bool)
-    if method == "fast":
-        for blk in _blocks(g):
-            _score_block(cache, g, blk, gkc_removed[blk.rows], fast[blk.rows])
-    else:
-        for i, (u, v) in enumerate(g.edges.tolist()):
-            gkc_removed[i] = _gkc_removed_naive(cache, g, u, v)
+    for blk in _blocks(g):
+        _score_block(cache, g, blk, gkc_removed[blk.rows], fast[blk.rows])
     return KcScoreTable(
         edges=g.edges,
         scores=np.abs(cache.base_gkc - gkc_removed),

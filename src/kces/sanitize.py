@@ -120,24 +120,18 @@ class SanitizationResult:
     label_matrix: LabelMatrix
 
 
-def kces_pipeline(
-    g: Graph,
-    alpha: float,
-    k_clusters: int,
-    seed: int,
-    method: str = "fast",
-    encoding: str = "one-hot",
-    restarts: int = 10,
-) -> SanitizationResult:
+def kces_pipeline(g: Graph, alpha: float, k_clusters: int, seed: int) -> SanitizationResult:
     """Cluster, score, and prune the highest-complexity edges.
 
-    Pseudo labels come from K-means on normalized neighborhood sums,
-    scores from the selected KC route, and the plan removes the top
-    ceil(alpha * |E|) scores.
+    Pseudo labels come from K-means on normalized neighborhood sums
+    (``kmeans_pseudo_labels``' default restarts), one-hot encoded; scores
+    come from ``kc_scores_all``, and the plan removes the top
+    ceil(alpha * |E|) scores.  Compose the stages by hand for another
+    encoding or restart count.
     """
-    pseudo = kmeans_pseudo_labels(g, k_clusters, seed, restarts=restarts)
-    labels = encode_labels(pseudo, encoding)
-    table = kc_scores_all(g, labels, method=method)
+    pseudo = kmeans_pseudo_labels(g, k_clusters, seed)
+    labels = encode_labels(pseudo, "one-hot")
+    table = kc_scores_all(g, labels)
     plan = select_edges(table, PruneConfig(alpha=alpha, strategy="high-kc"))
     return SanitizationResult(
         graph=apply_prune(g, plan),

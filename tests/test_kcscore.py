@@ -85,7 +85,9 @@ def _golden_labels():
 def test_golden_case_matches_frozen_oracle_values():
     g = _golden_graph()
     lm = _golden_labels()
-    table = kc_scores_all(g, lm, method="naive")
+    table = kc_scores_all(g, lm)
+    # every golden edge falls back to the naive route
+    assert not table.fast.any()
     assert table.base_gkc == pytest.approx(GOLDEN_BASE_GKC, rel=1e-12)
     scores = _scores(table)
     for edge, want in GOLDEN_ORACLE_KC.items():
@@ -103,7 +105,9 @@ def test_golden_case_matches_frozen_oracle_values():
 def test_golden_tsv_bytes(tmp_path):
     g = _golden_graph()
     lm = _golden_labels()
-    table = kc_scores_all(g, lm, method="naive")
+    table = kc_scores_all(g, lm)
+    # so the golden file pins the bytes of the naive route
+    assert not table.fast.any()
     out = tmp_path / "scores.tsv"
     table.write_tsv(out)
     assert out.read_bytes() == (GOLDEN_DIR / "scores.tsv").read_bytes()
@@ -126,20 +130,24 @@ def test_naive_matches_independent_oracle():
             )
 
 
-def test_fast_matches_naive_exhaustively():
+@pytest.mark.parametrize("avoid_twins", [True, False], ids=["no-twins", "twins"])
+def test_fast_matches_naive_exhaustively(avoid_twins):
     for seed in range(12):
         n = 12 + 2 * seed  # 12 .. 34
-        g = random_graph(n=n, edge_prob=3.0 / n, n_features=5, seed=500 + seed, avoid_twins=True)
+        g = random_graph(n=n, edge_prob=3.0 / n, n_features=5, seed=500 + seed, avoid_twins=avoid_twins)
         pl = kmeans_pseudo_labels(g, 2, seed)
         lm = encode_labels(pl, "one-hot")
-        naive = kc_scores_all(g, lm, method="naive")
-        fast = kc_scores_all(g, lm, method="fast")
-        assert np.array_equal(naive.edges, fast.edges)
-        assert naive.base_gkc == fast.base_gkc
-        for edge, a, b in zip(naive.edges.tolist(), naive.scores, fast.scores):
-            assert abs(a - b) <= max(1e-8 * abs(a), 1e-12), (
-                f"seed {seed} n={n} edge {edge}: naive {a} fast {b}"
-            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", KcesWarning)
+            table = kc_scores_all(g, lm)
+            refs = [kc_score_naive(g, lm, u, v) for u, v in g.edges.tolist()]
+        assert np.array_equal(table.edges, g.edges)
+        for edge, got, ref, fast in zip(table.edges.tolist(), table.scores, refs, table.fast):
+            if fast:
+                ok = abs(got - ref) <= max(1e-8 * abs(ref), 1e-12)
+            else:
+                ok = got == ref
+            assert ok, f"seed {seed} n={n} edge {edge}: naive {ref} table {got} fast={fast}"
 
 
 def test_score_symmetry_and_missing_edge():
@@ -181,7 +189,7 @@ def test_removal_invariant_features_give_zero_score():
     assert np.array_equal(gram_matrix(xa).h, gram_matrix(xb).h)
     lm = encode_labels(np.array([0, 0, 1, 1, 1, 1, 1, 1]), "one-hot")
     assert kc_score_naive(g, lm, 0, 1) == 0.0
-    table = kc_scores_all(g, lm, method="fast")
+    table = kc_scores_all(g, lm)
     assert _scores(table)[(0, 1)] == 0.0
 
 
@@ -190,7 +198,7 @@ def test_star_center_edge_falls_back_and_matches():
     feats = np.random.default_rng(3).standard_normal((n, 4))
     g = Graph(features=feats, edges=[(0, i) for i in range(1, n)])
     lm = encode_labels(np.arange(n) % 2, "one-hot")
-    table = kc_scores_all(g, lm, method="fast")
+    table = kc_scores_all(g, lm)
     assert not table.fast.any(), "affected sets span the graph: must fall back"
     assert _scores(table)[(0, 1)] == kc_score_naive(g, lm, 0, 1)
 
@@ -199,7 +207,7 @@ def test_table_internal_consistency_and_coverage():
     g = random_graph(n=14, edge_prob=0.3, n_features=4, seed=44, avoid_twins=True)
     pl = kmeans_pseudo_labels(g, 2, 0)
     lm = encode_labels(pl, "one-hot")
-    table = kc_scores_all(g, lm, method="fast")
+    table = kc_scores_all(g, lm)
     assert np.array_equal(table.edges, g.edges)
     assert (table.scores >= 0.0).all()
     assert np.abs(table.scores - np.abs(table.base_gkc - table.gkc_removed)).max() <= 1e-12
@@ -306,13 +314,13 @@ def test_block_with_mixed_routes_matches_single_edge_scoring(tmp_path, monkeypat
     g = _hub_ring_graph()
     lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
     assert gram_matrix(aggregate_features(g)).ridge == 0.0
-    table = kc_scores_all(g, lm, method="fast")
+    table = kc_scores_all(g, lm)
     assert not table.fast[:BLOCK_EDGES].all() and table.fast[:BLOCK_EDGES].any()
 
     # each edge scored in a block of its own takes the same route
     with monkeypatch.context() as m:
         m.setattr(kcscore, "BLOCK_EDGES", 1)
-        alone = kc_scores_all(g, lm, method="fast")
+        alone = kc_scores_all(g, lm)
     assert np.array_equal(alone.fast, table.fast)
     for (u, v), score, fast in zip(table.edges.tolist(), table.scores, table.fast):
         ref = kc_score_naive(g, lm, u, v)
@@ -323,7 +331,7 @@ def test_block_with_mixed_routes_matches_single_edge_scoring(tmp_path, monkeypat
 
     first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
     table.write_tsv(first)
-    kc_scores_all(g, lm, method="fast").write_tsv(second)
+    kc_scores_all(g, lm).write_tsv(second)
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -355,7 +363,7 @@ def test_ill_conditioning_limit_sends_every_edge_naive(monkeypatch):
     lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
     # no capacitance matrix has a condition number of 1 or less
     monkeypatch.setattr(kcscore, "CAPACITANCE_COND_LIMIT", 1.0)
-    table = kc_scores_all(g, lm, method="fast")
+    table = kc_scores_all(g, lm)
     assert not table.fast.any()
     for (u, v), score in _scores(table).items():
         assert score == kc_score_naive(g, lm, u, v), f"edge {(u, v)}"
@@ -364,7 +372,7 @@ def test_ill_conditioning_limit_sends_every_edge_naive(monkeypatch):
 def test_route_follows_capacitance_condition_number(monkeypatch):
     g = _hub_ring_graph()
     lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
-    table = kc_scores_all(g, lm, method="fast")
+    table = kc_scores_all(g, lm)
     cond_1 = {}
     for (u, v), fast in zip(table.edges.tolist(), table.fast):
         if 2 * affected_nodes(g, u, v).size >= g.n_nodes:
@@ -383,7 +391,7 @@ def test_route_follows_capacitance_condition_number(monkeypatch):
     # times the limit to the naive route.
     limit = max(cond_1.values()) / 5.0
     monkeypatch.setattr(kcscore, "CAPACITANCE_COND_LIMIT", limit)
-    table = kc_scores_all(g, lm, method="fast")
+    table = kc_scores_all(g, lm)
     below = [e for e, c in cond_1.items() if c <= limit]
     above = [e for e, c in cond_1.items() if c > 3.5 * limit]
     assert below and above
@@ -430,7 +438,7 @@ def test_fast_matches_naive_on_graph_with_twin_forming_removal():
     assert gram_matrix(aggregate_features(g)).ridge == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", KcesWarning)
-        table = kc_scores_all(g, lm, method="fast")
+        table = kc_scores_all(g, lm)
         assert _rows(table)[(25, 41)][2] == "naive"
         for (u, v), score, fast in zip(table.edges.tolist(), table.scores, table.fast):
             ref = kc_score_naive(g, lm, u, v)
@@ -472,7 +480,7 @@ def test_routes_match_naive_on_ridged_and_ill_conditioned_bases(make_graph, ridg
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", KcesWarning)
         assert (gram_matrix(aggregate_features(g)).ridge > 0.0) == ridged
-        table = kc_scores_all(g, lm, method="fast")
+        table = kc_scores_all(g, lm)
         for (u, v), score, fast in zip(table.edges.tolist(), table.scores, table.fast):
             ref = kc_score_naive(g, lm, u, v)
             if fast:
@@ -508,7 +516,7 @@ def test_scores_do_not_depend_on_the_block_partition(make_graph, monkeypatch):
         for block_edges in (1, BLOCK_EDGES, g.n_edges):
             with monkeypatch.context() as m:
                 m.setattr(kcscore, "BLOCK_EDGES", block_edges)
-                tables.append(kc_scores_all(g, lm, method="fast"))
+                tables.append(kc_scores_all(g, lm))
         ref = np.array([kc_score_naive(g, lm, u, v) for u, v in g.edges.tolist()])
     for table in tables:
         assert np.array_equal(table.fast, tables[0].fast)
@@ -550,7 +558,7 @@ def test_block_builds_each_distinct_kernel_column_once(monkeypatch):
         return dtrmm(alpha, a, b, *args, **kwargs)
 
     monkeypatch.setattr(kcscore.blas, "dtrmm", counting)
-    table = kc_scores_all(g, lm, method="fast")
+    table = kc_scores_all(g, lm)
     assert table.fast.all()
     columns, total = _kernel_columns(g, BLOCK_EDGES)
     # the cache maps the label columns once; the blocks map the rest
@@ -577,7 +585,7 @@ def test_patched_rebuild_is_bitwise_the_full_rebuild(make_graph):
             assert got.ridge == want.ridge, f"edge {(u, v)}"
             # nothing a call leaves in the reused buffer may leak into the next
             patcher._work.fill(np.nan)
-        table = kc_scores_all(g, lm, method="fast")
+        table = kc_scores_all(g, lm)
         naive = ~table.fast
         assert naive.any()
         for (u, v), score in zip(table.edges[naive].tolist(), table.scores[naive]):
@@ -591,7 +599,7 @@ def test_removal_from_ridged_base_keeps_the_base_ridge(monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", KcesWarning)
         ridge = gram_matrix(aggregate_features(g)).ridge
-        table = kc_scores_all(g, lm, method="fast")
+        table = kc_scores_all(g, lm)
     assert ridge > 0.0
     # one warning per base; the removals take the base's ridge silently
     assert len(caught) == 2
@@ -619,7 +627,7 @@ def test_removal_from_ridged_base_keeps_the_base_ridge(monkeypatch):
         warnings.simplefilter("ignore", KcesWarning)
         gram_matrix(aggregate_features(g))
         base_calls = len(calls)
-        table = kc_scores_all(g, lm, method="fast")
+        table = kc_scores_all(g, lm)
     # one factorization per naive edge, after the base's
     assert len(calls) == 2 * base_calls + (~table.fast).sum()
 
@@ -629,7 +637,7 @@ def _timed_fast_and_naive(g, lm):
     route's cost for all of g's edges, extrapolated from a 32-edge sample
     to keep the guards tolerable while still timing the real code paths."""
     t0 = time.perf_counter()
-    table = kc_scores_all(g, lm, method="fast")
+    table = kc_scores_all(g, lm)
     fast_total = time.perf_counter() - t0
     sample = g.edges.tolist()[:: max(1, g.n_edges // 32)][:32]
     t0 = time.perf_counter()
