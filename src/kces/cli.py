@@ -58,9 +58,7 @@ def _graph_flags(parser: argparse.ArgumentParser, labels_help: str) -> None:
 def _scoring_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, default=None, help="pseudo-label cluster count")
     parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument(
-        "--encoding", choices=("one-hot", "signed-binary", "scalar-truth"), default="one-hot"
-    )
+    parser.add_argument("--encoding", choices=("one-hot", "signed-binary"), default="one-hot")
     parser.add_argument("--restarts", type=int, default=10, help="K-means restarts")
 
 
@@ -80,8 +78,6 @@ def _label_matrix(g: Graph, args):
     if g.labels is not None and args.k is not None:
         raise ConfigError("pass --labels or --k, not both")
     if g.labels is not None:
-        if args.encoding == "scalar-truth":
-            raise ConfigError("scalar-truth encoding needs real-valued labels, not a class file")
         matrix = encode_labels(g.labels, args.encoding)
         return matrix, {"labels": "file", "encoding": args.encoding}
     if args.k is None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, KcesWarning
-from .graph import format_float
+from .graph import format_float, seed_key
 
 KDE_GRID_POINTS = 256
 HISTOGRAM_BINS = 50
@@ -24,7 +24,6 @@ MIN_BANDWIDTH = 1.0 / 25.0
 # Gaussian tail mass far below the 1e-3 integral tolerance.
 GRID_PAD_BANDWIDTHS = 5.0
 
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _SUBSAMPLE_SALT = 0xD157
 
 
@@ -67,7 +66,7 @@ def subsample_scores(scores: np.ndarray, samples: int | None, seed: int) -> np.n
         return values.copy()
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng([seed & _SEED_MASK, _SUBSAMPLE_SALT])
+    rng = np.random.default_rng(seed_key(seed, _SUBSAMPLE_SALT))
     idx = np.sort(rng.choice(values.size, size=samples, replace=False))
     return values[idx]
 

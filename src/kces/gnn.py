@@ -13,12 +13,14 @@ x^T @ that, the scaling by a / sqrt(m) and by eta, and the update, each
 one stacked numpy call into a buffer reused across steps.  Stacked
 ``matmul`` makes one BLAS call per slice, so each model's weights,
 residual norms and losses are bit for bit those of training it alone.
-``train_gd`` is the one-model stack; ``evaluate_classifier`` stacks the
-classes of one graph; ``evaluate_classifiers``, which the sweep runs on
-the 19 alphas of one strategy row, stacks each class across the graphs.
-The step is compute-bound (two small GEMMs and passes over K x n x m
-buffers), not dispatch-bound: stacking gains about 1.4-1.6x per model
-at 8-19 models and little more beyond.
+``train_gd`` is the one-model stack.  ``evaluate_classifiers``, which
+the sweep runs on the 19 alphas of one strategy row, stacks each class
+across the graphs, and ``evaluate_classifier`` is its one-graph case: a
+stack of one model per class.  The step is compute-bound (two small
+GEMMs and passes over K x n x m buffers), not dispatch-bound: stacking
+gains about 1.4-1.6x per model at 8-19 models and little more beyond,
+and two classes trained as two stacks of one take about 1.35x the time
+of one stack of two.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     DivergenceError,
     KcesWarning,
 )
-from .graph import AggregatedFeatures, Graph, aggregate_features, format_float
+from .graph import AggregatedFeatures, Graph, aggregate_features, format_float, seed_key
 from .kernel import GramMatrix, GkcValue, arccos_kernel
 
 
@@ -86,7 +88,7 @@ def _rows(xt) -> np.ndarray:
 
 def init_model(cfg: TrainConfig, n_features: int) -> ModelState:
     """Gaussian first layer with std kappa; signs a_r uniform in {-1, +1}."""
-    rng = np.random.default_rng([int(cfg.seed) & 0xFFFFFFFFFFFFFFFF, 0x91])
+    rng = np.random.default_rng(seed_key(cfg.seed, 0x91))
     w = cfg.kappa * rng.standard_normal((n_features, cfg.m))
     a = rng.choice(np.array([-1.0, 1.0]), size=cfg.m)
     return ModelState(w=w, a=a, config=cfg)
@@ -308,7 +310,7 @@ def make_split(
     """Seeded permutation split (default 10/10/80)."""
     if not 0.0 < train_frac + val_frac < 1.0:
         raise ConfigError("split fractions must leave room for a test set")
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x5917])
+    rng = np.random.default_rng(seed_key(seed, 0x5917))
     perm = rng.permutation(n)
     n_train = int(round(train_frac * n))
     n_val = int(round(val_frac * n))
@@ -350,29 +352,10 @@ def resolve_eta(cfg: TrainConfig, rows: np.ndarray) -> float:
     return 1.0 / lam_max
 
 
-def _check_labels(n_nodes: int, labels, split: Split):
-    """Integer labels of length n_nodes and their classes, each of which
-    must have a training node."""
-    lab = np.asarray(labels, dtype=np.int64)
-    if lab.shape != (n_nodes,):
-        raise ConfigError(f"labels must have length {n_nodes}")
-    classes = np.unique(lab)
-    missing = [c for c in classes.tolist() if not (split.train & (lab == c)).any()]
-    if missing:
-        raise DegenerateSplitError(
-            f"classes {missing} have no training nodes"
-        )
-    return lab, classes
-
-
-def _class_config(cfg: TrainConfig, idx: int, eta: float | None) -> TrainConfig:
+def _class_config(cfg: TrainConfig, idx: int) -> TrainConfig:
     """The config of class idx: a seed derived from (cfg.seed, idx)."""
-    derived = int(
-        np.random.SeedSequence(
-            [int(cfg.seed) & 0xFFFFFFFFFFFFFFFF, idx]
-        ).generate_state(1)[0]
-    )
-    return replace(cfg, seed=derived, eta=eta)
+    derived = int(np.random.SeedSequence(seed_key(cfg.seed, idx)).generate_state(1)[0])
+    return replace(cfg, seed=derived)
 
 
 def _report(xt, finals, classes, lab, split: Split, eta: float) -> AccuracyReport:
@@ -394,6 +377,54 @@ def _report(xt, finals, classes, lab, split: Split, eta: float) -> AccuracyRepor
     )
 
 
+def _evaluate(graphs, labels, split: Split, cfg: TrainConfig):
+    """The reports of ``evaluate_classifiers`` and, per graph, the
+    TrainTrace of each class."""
+    if not graphs:
+        return [], []
+    n_nodes = graphs[0].n_nodes
+    lab = np.asarray(labels, dtype=np.int64)
+    if lab.shape != (n_nodes,):
+        raise ConfigError(f"labels must have length {n_nodes}")
+    classes = np.unique(lab)
+    missing = [c for c in classes.tolist() if not (split.train & (lab == c)).any()]
+    if missing:
+        raise DegenerateSplitError(f"classes {missing} have no training nodes")
+    if any(g.n_nodes != n_nodes for g in graphs):
+        raise ConfigError("graphs must share one node set")
+    xts = [aggregate_features(g) for g in graphs]
+    x = np.stack([xt.matrix[split.train] for xt in xts])
+    etas = [resolve_eta(cfg, rows) for rows in x]
+    n_graphs = len(graphs)
+    traces = [[] for _ in graphs]
+    failures = []
+    for idx, c in enumerate(classes.tolist()):
+        start = init_model(_class_config(cfg, idx), x.shape[2])
+        w = np.repeat(start.w[None], n_graphs, axis=0)
+        targets = np.where(lab[split.train] == c, 1.0, -1.0)
+        norms, losses, failed = _descend(
+            w,
+            np.broadcast_to(start.a, (n_graphs, cfg.m)),
+            x,
+            np.broadcast_to(targets, (n_graphs, targets.shape[0])),
+            np.array(etas),
+            cfg.steps,
+        )
+        if failed is not None:
+            failures.append((failed[0], idx, failed[1]))
+            continue
+        for j, eta in enumerate(etas):
+            state = ModelState(w=w[j], a=start.a, config=replace(start.config, eta=eta))
+            traces[j].append(TrainTrace(norms[j], losses[j], state))
+    if failures:
+        raise _diverged(min(failures)[2])
+    reports = [
+        _report(xt, [t.final_state for t in per_class], classes, lab, split, eta)
+        for xt, per_class, eta in zip(xts, traces, etas)
+    ]
+    return reports, traces
+
+
 def evaluate_classifier(
     g: Graph, labels, split: Split, cfg: TrainConfig, trace_sink=None
 ) -> AccuracyReport:
@@ -401,41 +432,16 @@ def evaluate_classifier(
 
     Aggregation sees the whole graph (transductive); gradient descent
     only sees training rows.  Per-class seeds derive from (cfg.seed,
-    class index) so the report is reproducible.  The classes train as
-    one stack, so a divergence reports the lowest class that diverged.
-    ``trace_sink``, if given, receives (class index, TrainTrace) per
-    class.
+    class index) so the report is reproducible.  This is the one-graph
+    case of ``evaluate_classifiers``, so a divergence reports the lowest
+    class that diverged.  ``trace_sink``, if given, receives (class
+    index, TrainTrace) per class.
     """
-    lab, classes = _check_labels(g.n_nodes, labels, split)
-    xt = aggregate_features(g)
-    x_train = xt.matrix[split.train]
-    eta = resolve_eta(cfg, x_train)
-    n_classes = classes.shape[0]
-    states = [
-        init_model(_class_config(cfg, idx, eta), g.n_features)
-        for idx in range(n_classes)
-    ]
-    w = np.stack([state.w for state in states])
-    a = np.stack([state.a for state in states])
-    targets = np.where(lab[split.train] == classes[:, None], 1.0, -1.0)
-    norms, losses, failed = _descend(
-        w,
-        a,
-        np.broadcast_to(x_train, (n_classes,) + x_train.shape),
-        targets,
-        np.full(n_classes, eta),
-        cfg.steps,
-    )
-    if failed is not None:
-        raise _diverged(failed[1])
-    finals = [
-        ModelState(w=w[idx], a=a[idx], config=state.config)
-        for idx, state in enumerate(states)
-    ]
+    (report,), (traces,) = _evaluate([g], labels, split, cfg)
     if trace_sink is not None:
-        for idx, state in enumerate(finals):
-            trace_sink(idx, TrainTrace(norms[idx], losses[idx], state))
-    return _report(xt, finals, classes, lab, split, eta)
+        for idx, trace in enumerate(traces):
+            trace_sink(idx, trace)
+    return report
 
 
 def evaluate_classifiers(
@@ -450,41 +456,4 @@ def evaluate_classifiers(
     per-graph loop would raise first: the lowest graph, then the lowest
     class.
     """
-    if not graphs:
-        return []
-    lab, classes = _check_labels(graphs[0].n_nodes, labels, split)
-    for g in graphs[1:]:
-        if g.n_nodes != graphs[0].n_nodes:
-            raise ConfigError("graphs must share one node set")
-    xts = [aggregate_features(g) for g in graphs]
-    x = np.stack([xt.matrix[split.train] for xt in xts])
-    etas = [resolve_eta(cfg, rows) for rows in x]
-    rates = np.array(etas)
-    n_graphs = len(graphs)
-    finals = [[] for _ in graphs]
-    failures = []
-    for idx, c in enumerate(classes.tolist()):
-        start = init_model(_class_config(cfg, idx, None), x.shape[2])
-        w = np.repeat(start.w[None], n_graphs, axis=0)
-        targets = np.where(lab[split.train] == c, 1.0, -1.0)
-        _, _, failed = _descend(
-            w,
-            np.broadcast_to(start.a, (n_graphs, cfg.m)),
-            x,
-            np.broadcast_to(targets, (n_graphs, targets.shape[0])),
-            rates,
-            cfg.steps,
-        )
-        if failed is not None:
-            failures.append((failed[0], idx, failed[1]))
-            continue
-        for j, eta in enumerate(etas):
-            finals[j].append(
-                ModelState(w=w[j], a=start.a, config=replace(start.config, eta=eta))
-            )
-    if failures:
-        raise _diverged(min(failures)[2])
-    return [
-        _report(xt, states, classes, lab, split, eta)
-        for xt, states, eta in zip(xts, finals, etas)
-    ]
+    return _evaluate(graphs, labels, split, cfg)[0]

@@ -54,7 +54,6 @@ class Graph:
         "degrees",
         "labels",
         "_edge_set",
-        "_neighbors",
         "_adjacency",
     )
 
@@ -106,7 +105,6 @@ class Graph:
             self.labels = _readonly(lab)
 
         self._edge_set = None
-        self._neighbors = None
         self._adjacency = None
 
     # -- basic queries ---------------------------------------------------
@@ -134,15 +132,13 @@ class Graph:
 
     def neighbors(self, i: int) -> np.ndarray:
         """Adjacent nodes of i, sorted, self excluded."""
-        if self._neighbors is None:
-            lists = [[] for _ in range(self.n_nodes)]
-            for u, v in self.edges.tolist():
-                lists[u].append(v)
-                lists[v].append(u)
-            self._neighbors = tuple(
-                np.array(sorted(l), dtype=np.int64) for l in lists
-            )
-        return self._neighbors[i]
+        row = self._closed_neighborhood(i)
+        return row[row != i]
+
+    def _closed_neighborhood(self, i: int) -> np.ndarray:
+        """Row i of A + I: i and its neighbors, sorted, as int64."""
+        adj = self.adjacency_with_self_loops()
+        return adj.indices[adj.indptr[i] : adj.indptr[i + 1]].astype(np.int64)
 
     def adjacency_with_self_loops(self) -> sp.csr_matrix:
         """Sparse A + I over the stored edges."""
@@ -263,8 +259,7 @@ def affected_nodes(g: Graph, u: int, v: int) -> np.ndarray:
     a, b = (u, v) if u < v else (v, u)
     if not g.has_edge(a, b):
         raise MissingEdgeError(f"edge ({a}, {b}) not in graph")
-    s = np.union1d(g.neighbors(a), g.neighbors(b))
-    return np.union1d(s, np.array([a, b], dtype=np.int64))
+    return np.union1d(g._closed_neighborhood(a), g._closed_neighborhood(b))
 
 
 # -- file formats --------------------------------------------------------
@@ -386,6 +381,12 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
 def format_float(x: float) -> str:
     """Shortest decimal string that round-trips the float64 exactly."""
     return repr(float(x))
+
+
+def seed_key(*parts) -> list[int]:
+    """Integer parts as the unsigned 64-bit words numpy seeds from, so
+    that a negative seed picks a stream rather than raising."""
+    return [int(p) & 0xFFFFFFFFFFFFFFFF for p in parts]
 
 
 def write_edge_tsv(g: Graph, path) -> None:

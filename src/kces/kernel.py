@@ -96,7 +96,10 @@ class GramMatrix:
     @property
     def lambda_min(self) -> float:
         if self._lambda_min is None:
-            self._lambda_min = min_eigenvalue(self)
+            try:
+                self._lambda_min = float(np.linalg.eigvalsh(self.h)[0])
+            except np.linalg.LinAlgError as exc:
+                raise NumericError("eigenvalue computation failed") from exc
         return self._lambda_min
 
     def solve_factored(self, rhs: np.ndarray) -> np.ndarray:
@@ -246,14 +249,6 @@ def gram_from_matrix(h: np.ndarray) -> GramMatrix:
         raise InputError("Gram matrix must be symmetric")
     ridge, chol = _factor_with_ridge(h)
     return GramMatrix(h, ridge, chol)
-
-
-def min_eigenvalue(gm: GramMatrix) -> float:
-    """Smallest eigenvalue of the raw (pre-ridge) Gram matrix."""
-    try:
-        return float(np.linalg.eigvalsh(gm.h)[0])
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("eigenvalue computation failed") from exc
 
 
 def _h_times(h: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConfigError, GraphFormatError, InputError
-from .graph import Graph, with_edges
+from .graph import Graph, seed_key, with_edges
 
 def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
@@ -120,7 +120,7 @@ def random_attack(
     if n_remove > g.n_edges:
         raise BudgetError(f"cannot remove {n_remove} of {g.n_edges} edges")
 
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0xA77])
+    rng = np.random.default_rng(seed_key(seed, 0xA77))
     added = _sample_rows(_nonedge_pool(g), n_add, rng, "non-edges")
     removed_idx = (
         rng.choice(g.n_edges, size=n_remove, replace=False) if n_remove else []
@@ -163,7 +163,7 @@ def dice_attack(
             f"need {n_remove} same-label edges to delete, have {len(same_edges)}"
         )
 
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0xD1CE])
+    rng = np.random.default_rng(seed_key(seed, 0xD1CE))
     added = _sample_rows(
         _nonedge_pool(g, label_filter=lab), n_add, rng, "cross-label non-edges"
     )

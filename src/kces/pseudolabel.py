@@ -20,7 +20,7 @@ from .errors import (
     EncodingError,
     InfeasibleKError,
 )
-from .graph import Graph, _readonly, finite_row_norms
+from .graph import DEGENERATE_ROW_NORM, Graph, _readonly, finite_row_norms, seed_key
 
 MAX_LLOYD_ITERATIONS = 300
 CENTROID_SHIFT_TOL = 1e-6
@@ -57,8 +57,8 @@ class LabelMatrix:
 def _cluster_inputs(g: Graph) -> np.ndarray:
     raw = g.adjacency_with_self_loops() @ g.features
     norms = finite_row_norms(raw)
-    if (norms < 1e-10).any():
-        i = int(np.argmax(norms < 1e-10))
+    if (norms < DEGENERATE_ROW_NORM).any():
+        i = int(np.argmax(norms < DEGENERATE_ROW_NORM))
         raise DegenerateFeatureError(
             f"neighborhood feature sum vanishes at node {i}"
         )
@@ -154,10 +154,7 @@ def kmeans_pseudo_labels(
         )
     best = None
     for r in range(restarts):
-        rng = np.random.default_rng(
-            [int(seed) & 0xFFFFFFFFFFFFFFFF, r]
-        )
-        assign, inertia, _ = _lloyd(x, k, rng)
+        assign, inertia, _ = _lloyd(x, k, np.random.default_rng(seed_key(seed, r)))
         if best is None or inertia < best[0]:
             best = (inertia, r, assign)
     return PseudoLabels(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StalePlanError
-from .graph import Graph, with_edges
+from .graph import Graph, seed_key, with_edges
 from .kcscore import KcScoreTable, kc_scores_all
 from .pseudolabel import LabelMatrix, PseudoLabels, encode_labels, kmeans_pseudo_labels
 
@@ -71,7 +71,7 @@ def select_edges(table: KcScoreTable, config: PruneConfig) -> PrunePlan:
     if config.strategy == "random":
         # Indices into rows kept in (u, v) order: the pick depends on the
         # edge set alone, not on how the table was built.
-        rng = np.random.default_rng([int(config.seed) & 0xFFFFFFFFFFFFFFFF, 0x9A])
+        rng = np.random.default_rng(seed_key(config.seed, 0x9A))
         idx = rng.choice(n, size=k, replace=False) if k else []
     else:
         sign = -1.0 if config.strategy == "high-kc" else 1.0

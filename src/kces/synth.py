@@ -10,12 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .graph import Graph
-
-
-def _rng(*parts) -> np.random.Generator:
-    """Deterministic generator derived from a tuple of integer parts."""
-    return np.random.default_rng([int(p) & 0xFFFFFFFFFFFFFFFF for p in parts])
+from .graph import Graph, seed_key
 
 
 def sbm_edges(block_sizes, p_in: float, p_out: float, rng) -> np.ndarray:
@@ -63,7 +58,7 @@ def make_sbm_benchmark(
     """
     if n % 2:
         raise ConfigError("benchmark size must be even (two equal blocks)")
-    rng = _rng(seed, 0x5B3)
+    rng = np.random.default_rng(seed_key(seed, 0x5B3))
     sizes = (n // 2, n // 2)
     labels = np.repeat(np.arange(2), sizes)
     edges = sbm_edges(sizes, p_in, p_out, rng)
@@ -119,7 +114,7 @@ def random_graph(
     so every variant keeps pairwise non-parallel aggregated rows (with
     probability one over the continuous features).
     """
-    rng = _rng(seed, 0xE5)
+    rng = np.random.default_rng(seed_key(seed, 0xE5))
     u, v = np.triu_indices(n, k=1)
     for _ in range(max_tries):
         keep = rng.random(u.shape[0]) < edge_prob

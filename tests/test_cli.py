@@ -248,6 +248,23 @@ def test_exit_code_config_error(tmp_path, graph_files):
     assert rc == 4
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("score", ["--edges", "E", "--out", "S"]),
+        ("prune", ["--edges", "E", "--alpha", "0.1", "--out", "S"]),
+        ("dist", ["--clean-edges", "E", "--out-prefix", "S"]),
+    ],
+)
+def test_scoring_commands_reject_scalar_truth_encoding(command, flags, capsys):
+    # class files and K-means both give classes, never the real values
+    # scalar-truth encodes, so argparse refuses the choice up front
+    with pytest.raises(SystemExit) as info:
+        main([command, *flags, "--features", "F", "--k", "2", "--encoding", "scalar-truth"])
+    assert info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_exit_code_numeric_error(tmp_path, graph_files):
     rc = main(
         [

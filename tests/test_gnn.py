@@ -417,13 +417,19 @@ def test_evaluate_classifiers_equal_one_call_per_graph():
         evaluate_classifiers([g, other], g.labels, split, cfg)
 
 
-def test_evaluate_classifiers_report_the_loops_first_divergence():
+@pytest.mark.parametrize("one_graph", [False, True], ids=["graphs", "one-graph"])
+def test_evaluate_classifiers_report_the_loops_first_divergence(one_graph):
     # the loop goes graph by graph, class by class; the first failure
     # in that order is reported, whatever step other models fail at.
-    # Here class 0 fails only on graph 1, and class 1 fails on graph 1 at
-    # step 67, before it fails on graph 0 at step 77, the loop's first.
+    # Here class 0 fails only on graph 1, at step 77, and class 1 fails on
+    # graph 1 at step 67, before it fails on graph 0 at step 77, the
+    # loop's first.  Graph 1 alone goes through evaluate_classifier:
+    # class 1 fails ten steps before class 0, and class 0's step is the
+    # one reported.
     g = _three_class_graph(seed=2)
     graphs = [g, Graph(features=g.features, edges=g.edges[:-12], labels=g.labels)]
+    if one_graph:
+        graphs = graphs[1:]
     split = make_split(g.n_nodes, seed=4, train_frac=0.3, val_frac=0.2)
     cfg = TrainConfig(m=4, steps=300, eta=1000.0, seed=1)
     first = None
@@ -436,7 +442,10 @@ def test_evaluate_classifiers_report_the_loops_first_divergence():
                 break
     assert first is not None
     with pytest.raises(DivergenceError) as info:
-        evaluate_classifiers(graphs, g.labels, split, cfg)
+        if one_graph:
+            evaluate_classifier(graphs[0], g.labels, split, cfg)
+        else:
+            evaluate_classifiers(graphs, g.labels, split, cfg)
     assert info.value.step == first
     assert str(info.value) == f"training loss became non-finite at step {first}"
 

@@ -17,7 +17,6 @@ from kces.kernel import (
     gkc,
     gram_from_matrix,
     gram_matrix,
-    min_eigenvalue,
     solve_spd,
 )
 from kces.pseudolabel import encode_labels
@@ -144,7 +143,6 @@ def test_lambda_min_matches_dense_eigensolver():
         gm = gram_matrix(aggregate_features(g))
         want = float(np.linalg.eigvalsh(gm.h)[0])
         assert abs(gm.lambda_min - want) <= 1e-12
-        assert abs(min_eigenvalue(gm) - want) <= 1e-12
 
 
 def test_solve_matches_dense_solver():
