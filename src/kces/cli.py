@@ -4,7 +4,9 @@ Commands compose through files only.  Every run writes a manifest with
 content digests of its inputs and outputs; re-running a manifest's argv
 reproduces the outputs byte for byte, given the same BLAS build and
 BLAS thread count.  Scoring always takes the fast route wherever it can;
-``kc_score_naive`` is the per-edge reference.
+``kc_score_naive`` is the per-edge reference.  ``sweep`` scores its
+graph once for all its seeds, so it warns of a ridged base once per
+graph, not once per seed.
 
 Exit codes: 0 success, 2 input error, 3 numeric error, 4 infeasible
 configuration.
@@ -20,7 +22,7 @@ import sys
 import numpy as np
 
 from .dist import score_distribution, write_distribution_csv
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, KcesError, NumericError
 from .gnn import (
     TrainConfig,
     evaluate_classifier,
@@ -29,7 +31,7 @@ from .gnn import (
     write_trace_csv,
 )
 from .graph import Graph, format_float, load_graph, write_edge_tsv
-from .kcscore import KcScoreTable, kc_scores_all
+from .kcscore import KcScoreTable, _kc_scores_each, kc_scores_all
 from .manifest import build_manifest, write_manifest
 from .perturb import dice_attack, random_attack
 from .pseudolabel import encode_labels, kmeans_pseudo_labels
@@ -255,10 +257,21 @@ def cmd_sweep(args):
             raise ConfigError(f"repeated {name}: {', '.join(map(str, given))}")
     k = args.k if args.k is not None else int(np.unique(g.labels).size)
 
-    rows = []
+    # Every seed's labels first, then one scoring run for all of them.
+    # Errors surface in the per-seed order: a seed's labelling or scoring
+    # error is raised only once the seeds before it have trained.
+    label_sets, late = [], None
     for seed in seeds:
-        pseudo = kmeans_pseudo_labels(g, k, seed, restarts=args.restarts)
-        table = kc_scores_all(g, encode_labels(pseudo, args.encoding))
+        try:
+            pseudo = kmeans_pseudo_labels(g, k, seed, restarts=args.restarts)
+            label_sets.append(encode_labels(pseudo, args.encoding))
+        except KcesError as exc:
+            late = exc
+            break
+    rows = []
+    for seed, table in zip(seeds, _kc_scores_each(g, label_sets)):
+        if isinstance(table, KcesError):
+            raise table
         split = make_split(g.n_nodes, seed if args.split_seed is None else args.split_seed)
         cfg = TrainConfig(m=args.m, steps=args.steps, eta=args.eta, kappa=args.kappa, seed=seed)
         for strategy in strategies:
@@ -270,6 +283,8 @@ def cmd_sweep(args):
             reports = evaluate_classifiers(pruned, g.labels, split, cfg)
             for alpha, report in zip(SWEEP_ALPHAS, reports):
                 rows.append((strategy, alpha, seed, report.test_accuracy))
+    if late is not None:
+        raise late
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
 
     lines = ["strategy,alpha,seed,test_accuracy"]
@@ -376,6 +391,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         params, inputs, outputs, primary = args.handler(args)
+        manifest = build_manifest(args.command, params, inputs, outputs, argv=argv)
+        write_manifest(manifest, args.manifest_out or primary + ".manifest.json")
     except InputError as exc:
         print(f"kces: input error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
@@ -388,9 +405,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"kces: config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    manifest_path = args.manifest_out or primary + ".manifest.json"
-    manifest = build_manifest(args.command, params, inputs, outputs, argv=argv)
-    write_manifest(manifest, manifest_path)
     return 0
 
 

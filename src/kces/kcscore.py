@@ -3,7 +3,11 @@
 The KC score of edge (u, v) is |GKC(H) - GKC(H_without_uv)|: how much the
 label-norm complexity moves when the edge is deleted.  ``kc_scores_all``
 scores every edge of a graph into a ``KcScoreTable``; ``kc_score_naive``
-recomputes one edge from scratch as the reference.
+recomputes one edge from scratch as the reference.  ``kc_scores_all``
+is the one-set case of a private routine that scores a graph under
+several label sets at once, as the sweep does for its seeds: the labels
+enter only through a few solves, so the Gram matrix, the blocks and each
+edge's route and factorization are built once per graph.
 
 Two routes compute a score.  Both rest on one fact: a single removal only
 touches the aggregated rows of the closed neighborhoods of u and v.  The
@@ -64,6 +68,7 @@ from .errors import (
     DegenerateFeatureError,
     GraphFormatError,
     InputError,
+    KcesError,
     NumericError,
 )
 from .graph import (
@@ -215,30 +220,57 @@ class KcScoreTable:
         )
 
 
+class _LabelRun:
+    """One label set's part of a scoring run.
+
+    Holds the label matrix, its base complexity ``base_gkc``, the solved
+    columns ``z`` = H^-1 y with ``quad`` = y^T z, ``l_inv_y`` = L^-1 y
+    and each edge's ``gkc_removed``.  ``error`` keeps the first error the
+    set met; the run skips a failed set from then on, so the error is
+    the one scoring this set alone would raise.
+    """
+
+    def __init__(self, labels: LabelMatrix, n_edges: int):
+        self.labels = labels
+        self.gkc_removed = np.empty(n_edges)
+        self.error = None
+
+    def complexity(self, gm) -> float:
+        """GKC of gm under these labels, or NaN, with the error kept,
+        when the solve fails."""
+        try:
+            return gkc(gm, self.labels).value
+        except KcesError as exc:
+            self.error = exc
+            return float("nan")
+
+
+def _live(runs) -> list:
+    return [run for run in runs if run.error is None]
+
+
 class _ScoreCache:
     """Base-graph quantities shared by all per-edge evaluations.
 
-    Holds the labels, the aggregated rows, the Gram matrix with its
-    ``patcher`` for the naive route's rebuilds, the inverse of its lower
-    Cholesky factor ``l_inv`` (one triangular inversion, in place of an
-    explicit H^-1), ``l_inv_y`` = L^-1 y, the solved label columns
-    ``z`` = H^-1 y with ``quad`` = y^T z, and the pre-normalization
-    neighbor sums needed to replay aggregation on the handful of rows an
-    edge removal touches; ``l_inv`` is zero-padded to a multiple of
-    ``PRODUCT_ROWS`` rows and columns.  A ridged base is factored as
-    H + ridge I and its removals are scored under the same ridge, so the
-    fast-route fields come from that factor.  A cache scores one edge at
-    a time: the patcher rebuilds every naive removal in the same buffers.
+    Holds the aggregated rows, the Gram matrix with its ``patcher`` for
+    the naive route's rebuilds, the inverse of its lower Cholesky factor
+    ``l_inv`` (one triangular inversion, in place of an explicit H^-1),
+    the pre-normalization neighbor sums needed to replay aggregation on
+    the handful of rows an edge removal touches, and the solved
+    quantities of each label set's run; ``l_inv`` is zero-padded to a
+    multiple of ``PRODUCT_ROWS`` rows and columns.  A ridged base is
+    factored as H + ridge I and its removals are scored under the same
+    ridge, so the fast-route fields come from that factor.  A cache
+    scores one edge at a time: the patcher rebuilds every naive removal
+    in the same buffers.
     """
 
-    def __init__(self, g: Graph, labels: LabelMatrix):
-        if labels.columns.shape[0] != g.n_nodes:
-            raise InputError("label matrix does not match graph size")
-        self.labels = labels
+    def __init__(self, g: Graph, runs):
         self.xt = aggregate_features(g)
         self.gm = gram_matrix(self.xt)
         self.patcher = GramPatcher(self.gm)
-        self.base_gkc = gkc(self.gm, labels).value
+        for run in runs:
+            run.base_gkc = run.complexity(self.gm)
         self.weights = 1.0 / np.sqrt(g.degrees.astype(np.float64))
         # Sum_{j in closed nbhd(k)} X_j / sqrt(d_j), recoverable from the
         # stored rows and their pre-normalization norms.
@@ -252,12 +284,14 @@ class _ScoreCache:
         l_inv, info = lapack.dtrtri(self.gm.chol_lower, lower=1)
         if info != 0:
             raise NumericError("Cholesky factor of the Gram matrix is singular")
-        self.l_inv_y = blas.dtrmm(1.0, l_inv, labels.columns, lower=1)
+        for run in _live(runs):
+            run.l_inv_y = blas.dtrmm(1.0, l_inv, run.labels.columns, lower=1)
         pad = -g.n_nodes % PRODUCT_ROWS
         self.l_inv = np.pad(l_inv, (0, pad)) if pad else l_inv
         self.l_inv.setflags(write=False)
-        self.z = self.gm.solve_factored(labels.columns)
-        self.quad = np.einsum("nc,nc->c", labels.columns, self.z)
+        for run in _live(runs):
+            run.z = self.gm.solve_factored(run.labels.columns)
+            run.quad = np.einsum("nc,nc->c", run.labels.columns, run.z)
 
 
 def _removed_rows(g: Graph, u: int, v: int):
@@ -405,8 +439,9 @@ def _blocks(g: Graph):
             )
 
 
-def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, gkc_removed, fast):
-    """Fill ``gkc_removed`` and ``fast`` for the edges of one block, in order."""
+def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, runs, fast):
+    """Fill ``fast`` and each live run's ``gkc_removed`` for the edges of
+    one block, in order."""
     n = g.n_nodes
     h = cache.gm.h
     # (a) row replay, (b) kernel columns against the base rows, (c) one
@@ -440,14 +475,19 @@ def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, gkc_removed, fast):
     if cache.l_inv.shape[0] > n:
         m = np.pad(m, ((0, cache.l_inv.shape[0] - n), (0, 0)))
     y = blas.dtrmm(1.0, cache.l_inv, m, lower=1, overwrite_b=1)[:n]
-    mt_z = blas.dgemm(1.0, y, cache.l_inv_y, trans_a=1)
+    mt_z = {run: blas.dgemm(1.0, y, run.l_inv_y, trans_a=1) for run in _live(runs)}
 
     # (d) per-edge capacitance C~^-1 + V^T V (see the module docstring).
     # With V = [Y~_e, L^-1[:, s]], one syrk gives m~^T H^-1 m~,
-    # (H^-1 m~)[s] and H^-1[s, s] at once.
+    # (H^-1 m~)[s] and H^-1[s, s] at once.  The matrix, its factorization
+    # and the route are shared by every label set; each set solves for
+    # its own right-hand side.
     j = 0
-    for pos, (u, v) in enumerate(g.edges[blk.rows].tolist()):
-        if blk.small[pos]:
+    for pos, (u, v) in enumerate(g.edges[blk.rows].tolist(), start=blk.rows.start):
+        live = _live(runs)
+        if not live:
+            return
+        if blk.small[pos - blk.rows.start]:
             a, b = blk.spans[j]
             b_true, b_shared = true[j], shared[j]
             j += 1
@@ -472,26 +512,30 @@ def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, gkc_removed, fast):
             corner = b_shared + b_shared.T
             corner -= b_true
             cap[:ns, :ns] += corner
-            wt_z = np.concatenate((mt_z[c], cache.z[s]))
+            wt_z = [np.concatenate((mt_z[run][c], run.z[s])) for run in live]
             solved = _solve_capacitance(cap, wt_z)
             if solved is not None:
-                correction = np.einsum("kc,kc->c", wt_z, solved)
-                gkc_removed[pos] = 2.0 * (cache.quad - correction).sum() / n
+                for run, rhs, x in zip(live, wt_z, solved):
+                    correction = np.einsum("kc,kc->c", rhs, x)
+                    run.gkc_removed[pos] = 2.0 * (run.quad - correction).sum() / n
                 fast[pos] = True
                 continue
         # Naive route; only the rows of the closed neighborhoods of u and
         # v change.
         gm = cache.patcher.gram(_removed_rows(g, u, v), affected_nodes(g, u, v))
-        gkc_removed[pos] = gkc(gm, cache.labels).value
+        for run in live:
+            run.gkc_removed[pos] = run.complexity(gm)
 
 
 def _solve_capacitance(cap, rhs):
-    """Solve the symmetric system ``cap x = rhs`` by LAPACK's ``?sytrf``.
+    """Solve the symmetric system ``cap x = r`` for each r in the list
+    ``rhs`` by LAPACK's ``?sytrf``, one factorization and one solve each.
 
     ``cap`` holds the full matrix: LAPACK reads its lower triangle, and
     the 1-norm that ``?sycon`` needs is taken over all of it.  Returns
-    None when cap is not finite, is exactly singular, or its 1-norm
-    condition estimate exceeds ``CAPACITANCE_COND_LIMIT``.
+    the list of solutions, or None when cap is not finite, is exactly
+    singular, or its 1-norm condition estimate exceeds
+    ``CAPACITANCE_COND_LIMIT``.
     """
     if not np.isfinite(cap).all():
         return None
@@ -503,28 +547,68 @@ def _solve_capacitance(cap, rhs):
     # Written so that a NaN estimate falls back too.
     if info != 0 or not rcond * CAPACITANCE_COND_LIMIT >= 1.0:
         return None
-    x, info = lapack.dsytrs(ldu, ipiv, rhs, lower=1)
-    return x if info == 0 else None
+    solved = []
+    for r in rhs:
+        x, info = lapack.dsytrs(ldu, ipiv, r, lower=1)
+        if info != 0:
+            return None
+        solved.append(x)
+    return solved
+
+
+def _kc_scores_each(g: Graph, label_sets) -> list:
+    """Score every edge of g once for each label matrix in ``label_sets``.
+
+    Entry i is the table ``kc_scores_all(g, label_sets[i])`` returns, to
+    the bit, or the error it raises.  What does not depend on the labels
+    is done once: the Gram matrix, its factor and inverse, each block's
+    kernel columns, and each edge's route with its capacitance
+    factorization or its naive rebuild.  Each label set adds its own
+    solves, one product per block and one small solve per fast edge, so
+    every edge takes one route for every set.  A set that fails drops
+    out, and the others go on.
+    """
+    runs = [_LabelRun(labels, g.n_edges) for labels in label_sets]
+    fast = np.zeros(g.n_edges, dtype=bool)
+    try:
+        if g.n_edges == 0:
+            raise ConfigError("cannot score a graph with no edges")
+        for run in runs:
+            if run.labels.columns.shape[0] != g.n_nodes:
+                run.error = InputError("label matrix does not match graph size")
+        if _live(runs):
+            cache = _ScoreCache(g, _live(runs))
+            for blk in _blocks(g):
+                if not _live(runs):
+                    break
+                _score_block(cache, g, blk, runs, fast)
+    except KcesError as exc:
+        # An error that does not depend on the labels is the first error
+        # of every set still live.
+        for run in _live(runs):
+            run.error = exc
+    return [
+        KcScoreTable(
+            edges=g.edges,
+            scores=np.abs(run.base_gkc - run.gkc_removed),
+            gkc_removed=run.gkc_removed,
+            fast=fast,
+            base_gkc=run.base_gkc,
+        )
+        if run.error is None
+        else run.error
+        for run in runs
+    ]
 
 
 def kc_scores_all(g: Graph, labels: LabelMatrix) -> KcScoreTable:
     """Score every edge of g; the table's rows follow ``g.edges``.
 
     An edge the update cannot handle takes the naive route, and its
-    ``fast`` flag is False.
+    ``fast`` flag is False.  This is the one-set case of
+    ``_kc_scores_each``.
     """
-    if g.n_edges == 0:
-        raise ConfigError("cannot score a graph with no edges")
-
-    cache = _ScoreCache(g, labels)
-    gkc_removed = np.empty(g.n_edges)
-    fast = np.zeros(g.n_edges, dtype=bool)
-    for blk in _blocks(g):
-        _score_block(cache, g, blk, gkc_removed[blk.rows], fast[blk.rows])
-    return KcScoreTable(
-        edges=g.edges,
-        scores=np.abs(cache.base_gkc - gkc_removed),
-        gkc_removed=gkc_removed,
-        fast=fast,
-        base_gkc=cache.base_gkc,
-    )
+    (table,) = _kc_scores_each(g, [labels])
+    if isinstance(table, KcesError):
+        raise table
+    return table

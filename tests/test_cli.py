@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 
 from helpers import OracleDivergence, oracle_evaluate
 
+from kces import kcscore
 from kces.cli import SWEEP_ALPHAS, main
+from kces.errors import IllConditionedError, KcesWarning
 from kces.gnn import TrainConfig, make_split, write_trace_csv
 from kces.graph import format_float, load_graph, write_edge_tsv, write_features_csv, write_labels
 from kces.kcscore import kc_scores_all
@@ -182,6 +185,21 @@ def test_exit_code_input_error(tmp_path):
         ]
     )
     assert rc == 2
+
+
+def test_failed_manifest_write_is_an_input_error(tmp_path, capsys):
+    rc = main(
+        [
+            "score",
+            "--edges", str(GOLDEN / "edges.tsv"),
+            "--features", str(GOLDEN / "features.csv"),
+            "--k", "2",
+            "--out", str(tmp_path / "scores.tsv"),
+            "--manifest-out", str(tmp_path / "missing" / "m.json"),
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("kces: input error: ")
 
 
 def test_exit_code_input_error_on_non_finite_feature(tmp_path, capsys):
@@ -430,6 +448,80 @@ def test_sweep_divergence_reports_the_per_cell_loops_first_error(tmp_path, graph
         f"kces: numeric error: training loss became non-finite at step {first}\n"
     )
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_factors_each_edge_once_for_all_seeds(tmp_path, graph_files, monkeypatch):
+    g = load_graph(graph_files["edges"], graph_files["features"], graph_files["labels"])
+    k = int(np.unique(g.labels).size)
+    calls = {"dsytrf": 0, "dtrmm": 0}
+    dsytrf, dtrmm = kcscore.lapack.dsytrf, kcscore.blas.dtrmm
+
+    def counting_dsytrf(*args, **kwargs):
+        calls["dsytrf"] += 1
+        return dsytrf(*args, **kwargs)
+
+    def counting_dtrmm(alpha, a, b, *args, **kwargs):
+        calls["dtrmm"] += b.shape[1]
+        return dtrmm(alpha, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(kcscore.lapack, "dsytrf", counting_dsytrf)
+    monkeypatch.setattr(kcscore.blas, "dtrmm", counting_dtrmm)
+    kc_scores_all(g, encode_labels(kmeans_pseudo_labels(g, k, 0), "one-hot"))
+    alone = dict(calls)
+    calls.update(dsytrf=0, dtrmm=0)
+    rc = main(
+        [
+            "sweep",
+            "--edges", graph_files["edges"],
+            "--features", graph_files["features"],
+            "--labels", graph_files["labels"],
+            "--strategies", "random",
+            "--seeds", "0,1,2",
+            "--m", "8",
+            "--steps", "2",
+            "--out", str(tmp_path / "sweep.csv"),
+        ]
+    )
+    assert rc == 0
+    assert alone["dsytrf"] > 0
+    assert calls["dsytrf"] == alone["dsytrf"]
+    # the kernel columns are built once; each further seed maps only its
+    # own k label columns
+    assert calls["dtrmm"] == alone["dtrmm"] + 2 * k
+
+
+def test_sweep_raises_the_per_seed_loops_scoring_error(tmp_path, capsys):
+    # removing (0, 1) makes nodes 1 and 70 near-twins; the removal's solve
+    # fails its residual check under seed 0's pseudo-labels only
+    g = make_sbm_benchmark(seed=110, n=110, p_in=8 / 110, p_out=1 / 110)
+    write_edge_tsv(g, tmp_path / "edges.tsv")
+    write_features_csv(g, tmp_path / "features.csv")
+    write_labels(g.labels, tmp_path / "labels.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KcesWarning)
+        kc_scores_all(g, encode_labels(kmeans_pseudo_labels(g, 2, 1), "one-hot"))
+        with pytest.raises(IllConditionedError) as info:
+            kc_scores_all(g, encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot"))
+    capsys.readouterr()
+    out = tmp_path / "sweep.csv"
+    for seeds in ("0,1", "1,0"):
+        rc = main(
+            [
+                "sweep",
+                "--edges", str(tmp_path / "edges.tsv"),
+                "--features", str(tmp_path / "features.csv"),
+                "--labels", str(tmp_path / "labels.csv"),
+                "--k", "2",
+                "--strategies", "random",
+                "--seeds", seeds,
+                "--m", "8",
+                "--steps", "2",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 3, seeds
+        assert capsys.readouterr().err == f"kces: numeric error: {info.value}\n"
+        assert not out.exists()
 
 
 def test_dist_exports_one_csv_per_variant(tmp_path, graph_files):

@@ -12,7 +12,9 @@ from helpers import oracle_gkc_from_graph, oracle_kc, oracle_one_hot
 
 from kces.errors import (
     ConfigError,
+    DegenerateFeatureError,
     GraphFormatError,
+    InputError,
     KcesWarning,
     MissingEdgeError,
 )
@@ -408,16 +410,17 @@ def test_capacitance_solve_estimates_the_full_1_norm_condition(monkeypatch):
     rhs = np.array([[1.0], [2.0], [3.0]])
     cond = np.linalg.cond(cap, 1)
     monkeypatch.setattr(kcscore, "CAPACITANCE_COND_LIMIT", 1.01 * cond)
-    x = kcscore._solve_capacitance(cap.copy(), rhs)
+    x, twice = kcscore._solve_capacitance(cap.copy(), [rhs, 2.0 * rhs])
     np.testing.assert_allclose(x, np.linalg.solve(cap, rhs), rtol=1e-12)
+    np.testing.assert_allclose(twice, 2.0 * x, rtol=1e-12)
     monkeypatch.setattr(kcscore, "CAPACITANCE_COND_LIMIT", 0.99 * cond)
-    assert kcscore._solve_capacitance(cap.copy(), rhs) is None
+    assert kcscore._solve_capacitance(cap.copy(), [rhs]) is None
 
     monkeypatch.setattr(kcscore, "CAPACITANCE_COND_LIMIT", 1e12)
     singular = np.ones((2, 2))
-    assert kcscore._solve_capacitance(singular, rhs[:2]) is None
+    assert kcscore._solve_capacitance(singular, [rhs[:2]]) is None
     cap[1, 1] = np.inf
-    assert kcscore._solve_capacitance(cap, rhs) is None
+    assert kcscore._solve_capacitance(cap, [rhs]) is None
 
 
 def _twin_forming_graph():
@@ -630,6 +633,67 @@ def test_removal_from_ridged_base_keeps_the_base_ridge(monkeypatch):
         table = kc_scores_all(g, lm)
     # one factorization per naive edge, after the base's
     assert len(calls) == 2 * base_calls + (~table.fast).sum()
+
+
+def test_degenerate_naive_removal_reports_the_full_rebuilds_error():
+    # x1 = -x0: removing (1, 2) leaves nodes 0 and 1 with the closed
+    # neighborhood {0, 1} and equal degrees, so their rows sum to zero;
+    # every affected set covers the graph, so every edge goes naive
+    feats = np.array([[1.0, 2.0], [-1.0, -2.0], [0.5, -1.0], [2.0, 1.0]])
+    g = Graph(features=feats, edges=[(0, 1), (1, 2), (2, 3)])
+    lm = encode_labels(np.array([0, 1, 0, 1]), "one-hot")
+    message = (
+        r"removing edge \(1, 2\) degenerates aggregation: "
+        r"aggregated features vanish at node 0 \(norm 0\.000e\+00\)$"
+    )
+    with pytest.raises(DegenerateFeatureError, match=message):
+        kc_score_naive(g, lm, 1, 2)
+    with pytest.raises(DegenerateFeatureError, match=message):
+        kc_scores_all(g, lm)
+
+
+def _sparse_sbm_400():
+    # benchmarks' sparse-sbm-400 graph of seed 0: the first draw whose
+    # base is ridged, renumbered hubs first
+    for draw in range(100):
+        g = make_sbm_benchmark(draw * 1_000_003, n=400, p_in=4 / 400, p_out=1 / 400)
+        order = np.argsort(-g.degrees, kind="stable")
+        new_id = np.empty_like(order)
+        new_id[order] = np.arange(order.size)
+        g = Graph(g.features[order], new_id[g.edges], labels=g.labels[order])
+        if gram_matrix(aggregate_features(g)).ridge > 0.0:
+            return g
+    raise AssertionError("no ridged draw")
+
+
+def test_sparse_benchmark_graph_matches_the_naive_reference_on_every_edge():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KcesWarning)
+        g = _sparse_sbm_400()
+        lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
+        table = kc_scores_all(g, lm)
+        ref = np.array([kc_score_naive(g, lm, u, v) for u, v in table.edges.tolist()])
+    fast = table.fast
+    assert fast.any() and not fast.all()
+    assert np.array_equal(table.scores[~fast], ref[~fast])
+    assert np.all(np.abs(table.scores - ref)[fast] <= np.maximum(1e-8 * np.abs(ref), 1e-12)[fast])
+
+
+def test_each_label_set_gets_the_table_it_gets_alone():
+    g = _sparse_sbm_204()
+    sets = [encode_labels(kmeans_pseudo_labels(g, 2, seed), "one-hot") for seed in range(3)]
+    sets.append(encode_labels(np.zeros(g.n_nodes + 1, dtype=np.int64), "one-hot"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KcesWarning)
+        each = kcscore._kc_scores_each(g, sets)
+        assert (~each[0].fast).sum() > 0
+        for lm, table in zip(sets[:3], each):
+            alone = kc_scores_all(g, lm)
+            for field in ("edges", "scores", "gkc_removed", "fast"):
+                assert getattr(table, field).tobytes() == getattr(alone, field).tobytes()
+            assert table.base_gkc == alone.base_gkc
+    assert isinstance(each[3], InputError)
+    assert kcscore._kc_scores_each(g, []) == []
 
 
 def _timed_fast_and_naive(g, lm):
