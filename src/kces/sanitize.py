@@ -95,17 +95,21 @@ def apply_prune(g: Graph, plan: PrunePlan) -> Graph:
             f"the graph's {g.n_edges} edges is {want}: its score table "
             "covers another edge set"
         )
-    edge_set = g.edge_set()
-    missing = [e for e in plan.removed if e not in edge_set]
-    if missing:
+    # g.edges is sorted by (u, v), as is u + iv in numpy's complex order:
+    # find each planned pair's row, then check both of its columns
+    planned = np.array(plan.removed, dtype=np.int64).reshape(-1, 2)
+    u, v = g.edges.T
+    rows = np.searchsorted(u + 1j * v, planned[:, 0] + 1j * planned[:, 1])
+    found = rows < g.n_edges
+    found[found] = (g.edges[rows[found]] == planned[found]).all(axis=1)
+    if not found.all():
+        missing = np.flatnonzero(~found)
         raise StalePlanError(
-            f"plan references {len(missing)} edge(s) absent from the graph, "
-            f"first {missing[0]}"
+            f"plan references {missing.size} edge(s) absent from the graph, "
+            f"first {plan.removed[missing[0]]}"
         )
-    doomed = set(plan.removed)
-    keep = np.array(
-        [tuple(e) not in doomed for e in g.edges.tolist()], dtype=bool
-    )
+    keep = np.ones(g.n_edges, dtype=bool)
+    keep[rows] = False
     return with_edges(g, g.edges[keep])
 
 

@@ -1,6 +1,7 @@
 """Kernel-regime trainer: gradients, dynamics, bounds, splits, evaluation."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
     oracle_train_gd,
 )
 
+from kces import gnn
 from kces.errors import (
     BoundedLabelError,
     ConfigError,
@@ -90,10 +92,13 @@ def _stack_problem(k, seed, n=20, f=16, m=64):
     return x, y, w, a, eta
 
 
-@pytest.mark.parametrize("k", [1, 2, 19])
-def test_stacked_descent_equals_one_model_loop_bit_for_bit(k):
-    x, y, w0, a, eta = _stack_problem(k, seed=k)
-    steps, m = 30, w0.shape[2]
+@pytest.mark.parametrize(
+    "k, m", [(1, 64), (2, 64), (19, 64), (19, 256)], ids=["1", "2", "19", "19-m256"]
+)
+def test_stacked_descent_equals_one_model_loop_bit_for_bit(k, m):
+    # the last case is the sweep's shape: 19 alphas at n = 20, m = 256
+    x, y, w0, a, eta = _stack_problem(k, seed=k, m=m)
+    steps = 30
     w = w0.copy()
     norms, losses, failed = _descend(w, a, x, y, eta, steps)
     assert failed is None
@@ -141,14 +146,19 @@ def test_stack_raises_the_first_models_divergence_not_the_earliest():
     assert steps[1] < steps[0]
     _, _, failed = _descend(w0.copy(), a, x, y, eta, 400)
     assert failed == (0, steps[0])
-    # model 0 alone does not diverge: model 1's failure is reported, and
-    # model 0 trains to the same bits as on its own
+    # models 0 and 2 do not diverge: model 1's failure is reported, and
+    # each model that survives trains to the same bits as on its own
+    eta = np.array([0.5, 1e6, 0.25])
+    w0, a = np.concatenate([w0, w0[:1]]), np.concatenate([a, a[:1]])
+    x, y = np.broadcast_to(x[0], (3, 8, 4)), np.broadcast_to(y[0], (3, 8))
     w = w0.copy()
-    norms, _, failed = _descend(w, a, x, y, np.array([0.5, 1e6]), 400)
+    norms, losses, failed = _descend(w, a, x, y, eta, 400)
     assert failed == (1, steps[1])
-    w_ref, norms_ref, _ = oracle_train_gd(w0[0], a[0], x[0], y[0], 4, 0.5, 400)
-    assert np.array_equal(w[0], w_ref)
-    assert np.array_equal(norms[0], norms_ref)
+    for i in (0, 2):
+        w_ref, norms_ref, losses_ref = oracle_train_gd(w0[i], a[i], x[i], y[i], 4, eta[i], 400)
+        assert np.array_equal(w[i], w_ref)
+        assert np.array_equal(norms[i], norms_ref)
+        assert np.array_equal(losses[i], losses_ref)
     assert np.isfinite(w[1]).all()
 
 
@@ -448,6 +458,41 @@ def test_evaluate_classifiers_report_the_loops_first_divergence(one_graph):
             evaluate_classifiers(graphs, g.labels, split, cfg)
     assert info.value.step == first
     assert str(info.value) == f"training loss became non-finite at step {first}"
+
+
+@pytest.mark.skipif(gnn._usable_cpus() < 2, reason="needs 2 usable CPUs")
+def test_classes_train_at_the_same_time(monkeypatch):
+    # each class's descent waits for the other's: one after another, the
+    # first would time out at the barrier
+    g = _blob_graph()
+    split = make_split(g.n_nodes, seed=1, train_frac=0.2, val_frac=0.2)
+    cfg = TrainConfig(m=32, steps=25, seed=0)
+    expected = oracle_evaluate(g, g.labels, split, cfg)[0]
+    barrier = threading.Barrier(2, timeout=10)
+    descend = gnn._descend
+
+    def meet_then_descend(*args):
+        barrier.wait()
+        return descend(*args)
+
+    monkeypatch.setattr(gnn, "_descend", meet_then_descend)
+    threads = threading.active_count()
+    assert evaluate_classifier(g, g.labels, split, cfg) == expected
+    assert threading.active_count() == threads
+    # an error in class 1's descent reaches the caller as it was raised
+    boom = RuntimeError("class 1")
+    class_1 = np.where(g.labels[split.train] == 1, 1.0, -1.0)
+
+    def fail_class_1(w, a, x, y, eta, steps):
+        if np.array_equal(y[0], class_1):
+            raise boom
+        return descend(w, a, x, y, eta, steps)
+
+    monkeypatch.setattr(gnn, "_descend", fail_class_1)
+    with pytest.raises(RuntimeError) as info:
+        evaluate_classifier(g, g.labels, split, cfg)
+    assert info.value is boom
+    assert threading.active_count() == threads
 
 
 def test_accuracy_report_csv(tmp_path):

@@ -1,5 +1,6 @@
 """Edge selection, prune plans, and the end-to-end sanitization pipeline."""
 
+import re
 import warnings
 
 import numpy as np
@@ -136,6 +137,18 @@ def test_apply_prune_rejects_stale_plan():
     pruned = apply_prune(g, plan)
     with pytest.raises(StalePlanError, match="1 edge"):
         apply_prune(pruned, plan)
+
+
+@pytest.mark.parametrize("kind", ["reversed", "out-of-range"])
+def test_apply_prune_rejects_an_edge_the_graph_does_not_store(kind):
+    g = random_graph(10, 0.4, 4, seed=5)
+    (u, v), (a, b) = g.edges.tolist()[:2]
+    # (v, u) is not stored; (a - 1, b + n) packed as u * n + v would be (a, b)
+    bad = (v, u) if kind == "reversed" else (a - 1, b + g.n_nodes)
+    plan = PrunePlan(removed=((a, b), bad), k=2, config=PruneConfig(alpha=2 / g.n_edges))
+    message = f"plan references 1 edge(s) absent from the graph, first {bad}"
+    with pytest.raises(StalePlanError, match=f"^{re.escape(message)}$"):
+        apply_prune(g, plan)
 
 
 def test_apply_prune_rejects_plan_from_score_file_of_another_edge_set(tmp_path):
