@@ -44,7 +44,7 @@ corners = arccos_kernel(np.array([1.0, 0.5, 0.0, -1.0]))
 print("\nkernel at inner products [1, 0.5, 0, -1]:", corners)
 print("expected:                                 [0.5, 1/6, 0, 0]")
 
-labels = encode_labels(np.array([0, 0, 0, 1, 1, 1]), "one-hot")
+labels = encode_labels(np.array([0, 0, 0, 1, 1, 1]))
 value = gkc(gm, labels)
 print("\ncomplexity via cached factorization:", f"{value.value:.10f}")
 
@@ -58,6 +58,6 @@ print("agreement:", f"{abs(value.value - dense):.2e}")
 
 # labels that cut across the two feature blocks are harder to fit,
 # and the functional says so before any training happens
-scrambled = encode_labels(np.array([0, 1, 0, 1, 0, 1]), "one-hot")
+scrambled = encode_labels(np.array([0, 1, 0, 1, 0, 1]))
 print("\nblock labels complexity:    ", f"{gkc(gm, labels).value:.4f}")
 print("scrambled labels complexity:", f"{gkc(gm, scrambled).value:.4f}")

@@ -40,7 +40,7 @@ g = random_graph(48, 0.15, 8, seed=7, avoid_twins=True)
 print(f"graph: {g.n_nodes} nodes, {g.n_edges} edges")
 
 pseudo = kmeans_pseudo_labels(g, 2, seed=7)
-labels = encode_labels(pseudo.assignments, "one-hot")
+labels = encode_labels(pseudo.assignments)
 print("pseudo-label split:", np.bincount(pseudo.assignments).tolist())
 
 t0 = time.perf_counter()
@@ -75,7 +75,7 @@ twins = Graph(
     np.vstack([sbm.features, np.random.default_rng(7).standard_normal((2, sbm.n_features))]),
     np.vstack([sbm.edges, [[400, 401], [0, 400], [0, 401]]]),
 )
-twin_labels = encode_labels(kmeans_pseudo_labels(twins, 2, seed=7).assignments, "one-hot")
+twin_labels = encode_labels(kmeans_pseudo_labels(twins, 2, seed=7).assignments)
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always", KcesWarning)
     t0 = time.perf_counter()

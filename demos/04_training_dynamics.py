@@ -11,11 +11,11 @@ import numpy as np
 from kces.gnn import (
     TrainConfig,
     edge_bound,
+    generalization_bound,
     init_model,
     spectral_predictor,
     train_gd,
 )
-from kces.gnn import test_bound as generalization_bound
 from kces.graph import aggregate_features
 from kces.kcscore import kc_scores_all
 from kces.kernel import gkc, gram_matrix
@@ -41,7 +41,7 @@ gap = np.abs(trace.residual_norms - predicted) / trace.residual_norms[0]
 print(f"\nworst gap, relative to the initial residual: {gap.max():.4f}")
 
 # the same kernel quantities drive the test-error bound
-labels = encode_labels((y > 0).astype(np.int64), "one-hot")
+labels = encode_labels((y > 0).astype(np.int64))
 complexity = gkc(gm, labels)
 bound = generalization_bound(complexity, n=16, lambda0=gm.lambda_min, delta=0.05)
 print(f"\ncomplexity {complexity.value:.4f} -> test-error bound {bound:.4f}")

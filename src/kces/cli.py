@@ -60,7 +60,6 @@ def _graph_flags(parser: argparse.ArgumentParser, labels_help: str) -> None:
 def _scoring_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, default=None, help="pseudo-label cluster count")
     parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument("--encoding", choices=("one-hot", "signed-binary"), default="one-hot")
     parser.add_argument("--restarts", type=int, default=10, help="K-means restarts")
 
 
@@ -80,18 +79,11 @@ def _label_matrix(g: Graph, args):
     if g.labels is not None and args.k is not None:
         raise ConfigError("pass --labels or --k, not both")
     if g.labels is not None:
-        matrix = encode_labels(g.labels, args.encoding)
-        return matrix, {"labels": "file", "encoding": args.encoding}
+        return encode_labels(g.labels), {"labels": "file"}
     if args.k is None:
         raise ConfigError("need --k for pseudo labels when no --labels file is given")
     pseudo = kmeans_pseudo_labels(g, args.k, args.seed, restarts=args.restarts)
-    matrix = encode_labels(pseudo, args.encoding)
-    return matrix, {
-        "labels": "kmeans",
-        "k": args.k,
-        "restarts": args.restarts,
-        "encoding": args.encoding,
-    }
+    return encode_labels(pseudo), {"labels": "kmeans", "k": args.k, "restarts": args.restarts}
 
 
 def _score_table(g: Graph, args) -> tuple[KcScoreTable, dict]:
@@ -264,7 +256,7 @@ def cmd_sweep(args):
     for seed in seeds:
         try:
             pseudo = kmeans_pseudo_labels(g, k, seed, restarts=args.restarts)
-            label_sets.append(encode_labels(pseudo, args.encoding))
+            label_sets.append(encode_labels(pseudo))
         except KcesError as exc:
             late = exc
             break
@@ -298,7 +290,6 @@ def cmd_sweep(args):
         "seeds": list(seeds),
         "k": k,
         "restarts": args.restarts,
-        "encoding": args.encoding,
         "m": args.m,
         "steps": args.steps,
         "eta": args.eta,
@@ -371,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0", help="comma-separated seed list")
     p.add_argument("--k", type=int, default=None, help="pseudo-label cluster count (default: class count)")
     p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--encoding", choices=("one-hot", "signed-binary"), default="one-hot")
     _train_flags(p)
     p.add_argument("--out", required=True, help="sweep CSV path")
     _common_flags(p)

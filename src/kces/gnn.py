@@ -42,7 +42,7 @@ from .errors import (
     DivergenceError,
     KcesWarning,
 )
-from .graph import AggregatedFeatures, Graph, aggregate_features, format_float, seed_key
+from .graph import AggregatedFeatures, Graph, aggregate_features, format_float, seed_key, whole_ids
 from .kernel import GramMatrix, GkcValue, arccos_kernel
 
 
@@ -270,7 +270,7 @@ def write_trace_csv(trace: TrainTrace, path, prediction=None) -> None:
 # -- bounds ---------------------------------------------------------------
 
 
-def test_bound(gkc_value, n: int, lambda0: float, delta: float, constant: float = 1.0):
+def generalization_bound(gkc_value, n: int, lambda0: float, delta: float, constant: float = 1.0):
     """Generalization bound sqrt(GKC) + C * sqrt(log(n / (lambda0 delta)) / n)."""
     value = gkc_value.value if isinstance(gkc_value, GkcValue) else float(gkc_value)
     if value < 0.0:
@@ -294,7 +294,7 @@ def edge_bound(
     """Edge-removal variant: adds sqrt(kc) slack to the base bound."""
     if kc_score < 0.0:
         raise ConfigError(f"kc score must be non-negative, got {kc_score}")
-    return test_bound(base_gkc, n, lambda0, delta, constant) + math.sqrt(kc_score)
+    return generalization_bound(base_gkc, n, lambda0, delta, constant) + math.sqrt(kc_score)
 
 
 # -- classifier evaluation ------------------------------------------------
@@ -403,7 +403,7 @@ def _evaluate(graphs, labels, split: Split, cfg: TrainConfig):
     if not graphs:
         return [], []
     n_nodes = graphs[0].n_nodes
-    lab = np.asarray(labels, dtype=np.int64)
+    lab = whole_ids(labels, "labels")
     if lab.shape != (n_nodes,):
         raise ConfigError(f"labels must have length {n_nodes}")
     classes = np.unique(lab)

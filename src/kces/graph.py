@@ -37,6 +37,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def whole_ids(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array: node ids or class labels.
+
+    A cast alone would truncate 1.9 to 1 and wrap 1e30, so a float that
+    is not a whole number below 2**63 in magnitude is an InputError
+    naming the first such value.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind == "f":
+        bad = ~(np.isfinite(a) & (a == np.trunc(a)) & (np.abs(a) < 2.0**63))
+        if bad.any():
+            raise InputError(f"{what}: {float(a[bad][0])!r} is not a whole number in int64 range")
+    return np.asarray(a, dtype=np.int64)
+
+
 class Graph:
     """Immutable undirected graph with node features and implicit self-loops.
 
@@ -67,7 +82,7 @@ class Graph:
         self.features = _readonly(feats)
         n = feats.shape[0]
 
-        e = np.asarray(edges, dtype=np.int64)
+        e = whole_ids(edges, "edges")
         if e.size == 0:
             e = np.empty((0, 2), dtype=np.int64)
         if e.ndim != 2 or e.shape[1] != 2:
@@ -99,7 +114,7 @@ class Graph:
         if labels is None:
             self.labels = None
         else:
-            lab = np.asarray(labels, dtype=np.int64)
+            lab = whole_ids(labels, "labels")
             if lab.shape != (n,):
                 raise InputError(f"labels must have length {n}")
             self.labels = _readonly(lab)
@@ -181,19 +196,6 @@ class AggregatedFeatures:
 
     matrix: np.ndarray
     pre_norm_row_norms: np.ndarray
-
-    @classmethod
-    def from_unit_rows(cls, rows) -> "AggregatedFeatures":
-        """Wrap an already-unit-norm matrix (used for synthetic inputs)."""
-        m = np.asarray(rows, dtype=np.float64)
-        norms = np.linalg.norm(m, axis=1)
-        if (norms < DEGENERATE_ROW_NORM).any():
-            i = int(np.argmax(norms < DEGENERATE_ROW_NORM))
-            raise DegenerateFeatureError(f"row {i} has vanishing norm")
-        return cls(
-            matrix=_readonly(m / norms[:, None]),
-            pre_norm_row_norms=_readonly(norms),
-        )
 
 
 def finite_row_norms(raw: np.ndarray) -> np.ndarray:

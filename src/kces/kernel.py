@@ -238,19 +238,6 @@ class GramPatcher:
         return GramMatrix(h.view(), ridge, chol.view())
 
 
-def gram_from_matrix(h: np.ndarray) -> GramMatrix:
-    """Wrap a copy of a symmetric matrix as a Gram matrix, factored afresh."""
-    h = np.array(h, dtype=np.float64, order="C")
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise InputError("Gram matrix must be square")
-    if not np.isfinite(h).all():
-        raise InputError("Gram matrix must be finite")
-    if not np.array_equal(h, h.T):
-        raise InputError("Gram matrix must be symmetric")
-    ridge, chol = _factor_with_ridge(h)
-    return GramMatrix(h, ridge, chol)
-
-
 def _h_times(h: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``h @ z`` for a C-ordered h, in scipy's BLAS.
 

@@ -1,18 +1,18 @@
 """Edge perturbations: random insertion/deletion and a label-aware attack.
 
-Both attacks return the perturbed graph together with a replayable
-record.  Applying a record to the clean graph reproduces the attacked
-graph exactly; reverting it restores the original.
+Both attacks return the perturbed graph together with a record of the
+edges they added and removed.  The record's TSV export lists them, one
+edge per line; the attack's parameters live in the run manifest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, GraphFormatError, InputError
-from .graph import Graph, seed_key, with_edges
+from .errors import BudgetError, ConfigError, InputError
+from .graph import Graph, seed_key, whole_ids, with_edges
 
 def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
@@ -20,14 +20,10 @@ def _round_half_up(x: float) -> int:
 
 @dataclass(frozen=True)
 class PerturbationRecord:
-    """Replayable log of one attack: added edges, removed edges, metadata."""
+    """The edges one attack added and removed, each sorted."""
 
     added: tuple
     removed: tuple
-    budget: int
-    seed: int
-    kind: str
-    labels_source: str = field(default="none")
 
     def write_tsv(self, path) -> None:
         """One edge per line, '+' rows added and '-' rows removed."""
@@ -36,36 +32,6 @@ class PerturbationRecord:
                 fh.write(f"+\t{u}\t{v}\n")
             for u, v in self.removed:
                 fh.write(f"-\t{u}\t{v}\n")
-
-
-def read_record_tsv(path, budget=None, seed=0, kind="unknown") -> PerturbationRecord:
-    """Rebuild a record from its TSV export (metadata not stored there)."""
-    added, removed = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or parts[0] not in "+-":
-                raise GraphFormatError(
-                    f"{path}: line {line_no}: expected '+|-<TAB>u<TAB>v'"
-                )
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError(
-                    f"{path}: line {line_no}: bad node ids"
-                ) from None
-            (added if parts[0] == "+" else removed).append((u, v))
-    n_changes = len(added) + len(removed)
-    return PerturbationRecord(
-        added=tuple(added),
-        removed=tuple(removed),
-        budget=n_changes if budget is None else budget,
-        seed=seed,
-        kind=kind,
-    )
 
 
 def _canonical(u: int, v: int) -> tuple:
@@ -127,19 +93,11 @@ def random_attack(
     )
     removed = [tuple(int(x) for x in g.edges[i]) for i in removed_idx]
 
-    record = PerturbationRecord(
-        added=tuple(sorted(added)),
-        removed=tuple(sorted(removed)),
-        budget=budget,
-        seed=seed,
-        kind="random",
-    )
-    return apply_record(g, record), record
+    record = PerturbationRecord(added=tuple(sorted(added)), removed=tuple(sorted(removed)))
+    return _apply_record(g, record), record
 
 
-def dice_attack(
-    g: Graph, labels, budget_ratio: float, seed: int, labels_source="ground-truth"
-):
+def dice_attack(g: Graph, labels, budget_ratio: float, seed: int):
     """Delete same-label edges and insert cross-label non-edges.
 
     Half the budget deletes uniformly sampled edges whose endpoints share
@@ -148,7 +106,7 @@ def dice_attack(
     """
     if not 0.0 < budget_ratio <= 1.0:
         raise ConfigError(f"budget_ratio must be in (0, 1], got {budget_ratio}")
-    lab = np.asarray(labels, dtype=np.int64)
+    lab = whole_ids(labels, "labels")
     if lab.shape != (g.n_nodes,):
         raise InputError(f"labels must have length {g.n_nodes}")
     budget = _round_half_up(budget_ratio * g.n_edges)
@@ -174,18 +132,11 @@ def dice_attack(
     )
     removed = [same_edges[i] for i in removed_idx]
 
-    record = PerturbationRecord(
-        added=tuple(sorted(added)),
-        removed=tuple(sorted(removed)),
-        budget=budget,
-        seed=seed,
-        kind="dice",
-        labels_source=labels_source,
-    )
-    return apply_record(g, record), record
+    record = PerturbationRecord(added=tuple(sorted(added)), removed=tuple(sorted(removed)))
+    return _apply_record(g, record), record
 
 
-def apply_record(g: Graph, record: PerturbationRecord) -> Graph:
+def _apply_record(g: Graph, record: PerturbationRecord) -> Graph:
     """Replay a record: remove its removed edges, insert its added ones."""
     edge_set = set(g.edge_set())
     for e in record.removed:
@@ -197,16 +148,3 @@ def apply_record(g: Graph, record: PerturbationRecord) -> Graph:
             raise InputError(f"record adds edge {e} already in graph")
         edge_set.add(_canonical(*e))
     return with_edges(g, sorted(edge_set))
-
-
-def revert_record(g: Graph, record: PerturbationRecord) -> Graph:
-    """Undo a record on the attacked graph, restoring the original."""
-    inverse = PerturbationRecord(
-        added=record.removed,
-        removed=record.added,
-        budget=record.budget,
-        seed=record.seed,
-        kind=record.kind,
-        labels_source=record.labels_source,
-    )
-    return apply_record(g, inverse)

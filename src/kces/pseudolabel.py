@@ -1,10 +1,11 @@
-"""Structure-aware pseudo labels via K-means, plus label encodings.
+"""Structure-aware pseudo labels via K-means, and their one-hot label matrix.
 
 Clustering runs on row-normalized (A + I) X: neighborhood sums without
 degree weighting, each row rescaled to unit norm.  Lloyd's algorithm with
 k-means++ seeding, several independently seeded restarts, and empty-
 cluster re-seeding keeps the result deterministic for a given
-(graph, K, seed) triple.
+(graph, K, seed) triple.  Every scoring path encodes the labels one-hot:
+one 0/1 column per class.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BoundedLabelError,
     DegenerateClusteringError,
     DegenerateFeatureError,
     EncodingError,
@@ -24,8 +24,6 @@ from .graph import DEGENERATE_ROW_NORM, Graph, _readonly, finite_row_norms, seed
 
 MAX_LLOYD_ITERATIONS = 300
 CENTROID_SHIFT_TOL = 1e-6
-
-ENCODINGS = ("one-hot", "signed-binary", "scalar-truth")
 
 
 @dataclass(frozen=True)
@@ -43,15 +41,10 @@ class LabelMatrix:
     """Real-valued label columns fed to the complexity functional.
 
     ``columns`` is N x C; the complexity of a multi-column matrix is the
-    sum over columns.  ``encoding`` records how the columns were built.
+    sum over columns.
     """
 
     columns: np.ndarray
-    encoding: str
-
-    @property
-    def n_columns(self) -> int:
-        return self.columns.shape[1]
 
 
 def _cluster_inputs(g: Graph) -> np.ndarray:
@@ -162,44 +155,25 @@ def kmeans_pseudo_labels(
     )
 
 
-def encode_labels(source, encoding: str) -> LabelMatrix:
-    """Build a label matrix from pseudo labels or ground-truth values.
+def encode_labels(source, encoding: str = "one-hot") -> LabelMatrix:
+    """One-hot label matrix of pseudo labels or integer class labels.
 
-    one-hot: K binary columns from integer assignments.
-    signed-binary: single +1/-1 column, exactly two classes.
-    scalar-truth: single pass-through column of reals, each in [-1, 1].
+    Column c holds 1.0 on the nodes of class c and 0.0 elsewhere; the
+    column count is the pseudo labels' K, or the largest class plus one.
+    ``encoding`` must be ``"one-hot"``.
     """
-    if encoding not in ENCODINGS:
+    if encoding != "one-hot":
         raise EncodingError(f"unknown encoding {encoding!r}")
-
-    if encoding == "scalar-truth":
-        if isinstance(source, PseudoLabels):
-            raise EncodingError("scalar-truth requires ground-truth values")
-        y = np.asarray(source, dtype=np.float64)
-        if y.ndim != 1:
-            raise EncodingError("scalar-truth labels must be a vector")
-        if (np.abs(y) > 1.0).any():
-            raise BoundedLabelError("scalar labels must lie in [-1, 1]")
-        return LabelMatrix(columns=_readonly(y[:, None]), encoding=encoding)
-
     if isinstance(source, PseudoLabels):
         assign, k = source.assignments, source.k
     else:
         assign = np.asarray(source)
         if assign.dtype.kind not in "iu":
-            raise EncodingError(f"{encoding} requires integer labels")
+            raise EncodingError("one-hot requires integer labels")
         assign = assign.astype(np.int64)
         if assign.size and assign.min() < 0:
             raise EncodingError("labels must be non-negative")
         k = int(assign.max()) + 1 if assign.size else 0
-
-    if encoding == "one-hot":
-        cols = np.zeros((assign.shape[0], k))
-        cols[np.arange(assign.shape[0]), assign] = 1.0
-        return LabelMatrix(columns=_readonly(cols), encoding=encoding)
-
-    # signed-binary
-    if k != 2:
-        raise EncodingError(f"signed-binary needs exactly 2 classes, got {k}")
-    col = np.where(assign == 0, 1.0, -1.0)
-    return LabelMatrix(columns=_readonly(col[:, None]), encoding=encoding)
+    cols = np.zeros((assign.shape[0], k))
+    cols[np.arange(assign.shape[0]), assign] = 1.0
+    return LabelMatrix(columns=_readonly(cols))

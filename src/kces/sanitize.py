@@ -131,10 +131,10 @@ def kces_pipeline(g: Graph, alpha: float, k_clusters: int, seed: int) -> Sanitiz
     (``kmeans_pseudo_labels``' default restarts), one-hot encoded; scores
     come from ``kc_scores_all``, and the plan removes the top
     ceil(alpha * |E|) scores.  Compose the stages by hand for another
-    encoding or restart count.
+    restart count.
     """
     pseudo = kmeans_pseudo_labels(g, k_clusters, seed)
-    labels = encode_labels(pseudo, "one-hot")
+    labels = encode_labels(pseudo)
     table = kc_scores_all(g, labels)
     plan = select_edges(table, PruneConfig(alpha=alpha, strategy="high-kc"))
     return SanitizationResult(

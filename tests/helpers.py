@@ -7,6 +7,9 @@ is evidence of correctness rather than of shared bugs.  The one
 exception is ``oracle_evaluate``, which puts the library's unchanged
 aggregation, initial draw, step-size rule and forward pass around the
 one-model training loop ``oracle_train_gd``.
+
+The two builders at the end are not oracles: they wrap raw arrays as the
+library's own inputs, for tests that start from a chosen matrix.
 """
 
 import math
@@ -249,3 +252,21 @@ def random_label_columns(rng, n, k=2):
         assign = rng.integers(0, k, size=n)
         if np.unique(assign).size == k:
             return oracle_one_hot(assign, k)
+
+
+def gram_from_matrix(h):
+    """A GramMatrix over a copy of the symmetric matrix ``h``, factored
+    by the library's ridge rule."""
+    from kces.kernel import GramMatrix, _factor_with_ridge
+
+    h = np.array(h, dtype=np.float64)
+    return GramMatrix(h, *_factor_with_ridge(h))
+
+
+def unit_row_features(rows):
+    """AggregatedFeatures whose rows are ``rows`` scaled to unit norm."""
+    from kces.graph import AggregatedFeatures
+
+    m = np.asarray(rows, dtype=np.float64)
+    norms = np.linalg.norm(m, axis=1)
+    return AggregatedFeatures(matrix=m / norms[:, None], pre_norm_row_norms=norms)

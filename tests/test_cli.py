@@ -20,7 +20,7 @@ from kces.gnn import TrainConfig, make_split, write_trace_csv
 from kces.graph import format_float, load_graph, write_edge_tsv, write_features_csv, write_labels
 from kces.kcscore import kc_scores_all
 from kces.manifest import load_manifest, sha256_file, verify_outputs
-from kces.perturb import apply_record, read_record_tsv
+from kces.perturb import PerturbationRecord, _apply_record
 from kces.pseudolabel import encode_labels, kmeans_pseudo_labels
 from kces.sanitize import PruneConfig, apply_prune, select_edges
 from kces.synth import make_sbm_benchmark
@@ -275,12 +275,13 @@ def test_exit_code_config_error(tmp_path, graph_files):
     ],
 )
 def test_scoring_commands_reject_scalar_truth_encoding(command, flags, capsys):
-    # class files and K-means both give classes, never the real values
-    # scalar-truth encodes, so argparse refuses the choice up front
-    with pytest.raises(SystemExit) as info:
-        main([command, *flags, "--features", "F", "--k", "2", "--encoding", "scalar-truth"])
-    assert info.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    # scoring always encodes one-hot, so argparse refuses --encoding with
+    # any value, the old default too, before reading a file
+    for value in ("scalar-truth", "one-hot"):
+        with pytest.raises(SystemExit) as info:
+            main([command, *flags, "--features", "F", "--k", "2", "--encoding", value])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --encoding" in capsys.readouterr().err
 
 
 def test_exit_code_numeric_error(tmp_path, graph_files):
@@ -313,10 +314,14 @@ def test_attack_record_replays(tmp_path, graph_files):
         ]
     )
     assert rc == 0
-    record = read_record_tsv(str(out) + ".record.tsv")
+    rows = [line.split("\t") for line in Path(str(out) + ".record.tsv").read_text().splitlines()]
+    record = PerturbationRecord(
+        added=tuple((int(u), int(v)) for sign, u, v in rows if sign == "+"),
+        removed=tuple((int(u), int(v)) for sign, u, v in rows if sign == "-"),
+    )
     clean = load_graph(graph_files["edges"], graph_files["features"])
     attacked = load_graph(str(out), graph_files["features"])
-    assert apply_record(clean, record).edge_set() == attacked.edge_set()
+    assert _apply_record(clean, record).edge_set() == attacked.edge_set()
 
     rc = main(
         [

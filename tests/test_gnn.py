@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     OracleDivergence,
+    gram_from_matrix,
     oracle_evaluate,
     oracle_fd_loss_gradient,
     oracle_train_gd,
@@ -30,6 +31,7 @@ from kces.gnn import (
     evaluate_classifier,
     evaluate_classifiers,
     forward,
+    generalization_bound,
     init_model,
     make_split,
     resolve_eta,
@@ -37,9 +39,8 @@ from kces.gnn import (
     train_gd,
     write_trace_csv,
 )
-from kces.gnn import test_bound as generalization_bound
 from kces.graph import Graph, aggregate_features
-from kces.kernel import GkcValue, gram_from_matrix, gram_matrix
+from kces.kernel import GkcValue, gram_matrix
 from kces.synth import random_graph
 
 

@@ -26,6 +26,8 @@ from kces.graph import (
     write_features_csv,
     write_labels,
 )
+from kces.gnn import TrainConfig, evaluate_classifier, make_split
+from kces.perturb import dice_attack
 from kces.synth import random_graph
 
 
@@ -92,6 +94,35 @@ def test_aggregate_rejects_overflowing_features():
     g = Graph([[1e308, 1e308], [1e308, 1.0], [1.0, 1.0]], [(0, 1), (1, 2)])
     with pytest.raises(InputError, match="feature sums overflow at node 0"):
         aggregate_features(g)
+
+
+_TEN = random_graph(10, 0.4, 3, seed=0)
+_HALF_LABELS = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 1.7, 1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda: Graph(np.eye(3), [(0.5, 1.9), (1.2, 2.0)]), "edges"),
+        (lambda: Graph(np.eye(4), [(0, 1)], labels=[0.5, 0.9, 1.7, 1.2]), "labels"),
+        (lambda: dice_attack(_TEN, _HALF_LABELS, 0.5, seed=0), "labels"),
+        (
+            lambda: evaluate_classifier(
+                _TEN, _HALF_LABELS, make_split(10, 0, train_frac=0.5), TrainConfig(m=4, steps=1)
+            ),
+            "labels",
+        ),
+    ],
+    ids=["graph-edges", "graph-labels", "dice-attack", "evaluate-classifier"],
+)
+def test_non_whole_ids_are_refused_not_truncated(build, what):
+    with pytest.raises(InputError, match=rf"^{what}: 0\.5 is not a whole number in int64 range$"):
+        build()
+    with pytest.raises(InputError, match=r"1e\+30 is not a whole number"):
+        Graph(np.eye(3), [(0, 1)], labels=[0.0, 1.0, 1e30])
+    # whole-valued floats still read as the integers they hold
+    g = Graph(np.eye(3), [(0.0, 2.0)], labels=[1.0, 0.0, 1.0])
+    assert g.edges.tolist() == [[0, 2]] and g.labels.tolist() == [1, 0, 1]
 
 
 def test_edges_are_canonical_and_sorted():

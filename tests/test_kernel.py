@@ -5,17 +5,23 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import oracle_aggregate, oracle_gkc, oracle_gram, random_label_columns
+from helpers import (
+    gram_from_matrix,
+    oracle_aggregate,
+    oracle_gkc,
+    oracle_gram,
+    random_label_columns,
+    unit_row_features,
+)
 
 from kces.errors import InputError, KcesWarning, NumericError
-from kces.graph import AggregatedFeatures, Graph, aggregate_features
+from kces.graph import Graph, aggregate_features
 from kces.kernel import (
     RIDGE_SCALE,
     GramMatrix,
     _h_times,
     arccos_kernel,
     gkc,
-    gram_from_matrix,
     gram_matrix,
     solve_spd,
 )
@@ -24,7 +30,7 @@ from kces.synth import random_graph
 
 
 def _gram_of_rows(rows):
-    return gram_matrix(AggregatedFeatures.from_unit_rows(np.asarray(rows, dtype=np.float64)))
+    return gram_matrix(unit_row_features(rows))
 
 
 def test_closed_form_entries_exact():
@@ -68,7 +74,7 @@ def test_gram_matches_entrywise_oracle():
 @pytest.mark.parametrize("n", [5, 64, 400])
 def test_gram_rebuild_is_symmetric_pinned_and_matches_numpy_product(n):
     rng = np.random.default_rng(n)
-    xt = AggregatedFeatures.from_unit_rows(rng.standard_normal((n, 6)))
+    xt = unit_row_features(rng.standard_normal((n, 6)))
     rows = xt.matrix
     gm = gram_matrix(xt)
     h = gm.h
@@ -92,21 +98,6 @@ def test_ridged_gram_keeps_its_arrays_read_only():
     assert np.array_equal(np.diag(gm.h), np.full(10, 0.5))
     lower = np.tril(gm.chol_lower)
     assert np.abs(lower @ lower.T - gm.h - gm.ridge * np.eye(10)).max() <= 1e-12
-
-
-def test_gram_from_matrix_validates_and_copies():
-    with pytest.raises(InputError, match="square"):
-        gram_from_matrix(np.ones((2, 3)))
-    for bad in (np.nan, np.inf):
-        h = np.eye(3) * 0.5
-        h[0, 2] = h[2, 0] = bad
-        with pytest.raises(InputError, match="finite"):
-            gram_from_matrix(h)
-    with pytest.raises(InputError, match="symmetric"):
-        gram_from_matrix(np.array([[0.5, 0.1], [0.2, 0.5]]))
-    h = np.eye(3) * 0.5
-    gm = gram_from_matrix(h)
-    assert h.flags.writeable and not np.shares_memory(h, gm.h)
 
 
 def test_residual_product_is_bitwise_numpy_matmul():

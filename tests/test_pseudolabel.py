@@ -1,4 +1,4 @@
-"""K-means pseudo-labeling and label encodings."""
+"""K-means pseudo-labeling and the one-hot label matrix."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from helpers import oracle_kmeans_best_inertia
 
 from kces.errors import (
-    BoundedLabelError,
     DegenerateClusteringError,
     EncodingError,
     InfeasibleKError,
@@ -110,29 +109,23 @@ def test_one_hot_encoding():
     pl = PseudoLabels(assignments=np.array([0, 2, 1, 2]), k=3, inertia=0.0, seed=0)
     lm = encode_labels(pl, "one-hot")
     assert lm.columns.shape == (4, 3)
-    assert lm.n_columns == 3
     assert np.array_equal(lm.columns.sum(axis=1), np.ones(4))
     assert np.array_equal(np.argmax(lm.columns, axis=1), pl.assignments)
 
 
 def test_signed_binary_encoding():
+    # one-hot is the only encoding: a single +1/-1 column is refused
     pl = PseudoLabels(assignments=np.array([0, 1, 1, 0]), k=2, inertia=0.0, seed=0)
-    lm = encode_labels(pl, "signed-binary")
-    assert lm.columns.shape == (4, 1)
-    assert lm.columns[:, 0].tolist() == [1.0, -1.0, -1.0, 1.0]
-    three = PseudoLabels(assignments=np.array([0, 1, 2]), k=3, inertia=0.0, seed=0)
-    with pytest.raises(EncodingError):
-        encode_labels(three, "signed-binary")
+    with pytest.raises(EncodingError, match="unknown encoding 'signed-binary'"):
+        encode_labels(pl, "signed-binary")
+    assert np.array_equal(encode_labels(pl).columns, encode_labels(pl, "one-hot").columns)
 
 
 def test_scalar_truth_encoding():
-    lm = encode_labels(np.array([0.5, -1.0, 0.0]), "scalar-truth")
-    assert lm.columns.shape == (3, 1)
-    with pytest.raises(BoundedLabelError):
-        encode_labels(np.array([0.5, 1.5]), "scalar-truth")
-    pl = PseudoLabels(assignments=np.array([0, 1]), k=2, inertia=0.0, seed=0)
-    with pytest.raises(EncodingError):
-        encode_labels(pl, "scalar-truth")
+    # real-valued labels are refused, not passed through or truncated
+    with pytest.raises(EncodingError, match="unknown encoding 'scalar-truth'"):
+        encode_labels(np.array([0.5, -1.0, 0.0]), "scalar-truth")
+    with pytest.raises(EncodingError, match="integer labels"):
+        encode_labels(np.array([0.5, -1.0, 0.0]))
     with pytest.raises(EncodingError):
         encode_labels(np.array([0.0]), "no-such-encoding")
-
