@@ -44,7 +44,7 @@ print(f"\nworst gap, relative to the initial residual: {gap.max():.4f}")
 labels = encode_labels((y > 0).astype(np.int64))
 complexity = gkc(gm, labels)
 bound = generalization_bound(complexity, n=16, lambda0=gm.lambda_min, delta=0.05)
-print(f"\ncomplexity {complexity.value:.4f} -> test-error bound {bound:.4f}")
+print(f"\ncomplexity {complexity:.4f} -> test-error bound {bound:.4f}")
 
 table = kc_scores_all(g, labels)
 top_edge = table.sorted_edges()[0]

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .dist import score_distribution, write_distribution_csv
-from .errors import ConfigError, InputError, KcesError, NumericError
+from .errors import ConfigError, InputError, NumericError
 from .gnn import (
     TrainConfig,
     evaluate_classifier,
@@ -249,21 +249,15 @@ def cmd_sweep(args):
             raise ConfigError(f"repeated {name}: {', '.join(map(str, given))}")
     k = args.k if args.k is not None else int(np.unique(g.labels).size)
 
-    # Every seed's labels first, then one scoring run for all of them.
-    # Errors surface in the per-seed order: a seed's labelling or scoring
-    # error is raised only once the seeds before it have trained.
-    label_sets, late = [], None
-    for seed in seeds:
-        try:
-            pseudo = kmeans_pseudo_labels(g, k, seed, restarts=args.restarts)
-            label_sets.append(encode_labels(pseudo))
-        except KcesError as exc:
-            late = exc
-            break
+    # Every seed's labels, then one scoring run for all of them, then
+    # training: the first labelling or scoring error stops the sweep
+    # before any seed trains.
+    label_sets = [
+        encode_labels(kmeans_pseudo_labels(g, k, seed, restarts=args.restarts))
+        for seed in seeds
+    ]
     rows = []
     for seed, table in zip(seeds, _kc_scores_each(g, label_sets)):
-        if isinstance(table, KcesError):
-            raise table
         split = make_split(g.n_nodes, seed if args.split_seed is None else args.split_seed)
         cfg = TrainConfig(m=args.m, steps=args.steps, eta=args.eta, kappa=args.kappa, seed=seed)
         for strategy in strategies:
@@ -275,8 +269,6 @@ def cmd_sweep(args):
             reports = evaluate_classifiers(pruned, g.labels, split, cfg)
             for alpha, report in zip(SWEEP_ALPHAS, reports):
                 rows.append((strategy, alpha, seed, report.test_accuracy))
-    if late is not None:
-        raise late
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
 
     lines = ["strategy,alpha,seed,test_accuracy"]

@@ -43,7 +43,7 @@ from .errors import (
     KcesWarning,
 )
 from .graph import AggregatedFeatures, Graph, aggregate_features, format_float, seed_key, whole_ids
-from .kernel import GramMatrix, GkcValue, arccos_kernel
+from .kernel import GramMatrix, arccos_kernel
 
 
 @dataclass(frozen=True)
@@ -272,7 +272,7 @@ def write_trace_csv(trace: TrainTrace, path, prediction=None) -> None:
 
 def generalization_bound(gkc_value, n: int, lambda0: float, delta: float, constant: float = 1.0):
     """Generalization bound sqrt(GKC) + C * sqrt(log(n / (lambda0 delta)) / n)."""
-    value = gkc_value.value if isinstance(gkc_value, GkcValue) else float(gkc_value)
+    value = float(gkc_value)
     if value < 0.0:
         raise ConfigError(f"complexity must be non-negative, got {value}")
     if n < 1:

@@ -40,11 +40,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def whole_ids(values, what: str) -> np.ndarray:
     """``values`` as an int64 array: node ids or class labels.
 
-    A cast alone would truncate 1.9 to 1 and wrap 1e30, so a float that
-    is not a whole number below 2**63 in magnitude is an InputError
-    naming the first such value.
+    Values must be bool, integer or float; any other dtype (text, None)
+    is an InputError.  A cast alone would truncate 1.9 to 1 and wrap
+    1e30, so a float that is not a whole number below 2**63 in magnitude
+    is an InputError naming the first such value.
     """
     a = np.asarray(values)
+    if a.dtype.kind not in "biuf":
+        raise InputError(f"{what}: values of dtype {a.dtype} are not whole numbers")
     if a.dtype.kind == "f":
         bad = ~(np.isfinite(a) & (a == np.trunc(a)) & (np.abs(a) < 2.0**63))
         if bad.any():

@@ -7,7 +7,8 @@ recomputes one edge from scratch as the reference.  ``kc_scores_all``
 is the one-set case of a private routine that scores a graph under
 several label sets at once, as the sweep does for its seeds: the labels
 enter only through a few solves, so the Gram matrix, the blocks and each
-edge's route and factorization are built once per graph.
+edge's route and factorization are built once per graph.  That routine
+raises the first error any set meets.
 
 Two routes compute a score.  Both rest on one fact: a single removal only
 touches the aggregated rows of the closed neighborhoods of u and v.  The
@@ -68,7 +69,6 @@ from .errors import (
     DegenerateFeatureError,
     GraphFormatError,
     InputError,
-    KcesError,
     NumericError,
 )
 from .graph import (
@@ -225,28 +225,12 @@ class _LabelRun:
 
     Holds the label matrix, its base complexity ``base_gkc``, the solved
     columns ``z`` = H^-1 y with ``quad`` = y^T z, ``l_inv_y`` = L^-1 y
-    and each edge's ``gkc_removed``.  ``error`` keeps the first error the
-    set met; the run skips a failed set from then on, so the error is
-    the one scoring this set alone would raise.
+    and each edge's ``gkc_removed``.
     """
 
     def __init__(self, labels: LabelMatrix, n_edges: int):
         self.labels = labels
         self.gkc_removed = np.empty(n_edges)
-        self.error = None
-
-    def complexity(self, gm) -> float:
-        """GKC of gm under these labels, or NaN, with the error kept,
-        when the solve fails."""
-        try:
-            return gkc(gm, self.labels).value
-        except KcesError as exc:
-            self.error = exc
-            return float("nan")
-
-
-def _live(runs) -> list:
-    return [run for run in runs if run.error is None]
 
 
 class _ScoreCache:
@@ -270,7 +254,7 @@ class _ScoreCache:
         self.gm = gram_matrix(self.xt)
         self.patcher = GramPatcher(self.gm)
         for run in runs:
-            run.base_gkc = run.complexity(self.gm)
+            run.base_gkc = gkc(self.gm, run.labels)
         self.weights = 1.0 / np.sqrt(g.degrees.astype(np.float64))
         # Sum_{j in closed nbhd(k)} X_j / sqrt(d_j), recoverable from the
         # stored rows and their pre-normalization norms.
@@ -284,12 +268,12 @@ class _ScoreCache:
         l_inv, info = lapack.dtrtri(self.gm.chol_lower, lower=1)
         if info != 0:
             raise NumericError("Cholesky factor of the Gram matrix is singular")
-        for run in _live(runs):
+        for run in runs:
             run.l_inv_y = blas.dtrmm(1.0, l_inv, run.labels.columns, lower=1)
         pad = -g.n_nodes % PRODUCT_ROWS
         self.l_inv = np.pad(l_inv, (0, pad)) if pad else l_inv
         self.l_inv.setflags(write=False)
-        for run in _live(runs):
+        for run in runs:
             run.z = self.gm.solve_factored(run.labels.columns)
             run.quad = np.einsum("nc,nc->c", run.labels.columns, run.z)
 
@@ -312,7 +296,7 @@ def kc_score_naive(g: Graph, labels: LabelMatrix, u: int, v: int) -> float:
     """
     base = gram_matrix(aggregate_features(g))
     removed = gram_matrix(_removed_rows(g, u, v), base.ridge)
-    return abs(gkc(base, labels).value - gkc(removed, labels).value)
+    return abs(gkc(base, labels) - gkc(removed, labels))
 
 
 def _replay_rows(cache: _ScoreCache, g: Graph, s, eu, ev, side):
@@ -440,8 +424,8 @@ def _blocks(g: Graph):
 
 
 def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, runs, fast):
-    """Fill ``fast`` and each live run's ``gkc_removed`` for the edges of
-    one block, in order."""
+    """Fill ``fast`` and each run's ``gkc_removed`` for the edges of one
+    block, in order."""
     n = g.n_nodes
     h = cache.gm.h
     # (a) row replay, (b) kernel columns against the base rows, (c) one
@@ -475,7 +459,7 @@ def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, runs, fast):
     if cache.l_inv.shape[0] > n:
         m = np.pad(m, ((0, cache.l_inv.shape[0] - n), (0, 0)))
     y = blas.dtrmm(1.0, cache.l_inv, m, lower=1, overwrite_b=1)[:n]
-    mt_z = {run: blas.dgemm(1.0, y, run.l_inv_y, trans_a=1) for run in _live(runs)}
+    mt_z = [blas.dgemm(1.0, y, run.l_inv_y, trans_a=1) for run in runs]
 
     # (d) per-edge capacitance C~^-1 + V^T V (see the module docstring).
     # With V = [Y~_e, L^-1[:, s]], one syrk gives m~^T H^-1 m~,
@@ -484,9 +468,6 @@ def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, runs, fast):
     # its own right-hand side.
     j = 0
     for pos, (u, v) in enumerate(g.edges[blk.rows].tolist(), start=blk.rows.start):
-        live = _live(runs)
-        if not live:
-            return
         if blk.small[pos - blk.rows.start]:
             a, b = blk.spans[j]
             b_true, b_shared = true[j], shared[j]
@@ -512,10 +493,10 @@ def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, runs, fast):
             corner = b_shared + b_shared.T
             corner -= b_true
             cap[:ns, :ns] += corner
-            wt_z = [np.concatenate((mt_z[run][c], run.z[s])) for run in live]
+            wt_z = [np.concatenate((mt[c], run.z[s])) for run, mt in zip(runs, mt_z)]
             solved = _solve_capacitance(cap, wt_z)
             if solved is not None:
-                for run, rhs, x in zip(live, wt_z, solved):
+                for run, rhs, x in zip(runs, wt_z, solved):
                     correction = np.einsum("kc,kc->c", rhs, x)
                     run.gkc_removed[pos] = 2.0 * (run.quad - correction).sum() / n
                 fast[pos] = True
@@ -523,8 +504,8 @@ def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, runs, fast):
         # Naive route; only the rows of the closed neighborhoods of u and
         # v change.
         gm = cache.patcher.gram(_removed_rows(g, u, v), affected_nodes(g, u, v))
-        for run in live:
-            run.gkc_removed[pos] = run.complexity(gm)
+        for run in runs:
+            run.gkc_removed[pos] = gkc(gm, run.labels)
 
 
 def _solve_capacitance(cap, rhs):
@@ -560,33 +541,22 @@ def _kc_scores_each(g: Graph, label_sets) -> list:
     """Score every edge of g once for each label matrix in ``label_sets``.
 
     Entry i is the table ``kc_scores_all(g, label_sets[i])`` returns, to
-    the bit, or the error it raises.  What does not depend on the labels
-    is done once: the Gram matrix, its factor and inverse, each block's
-    kernel columns, and each edge's route with its capacitance
-    factorization or its naive rebuild.  Each label set adds its own
-    solves, one product per block and one small solve per fast edge, so
-    every edge takes one route for every set.  A set that fails drops
-    out, and the others go on.
+    the bit.  What does not depend on the labels is done once: the Gram
+    matrix, its factor and inverse, each block's kernel columns, and each
+    edge's route with its capacitance factorization or its naive rebuild.
+    Each label set adds its own solves, one product per block and one
+    small solve per fast edge, so every edge takes one route for every
+    set.  The first error any set meets is raised.
     """
+    if g.n_edges == 0:
+        raise ConfigError("cannot score a graph with no edges")
+    if any(labels.columns.shape[0] != g.n_nodes for labels in label_sets):
+        raise InputError("label matrix does not match graph size")
     runs = [_LabelRun(labels, g.n_edges) for labels in label_sets]
     fast = np.zeros(g.n_edges, dtype=bool)
-    try:
-        if g.n_edges == 0:
-            raise ConfigError("cannot score a graph with no edges")
-        for run in runs:
-            if run.labels.columns.shape[0] != g.n_nodes:
-                run.error = InputError("label matrix does not match graph size")
-        if _live(runs):
-            cache = _ScoreCache(g, _live(runs))
-            for blk in _blocks(g):
-                if not _live(runs):
-                    break
-                _score_block(cache, g, blk, runs, fast)
-    except KcesError as exc:
-        # An error that does not depend on the labels is the first error
-        # of every set still live.
-        for run in _live(runs):
-            run.error = exc
+    cache = _ScoreCache(g, runs)
+    for blk in _blocks(g):
+        _score_block(cache, g, blk, runs, fast)
     return [
         KcScoreTable(
             edges=g.edges,
@@ -595,8 +565,6 @@ def _kc_scores_each(g: Graph, label_sets) -> list:
             fast=fast,
             base_gkc=run.base_gkc,
         )
-        if run.error is None
-        else run.error
         for run in runs
     ]
 
@@ -608,7 +576,4 @@ def kc_scores_all(g: Graph, labels: LabelMatrix) -> KcScoreTable:
     ``fast`` flag is False.  This is the one-set case of
     ``_kc_scores_each``.
     """
-    (table,) = _kc_scores_each(g, [labels])
-    if isinstance(table, KcesError):
-        raise table
-    return table
+    return _kc_scores_each(g, [labels])[0]

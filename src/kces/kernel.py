@@ -32,7 +32,6 @@ computes, to the bit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -279,28 +278,16 @@ def solve_spd(gm: GramMatrix, rhs: np.ndarray) -> np.ndarray:
     return z
 
 
-@dataclass(frozen=True)
-class GkcValue:
-    """GKC total, its per-column contributions, and the ridge flag."""
-
-    value: float
-    per_column: tuple
-    ridge_used: bool
-
-
-def gkc(gm: GramMatrix, labels: LabelMatrix) -> GkcValue:
+def gkc(gm: GramMatrix, labels: LabelMatrix) -> float:
     """Label-norm complexity 2 y^T H^{-1} y / N summed over label columns."""
     if labels.columns.shape[0] != gm.n:
         raise InputError(
             f"labels have {labels.columns.shape[0]} rows, Gram matrix has {gm.n}"
         )
     z = solve_spd(gm, labels.columns)
-    per_column = tuple(
-        float(2.0 * (labels.columns[:, c] @ z[:, c]) / gm.n)
-        for c in range(labels.columns.shape[1])
-    )
-    return GkcValue(
-        value=float(sum(per_column)),
-        per_column=per_column,
-        ridge_used=gm.ridge > 0.0,
+    return float(
+        sum(
+            float(2.0 * (labels.columns[:, c] @ z[:, c]) / gm.n)
+            for c in range(labels.columns.shape[1])
+        )
     )

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import BudgetError, ConfigError, InputError
 from .graph import Graph, seed_key, whole_ids, with_edges
 
+
 def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
@@ -34,10 +35,6 @@ class PerturbationRecord:
                 fh.write(f"-\t{u}\t{v}\n")
 
 
-def _canonical(u: int, v: int) -> tuple:
-    return (u, v) if u < v else (v, u)
-
-
 def _nonedge_pool(g: Graph, label_filter=None) -> np.ndarray:
     """All non-edges (u, v) with u < v, optionally only cross-label pairs."""
     n = g.n_nodes
@@ -54,16 +51,27 @@ def _nonedge_pool(g: Graph, label_filter=None) -> np.ndarray:
     return np.column_stack([u[keep], v[keep]])
 
 
-def _sample_rows(pool: np.ndarray, count: int, rng, what: str) -> list:
-    """Uniform ``count``-subset of pool rows, as a list of tuples."""
+def _sample_rows(pool: np.ndarray, count: int, rng, what: str) -> np.ndarray:
+    """Uniform ``count``-subset of pool rows."""
     if count > pool.shape[0]:
         raise BudgetError(
             f"need {count} {what} but only {pool.shape[0]} are available"
         )
     if count == 0:
-        return []
-    idx = rng.choice(pool.shape[0], size=count, replace=False)
-    return [tuple(int(x) for x in pool[i]) for i in idx]
+        return pool[:0]
+    return pool[rng.choice(pool.shape[0], size=count, replace=False)]
+
+
+def _attacked(g: Graph, added: np.ndarray, removed_rows: np.ndarray):
+    """g without the edges ``g.edges[removed_rows]`` and with the non-edges
+    ``added``, and the record of both."""
+    keep = np.ones(g.n_edges, dtype=bool)
+    keep[removed_rows] = False
+    record = PerturbationRecord(
+        added=tuple(sorted(map(tuple, added.tolist()))),
+        removed=tuple(sorted(map(tuple, g.edges[removed_rows].tolist()))),
+    )
+    return with_edges(g, np.concatenate([g.edges[keep], added])), record
 
 
 def random_attack(
@@ -88,13 +96,8 @@ def random_attack(
 
     rng = np.random.default_rng(seed_key(seed, 0xA77))
     added = _sample_rows(_nonedge_pool(g), n_add, rng, "non-edges")
-    removed_idx = (
-        rng.choice(g.n_edges, size=n_remove, replace=False) if n_remove else []
-    )
-    removed = [tuple(int(x) for x in g.edges[i]) for i in removed_idx]
-
-    record = PerturbationRecord(added=tuple(sorted(added)), removed=tuple(sorted(removed)))
-    return _apply_record(g, record), record
+    removed = _sample_rows(np.arange(g.n_edges), n_remove, rng, "edges")
+    return _attacked(g, added, removed)
 
 
 def dice_attack(g: Graph, labels, budget_ratio: float, seed: int):
@@ -113,38 +116,15 @@ def dice_attack(g: Graph, labels, budget_ratio: float, seed: int):
     n_add = (budget + 1) // 2
     n_remove = budget - n_add
 
-    same_edges = [
-        (int(u), int(v)) for u, v in g.edges.tolist() if lab[u] == lab[v]
-    ]
-    if n_remove > len(same_edges):
+    same = np.flatnonzero(lab[g.edges[:, 0]] == lab[g.edges[:, 1]])
+    if n_remove > same.size:
         raise BudgetError(
-            f"need {n_remove} same-label edges to delete, have {len(same_edges)}"
+            f"need {n_remove} same-label edges to delete, have {same.size}"
         )
 
     rng = np.random.default_rng(seed_key(seed, 0xD1CE))
     added = _sample_rows(
         _nonedge_pool(g, label_filter=lab), n_add, rng, "cross-label non-edges"
     )
-    removed_idx = (
-        rng.choice(len(same_edges), size=n_remove, replace=False)
-        if n_remove
-        else []
-    )
-    removed = [same_edges[i] for i in removed_idx]
-
-    record = PerturbationRecord(added=tuple(sorted(added)), removed=tuple(sorted(removed)))
-    return _apply_record(g, record), record
-
-
-def _apply_record(g: Graph, record: PerturbationRecord) -> Graph:
-    """Replay a record: remove its removed edges, insert its added ones."""
-    edge_set = set(g.edge_set())
-    for e in record.removed:
-        if _canonical(*e) not in edge_set:
-            raise InputError(f"record removes edge {e} not present in graph")
-        edge_set.discard(_canonical(*e))
-    for e in record.added:
-        if _canonical(*e) in edge_set:
-            raise InputError(f"record adds edge {e} already in graph")
-        edge_set.add(_canonical(*e))
-    return with_edges(g, sorted(edge_set))
+    removed = _sample_rows(same, n_remove, rng, "same-label edges")
+    return _attacked(g, added, removed)

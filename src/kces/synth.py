@@ -12,6 +12,9 @@ import numpy as np
 from .errors import ConfigError
 from .graph import Graph, seed_key
 
+#: Samples ``random_graph`` draws before it gives up.
+MAX_TRIES = 200
+
 
 def sbm_edges(block_sizes, p_in: float, p_out: float, rng) -> np.ndarray:
     """Sample undirected stochastic-block-model edges.
@@ -103,11 +106,9 @@ def random_graph(
     edge_prob: float,
     n_features: int,
     seed: int,
-    ensure_edge: bool = True,
     avoid_twins: bool = False,
-    max_tries: int = 200,
 ) -> Graph:
-    """Erdos-Renyi graph with standard-normal features.
+    """Erdos-Renyi graph with standard-normal features and at least one edge.
 
     With ``avoid_twins`` the sample is rejected until neither the graph
     nor any single-edge removal contains coinciding closed neighborhoods,
@@ -116,16 +117,16 @@ def random_graph(
     """
     rng = np.random.default_rng(seed_key(seed, 0xE5))
     u, v = np.triu_indices(n, k=1)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         keep = rng.random(u.shape[0]) < edge_prob
         edges = np.column_stack([u[keep], v[keep]])
-        if ensure_edge and edges.shape[0] == 0:
+        if edges.shape[0] == 0:
             continue
         if avoid_twins and _has_twin_structure(n, edges.tolist()):
             continue
         x = rng.standard_normal((n, n_features))
         return Graph(x, edges)
     raise ConfigError(
-        f"could not sample an acceptable graph in {max_tries} tries "
+        f"could not sample an acceptable graph in {MAX_TRIES} tries "
         f"(n={n}, p={edge_prob})"
     )

@@ -13,14 +13,14 @@ import pytest
 
 from helpers import OracleDivergence, oracle_evaluate
 
-from kces import kcscore
+from kces import gnn, kcscore
 from kces.cli import SWEEP_ALPHAS, main
 from kces.errors import IllConditionedError, KcesWarning
 from kces.gnn import TrainConfig, make_split, write_trace_csv
 from kces.graph import format_float, load_graph, write_edge_tsv, write_features_csv, write_labels
 from kces.kcscore import kc_scores_all
-from kces.manifest import load_manifest, sha256_file, verify_outputs
-from kces.perturb import PerturbationRecord, _apply_record
+from kces.manifest import load_manifest, verify_outputs
+from kces.perturb import PerturbationRecord
 from kces.pseudolabel import encode_labels, kmeans_pseudo_labels
 from kces.sanitize import PruneConfig, apply_prune, select_edges
 from kces.synth import make_sbm_benchmark
@@ -321,7 +321,8 @@ def test_attack_record_replays(tmp_path, graph_files):
     )
     clean = load_graph(graph_files["edges"], graph_files["features"])
     attacked = load_graph(str(out), graph_files["features"])
-    assert _apply_record(clean, record).edge_set() == attacked.edge_set()
+    assert set(record.removed) <= clean.edge_set()
+    assert (clean.edge_set() - set(record.removed)) | set(record.added) == attacked.edge_set()
 
     rc = main(
         [
@@ -495,9 +496,10 @@ def test_sweep_factors_each_edge_once_for_all_seeds(tmp_path, graph_files, monke
     assert calls["dtrmm"] == alone["dtrmm"] + 2 * k
 
 
-def test_sweep_raises_the_per_seed_loops_scoring_error(tmp_path, capsys):
+def test_sweep_raises_the_per_seed_loops_scoring_error(tmp_path, capsys, monkeypatch):
     # removing (0, 1) makes nodes 1 and 70 near-twins; the removal's solve
-    # fails its residual check under seed 0's pseudo-labels only
+    # fails its residual check under seed 0's pseudo-labels only; the
+    # sweep stops before any seed trains, in either seed order
     g = make_sbm_benchmark(seed=110, n=110, p_in=8 / 110, p_out=1 / 110)
     write_edge_tsv(g, tmp_path / "edges.tsv")
     write_features_csv(g, tmp_path / "features.csv")
@@ -508,6 +510,14 @@ def test_sweep_raises_the_per_seed_loops_scoring_error(tmp_path, capsys):
         with pytest.raises(IllConditionedError) as info:
             kc_scores_all(g, encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot"))
     capsys.readouterr()
+    descents = []
+    descend = gnn._descend
+
+    def counting_descend(*args):
+        descents.append(1)
+        return descend(*args)
+
+    monkeypatch.setattr(gnn, "_descend", counting_descend)
     out = tmp_path / "sweep.csv"
     for seeds in ("0,1", "1,0"):
         rc = main(
@@ -527,6 +537,7 @@ def test_sweep_raises_the_per_seed_loops_scoring_error(tmp_path, capsys):
         assert rc == 3, seeds
         assert capsys.readouterr().err == f"kces: numeric error: {info.value}\n"
         assert not out.exists()
+        assert len(descents) == 0, seeds
 
 
 def test_dist_exports_one_csv_per_variant(tmp_path, graph_files):

@@ -40,7 +40,7 @@ from kces.gnn import (
     write_trace_csv,
 )
 from kces.graph import Graph, aggregate_features
-from kces.kernel import GkcValue, gram_matrix
+from kces.kernel import gram_matrix
 from kces.synth import random_graph
 
 
@@ -300,8 +300,6 @@ def test_generalization_bound_closed_form():
     assert generalization_bound(0.04, 100, 0.1, 0.05, constant=2.0) == pytest.approx(
         0.8293961408377439, rel=1e-12
     )
-    wrapped = GkcValue(value=0.04, per_column=(0.04,), ridge_used=False)
-    assert generalization_bound(wrapped, 100, 0.1, 0.05) == generalization_bound(0.04, 100, 0.1, 0.05)
     assert edge_bound(0.04, 0.09, 100, 0.1, 0.05) == pytest.approx(
         generalization_bound(0.04, 100, 0.1, 0.05) + 0.3, rel=1e-12
     )

@@ -125,6 +125,24 @@ def test_non_whole_ids_are_refused_not_truncated(build, what):
     assert g.edges.tolist() == [[0, 2]] and g.labels.tolist() == [1, 0, 1]
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: Graph(np.eye(2), [(bad, 1)]),
+        lambda bad: Graph(np.eye(2), [], labels=[bad, 1]),
+        lambda bad: dice_attack(_TEN, [bad] + [0] * 9, 0.5, seed=0),
+        lambda bad: evaluate_classifier(
+            _TEN, [bad] + [0] * 9, make_split(10, 0, train_frac=0.5), TrainConfig(m=4, steps=1)
+        ),
+    ],
+    ids=["graph-edges", "graph-labels", "dice-attack", "evaluate-classifier"],
+)
+def test_non_numeric_ids_raise_input_error(build):
+    for bad, dtype in (("a", "<U21"), (None, "object")):
+        with pytest.raises(InputError, match=rf": values of dtype {dtype} are not whole numbers$"):
+            build(bad)
+
+
 def test_edges_are_canonical_and_sorted():
     g = Graph(features=np.eye(4), edges=[(3, 1), (2, 0), (1, 0)])
     assert g.edges.tolist() == [[0, 1], [0, 2], [1, 3]]

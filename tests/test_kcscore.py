@@ -682,18 +682,20 @@ def test_sparse_benchmark_graph_matches_the_naive_reference_on_every_edge():
 def test_each_label_set_gets_the_table_it_gets_alone():
     g = _sparse_sbm_204()
     sets = [encode_labels(kmeans_pseudo_labels(g, 2, seed), "one-hot") for seed in range(3)]
-    sets.append(encode_labels(np.zeros(g.n_nodes + 1, dtype=np.int64), "one-hot"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", KcesWarning)
         each = kcscore._kc_scores_each(g, sets)
         assert (~each[0].fast).sum() > 0
-        for lm, table in zip(sets[:3], each):
+        for lm, table in zip(sets, each):
             alone = kc_scores_all(g, lm)
             for field in ("edges", "scores", "gkc_removed", "fast"):
                 assert getattr(table, field).tobytes() == getattr(alone, field).tobytes()
             assert table.base_gkc == alone.base_gkc
-    assert isinstance(each[3], InputError)
-    assert kcscore._kc_scores_each(g, []) == []
+        # one mismatched set stops the whole call
+        mismatched = encode_labels(np.zeros(g.n_nodes + 1, dtype=np.int64), "one-hot")
+        with pytest.raises(InputError, match="does not match graph size"):
+            kcscore._kc_scores_each(g, sets + [mismatched])
+        assert kcscore._kc_scores_each(g, []) == []
 
 
 def _timed_fast_and_naive(g, lm):

@@ -1,4 +1,5 @@
-"""The package surface the benchmark scripts rely on."""
+"""The package surface the benchmark scripts rely on, and the imports
+nothing reads."""
 
 import ast
 import importlib
@@ -10,7 +11,8 @@ import kces
 from kces.pseudolabel import encode_labels, kmeans_pseudo_labels
 from kces.synth import make_sbm_benchmark
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = ROOT / "benchmarks"
 
 
 def test_benchmark_imports_are_public():
@@ -33,3 +35,23 @@ def test_benchmark_imports_are_public():
     columns = encode_labels(pseudo, "one-hot").columns
     assert np.array_equal(columns, encode_labels(pseudo).columns)
     assert columns.shape == (40, 2) and (columns.sum(axis=1) == 1.0).all()
+
+
+def test_no_unused_module_imports():
+    # a module-level import that nothing in its module reads
+    unused = []
+    for folder in ("src/kces", "tests", "demos"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in tree.body:
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = (alias.asname or alias.name).split(".")[0]
+                        if name not in read:
+                            unused.append(f"{folder}/{path.name}: {name}")
+    assert unused == []
