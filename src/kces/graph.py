@@ -40,12 +40,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def whole_ids(values, what: str) -> np.ndarray:
     """``values`` as an int64 array: node ids or class labels.
 
-    Values must be bool, integer or float; any other dtype (text, None)
-    is an InputError.  A cast alone would truncate 1.9 to 1 and wrap
-    1e30, so a float that is not a whole number below 2**63 in magnitude
-    is an InputError naming the first such value.
+    Values must be bool, integer or float, in a regular array; any other
+    dtype (text, None) or a ragged nesting is an InputError.  A cast alone
+    would truncate 1.9 to 1 and wrap 1e30, so a float that is not a whole
+    number below 2**63 in magnitude is an InputError naming the first
+    such value.
     """
-    a = np.asarray(values)
+    try:
+        a = np.asarray(values)
+    except ValueError:
+        raise InputError(f"{what}: values of ragged shape are not an array") from None
     if a.dtype.kind not in "biuf":
         raise InputError(f"{what}: values of dtype {a.dtype} are not whole numbers")
     if a.dtype.kind == "f":

@@ -36,17 +36,20 @@ and with z = H^-1 y the Woodbury identity gives
     y^T H_e^-1 y = y^T z - (W~^T z)^T (C~^-1 + W~^T H^-1 W~)^-1 (W~^T z),
 
 where W~^T z = [M~_e^T z; z[s]].  The route walks ``g.edges`` in
-consecutive blocks of ``BLOCK_EDGES``.  For each block it replays the new
-row of each distinct key, (k, u), (k, v) or an endpoint or common
-neighbor of one edge, builds those kernel columns M~ with one product
-and one kernel map, and overwrites M~ with Y~ = L^-1 M~ in one
-triangular product, so each shared column is built once per block.  Per
-edge, b comes from the inner products of its own new rows, and with
-V = [Y~_e, L^-1[:, s]] the capacitance matrix is C~^-1 + V^T V, one
-symmetric rank-k product; it is factored, condition-estimated and
-solved with LAPACK's symmetric indefinite routines.  The partition
-depends on the edge list alone, so every score is the same however the
-caller is configured.  A ridged base changes nothing here: its removals
+consecutive blocks of ``BLOCK_EDGES``.  A block needs one kernel column
+per distinct key: (k, u), (k, v), or an endpoint or common neighbor of
+one edge.  A pool keeps the columns Y~ = L^-1 M~, with their M~^T z,
+across blocks: a shared key's column stays until its last use, and when
+more than N columns would stay between blocks, those whose next use is
+farthest ahead are dropped first.  Each block replays the new row of
+every key, and builds the columns the pool lacks with one product, one
+kernel map and one triangular product.  Per edge, b and b~ come from
+the inner products of its new rows and of its base rows against them,
+and with V = [Y~_e, L^-1[:, s]] the capacitance matrix is C~^-1 + V^T
+V, one symmetric rank-k product; it is factored, condition-estimated
+and solved with LAPACK's symmetric indefinite routines.  The partition
+and the pool's schedule depend on the edge list alone, so every score
+is the same however the caller is configured.  A ridged base changes nothing here: its removals
 are scored under its ridge, so the update is exact against the factor
 of H + ridge I.  An edge goes to the naive route when its affected set
 covers half the graph, or when its capacitance system is not finite,
@@ -90,17 +93,27 @@ from .pseudolabel import LabelMatrix
 #: the naive one by more than 1e-8 relative (by 1.1e-8 to 0.47) was among
 #: those last.
 CAPACITANCE_COND_LIMIT = 1e6
-#: Edges per fast-route block.  On ``dense-sbm-1000`` seeds 0-4 (15 s runs
-#: of ``benchmarks/run.py``, 2-vCPU AMD EPYC) blocks of 32 built 4% fewer
-#: kernel columns than 16 but were no faster (median ``pipeline_s`` 1.70
-#: against 1.65 s) and peaked at 112.3 MB RSS against 104.7 MB.
+#: Edges per fast-route block.  With the kernel-column pool, on
+#: ``dense-sbm-1000`` seeds 0-7 (25 s runs of ``benchmarks/run.py``, the
+#: three sizes in rotating order, 2-vCPU AMD EPYC), blocks of 8, 16 and 32
+#: edges built 43,721, 43,646 and 43,487 kernel columns on seed 0 and
+#: took a median ``pipeline_s`` of 1.33, 1.26 and 1.23 s.  32 beat 16 on
+#: 5 of the 8 seeds only, and its wider pool tail peaked at 110.6 MB RSS
+#: against 106.0 MB.
 BLOCK_EDGES = 16
-#: Blocks whose kernel-column keys are assigned in one pass.  On a
-#: 1000-node SBM (5506 edges) the numpy memory that scoring holds peaked
-#: at 38.3 MB with every edge keyed at once and at 28.7 MB in passes of
-#: 16 blocks (30.9 MB before columns were shared); on a 200-node graph
-#: (1074 edges) passes of 16 and of 64 both key in 3.4 ms.
+#: Blocks whose kernel-column keys are assigned in one pass; a run keys
+#: its edges twice, once for the pool's schedule and once as it scores.
+#: With the pool, on ``dense-sbm-1000`` seed 0 (5506 edges) the numpy
+#: memory that scoring holds peaked at 40.1 MiB with every edge keyed at
+#: once, 29.6 MiB in passes of 64 blocks and 28.1 MiB in passes of 16;
+#: on the attacked 200-node graph of ``defense-sweep-200`` seed 0 (1074
+#: edges) both keyings took 2.9 ms in passes of 64 and 3.4 ms in passes
+#: of 16.
 KEY_PASS_BLOCKS = 16
+#: Kernel columns the fast route keeps between blocks, per node: the
+#: pool then takes the memory of the base's Cholesky factor, which the
+#: scoring run releases.
+_POOL_COLUMNS_PER_NODE = 1
 #: The blocks' triangular product runs on rows zero-padded to a multiple
 #: of this.  With OpenBLAS 0.3.30's Haswell kernels, a product whose row
 #: count is not a multiple of 8 rounds differently on one thread than on
@@ -236,13 +249,16 @@ class _LabelRun:
 class _ScoreCache:
     """Base-graph quantities shared by all per-edge evaluations.
 
-    Holds the aggregated rows, the Gram matrix with its ``patcher`` for
-    the naive route's rebuilds, the inverse of its lower Cholesky factor
-    ``l_inv`` (one triangular inversion, in place of an explicit H^-1),
-    the pre-normalization neighbor sums needed to replay aggregation on
-    the handful of rows an edge removal touches, and the solved
-    quantities of each label set's run; ``l_inv`` is zero-padded to a
-    multiple of ``PRODUCT_ROWS`` rows and columns.  A ridged base is
+    Holds the Gram matrix ``h`` with its ``patcher`` for the naive
+    route's rebuilds, the aggregated rows ``base_rows``, the inverse of
+    its lower Cholesky factor ``l_inv`` (one triangular inversion, in
+    place of an explicit H^-1), the pre-normalization neighbor sums
+    needed to replay aggregation on the handful of rows an edge removal
+    touches, and the solved quantities of each label set's run;
+    ``base_rows`` and ``l_inv`` are zero-padded to a multiple of
+    ``PRODUCT_ROWS`` rows (and ``l_inv`` columns).  The factor itself is
+    released: once the base complexities and solves are done, nothing
+    reads it, so ``l_inv`` is built in its memory.  A ridged base is
     factored as H + ridge I and its removals are scored under the same
     ridge, so the fast-route fields come from that factor.  A cache
     scores one edge at a time: the patcher rebuilds every naive removal
@@ -250,32 +266,36 @@ class _ScoreCache:
     """
 
     def __init__(self, g: Graph, runs):
-        self.xt = aggregate_features(g)
-        self.gm = gram_matrix(self.xt)
-        self.patcher = GramPatcher(self.gm)
+        xt = aggregate_features(g)
+        gm = gram_matrix(xt)
+        self.h = gm.h
+        self.patcher = GramPatcher(gm)
         for run in runs:
-            run.base_gkc = gkc(self.gm, run.labels)
+            run.base_gkc = gkc(gm, run.labels)
+            run.z = gm.solve_factored(run.labels.columns)
+            run.quad = np.einsum("nc,nc->c", run.labels.columns, run.z)
         self.weights = 1.0 / np.sqrt(g.degrees.astype(np.float64))
         # Sum_{j in closed nbhd(k)} X_j / sqrt(d_j), recoverable from the
         # stored rows and their pre-normalization norms.
         self.neighbor_sums = (
-            self.xt.matrix
-            * self.xt.pre_norm_row_norms[:, None]
-            / self.weights[:, None]
+            xt.matrix * xt.pre_norm_row_norms[:, None] / self.weights[:, None]
         )
-        # The blocks read whole columns of l_inv, so its upper triangle
-        # must be zero: the factor's is, and dtrtri leaves it alone.
-        l_inv, info = lapack.dtrtri(self.gm.chol_lower, lower=1)
+        # Nothing reads the factor after this, so its inverse overwrites
+        # it (gram_matrix hands it over read-only).  The blocks read whole
+        # columns of l_inv, so its upper triangle must be zero: the
+        # factor's is, and dtrtri leaves it alone.
+        factor = gm.chol_lower
+        del gm
+        factor.setflags(write=True)
+        l_inv, info = lapack.dtrtri(factor, lower=1, overwrite_c=1)
         if info != 0:
             raise NumericError("Cholesky factor of the Gram matrix is singular")
         for run in runs:
             run.l_inv_y = blas.dtrmm(1.0, l_inv, run.labels.columns, lower=1)
         pad = -g.n_nodes % PRODUCT_ROWS
+        self.base_rows = np.pad(xt.matrix, ((0, pad), (0, 0)))
         self.l_inv = np.pad(l_inv, (0, pad)) if pad else l_inv
         self.l_inv.setflags(write=False)
-        for run in runs:
-            run.z = self.gm.solve_factored(run.labels.columns)
-            run.quad = np.einsum("nc,nc->c", run.labels.columns, run.z)
 
 
 def _removed_rows(g: Graph, u: int, v: int):
@@ -333,23 +353,114 @@ def _replay_rows(cache: _ScoreCache, g: Graph, s, eu, ev, side):
 
 
 @dataclass
-class _Block:
-    """The edges ``g.edges[rows]`` of one fast-route block and the kernel
-    columns they need.
+class _Pass:
+    """The kernel columns of ``KEY_PASS_BLOCKS`` blocks of edges.
 
-    ``small`` flags the edges whose affected set covers less than half the
-    graph; only those have columns.  ``spans`` holds each such edge's
-    range of affected rows, whose nodes are ``s`` (sorted per edge) and
-    whose kernel columns are ``col``, an index into the block's distinct
-    columns.  Column j is the new row of ``node[j]`` after removing edge
-    (``eu[j]``, ``ev[j]``), on that edge's ``side[j]``.
+    ``small`` flags the pass's edges whose affected set covers less than
+    half the graph; only those have columns.  The i-th small edge's
+    affected rows are ``s[indptr[i]:indptr[i + 1]]``, sorted, and ``col``
+    holds each row's column.  Column j belongs to the pass's block
+    ``block[j]``, and the columns of a block are consecutive.  It is the
+    new row of ``node[j]`` after removing edge (``eu[j]``, ``ev[j]``), on
+    that edge's ``side[j]``, and ``key[j]`` names it for the pool.
     """
 
+    small: np.ndarray
+    indptr: np.ndarray
+    s: np.ndarray
+    col: np.ndarray
+    block: np.ndarray
+    node: np.ndarray
+    eu: np.ndarray
+    ev: np.ndarray
+    side: np.ndarray
+    key: np.ndarray
+
+
+def _key_pass(g: Graph, lo: int) -> _Pass:
+    """Find the distinct kernel columns of each block of the edges from
+    ``lo`` on, ``KEY_PASS_BLOCKS`` blocks of them.
+
+    A node k in N(u) but not N[v] gets a new row that depends on (k, u)
+    alone when (u, v) is removed, and likewise for N(v) without N[u]; the
+    edges of a block that share such a key share its column, and the
+    key, ``k * N + u``, names the same column in every block.  An
+    endpoint or a common neighbor gets a column of its own edge, keyed
+    -1.  Keying a pass at a time bounds the bookkeeping however large
+    the graph.
+    """
+    n = g.n_nodes
+    edges = g.edges[lo : lo + KEY_PASS_BLOCKS * BLOCK_EDGES]
+    ne = edges.shape[0]
+    # Row e of hit is 1 on N[u] only, 2 on N[v] only and 3 on both.
+    pick = sp.csr_matrix(
+        (np.tile([1.0, 2.0], ne), edges.ravel(), np.arange(0, 2 * ne + 1, 2)),
+        shape=(ne, n),
+    )
+    hit = pick @ g.adjacency_with_self_loops()
+    hit.sort_indices()
+    small = 2 * np.diff(hit.indptr) < n
+    if not small.all():
+        hit = hit[small]
+    owner = np.repeat(np.flatnonzero(small), np.diff(hit.indptr))
+    s, side = hit.indices, hit.data
+    eu, ev = edges[owner, 0], edges[owner, 1]
+    block = owner // BLOCK_EDGES
+    key = np.where(
+        side == 3,
+        n * n + np.arange(s.size),
+        s.astype(np.int64) * n + np.where(side == 2, ev, eu),
+    )
+    # Sorted by block first, so each block's columns are consecutive.
+    _, first, col = np.unique(
+        key + block * (n * n + s.size), return_index=True, return_inverse=True
+    )
+    # Each column is replayed from the first row that takes it.
+    return _Pass(
+        small=small,
+        indptr=hit.indptr,
+        s=s,
+        col=col,
+        block=block[first],
+        node=s[first],
+        eu=eu[first],
+        ev=ev[first],
+        side=side[first],
+        key=np.where(side[first] == 3, -1, key[first]),
+    )
+
+
+def _pool_keys(g: Graph):
+    """Every column's pool key in run order, and each block's first
+    column, with one past the last."""
+    keys, sizes = [], [[0]]
+    for lo in range(0, g.n_edges, KEY_PASS_BLOCKS * BLOCK_EDGES):
+        part = _key_pass(g, lo)
+        keys.append(part.key)
+        sizes.append(np.bincount(part.block, minlength=-(-part.small.size // BLOCK_EDGES)))
+    return np.concatenate(keys), np.cumsum(np.concatenate(sizes))
+
+
+@dataclass
+class _Block:
+    """The edges ``g.edges[rows]`` of block ``index`` and the kernel
+    columns they need.
+
+    ``small`` flags the edges that have columns.  ``spans`` holds each
+    such edge's range of affected rows, from ``bounds``; the rows' nodes
+    are ``s`` and their columns ``col``, an index into the block's
+    columns.  Those are the run's columns ``cols``, with ``node``,
+    ``eu``, ``ev`` and ``side`` as in ``_Pass``.
+    """
+
+    index: int
     rows: slice
     small: np.ndarray
+    bounds: np.ndarray
     spans: list
     s: np.ndarray
     col: np.ndarray
+    cols: slice
     node: np.ndarray
     eu: np.ndarray
     ev: np.ndarray
@@ -357,109 +468,227 @@ class _Block:
 
 
 def _blocks(g: Graph):
-    """Split ``g.edges`` into consecutive blocks of ``BLOCK_EDGES``.
-
-    A node k in N(u) but not N[v] gets a new row that depends on (k, u)
-    alone when (u, v) is removed, and likewise for N(v) without N[u]; the
-    edges of a block that share such a key share its kernel column.  An
-    endpoint or a common neighbor gets a column of its own edge.  Keys
-    are assigned ``KEY_PASS_BLOCKS`` blocks at a time, which bounds the
-    bookkeeping however large the graph; the blocks are yielded in order.
-    """
-    n, adjacency = g.n_nodes, g.adjacency_with_self_loops()
+    """Split ``g.edges`` into consecutive blocks of ``BLOCK_EDGES``, keyed
+    ``KEY_PASS_BLOCKS`` at a time; the blocks are yielded in order."""
     per_pass = KEY_PASS_BLOCKS * BLOCK_EDGES
+    n_cols = 0
     for lo in range(0, g.n_edges, per_pass):
-        edges = g.edges[lo : lo + per_pass]
-        ne = edges.shape[0]
-        # Row e of hit is 1 on N[u] only, 2 on N[v] only and 3 on both.
-        pick = sp.csr_matrix(
-            (
-                np.repeat([1.0, 2.0], ne),
-                (np.tile(np.arange(ne), 2), edges.T.ravel()),
-            ),
-            shape=(ne, n),
-        )
-        hit = pick @ adjacency
-        hit.sort_indices()
-        small = 2 * np.diff(hit.indptr) < n
-        hit = hit[small]
-        edge_at = np.flatnonzero(small)
-        owner = np.repeat(edge_at, np.diff(hit.indptr))
-        s, side = hit.indices, hit.data
-        eu, ev = edges[owner, 0], edges[owner, 1]
-        block = owner // BLOCK_EDGES
-        # Keys sort by block first, so each block's columns are consecutive.
-        key = np.where(
-            side == 3,
-            n * n + np.arange(s.size),
-            s.astype(np.int64) * n + np.where(side == 2, ev, eu),
-        )
-        key += block * (n * n + s.size)
-        _, first, col = np.unique(key, return_index=True, return_inverse=True)
-
-        n_blocks = -(-ne // BLOCK_EDGES)
+        part = _key_pass(g, lo)
+        n_blocks = -(-part.small.size // BLOCK_EDGES)
         cuts = np.arange(n_blocks + 1)
-        col_cut = np.searchsorted(block[first], cuts).tolist()
-        edge_cut = np.searchsorted(edge_at, cuts * BLOCK_EDGES).tolist()
-        bounds = hit.indptr.tolist()
-        # Each column is replayed from the first row that takes it.
-        node, eu, ev, side = s[first], eu[first], ev[first], side[first]
+        col_cut = (np.searchsorted(part.block, cuts) + n_cols).tolist()
+        edge_cut = np.searchsorted(np.flatnonzero(part.small), cuts * BLOCK_EDGES)
         for i in range(n_blocks):
             j0, j1 = edge_cut[i], edge_cut[i + 1]
-            a0, a1 = bounds[j0], bounds[j1]
+            at = part.indptr[j0 : j1 + 1]
+            a0, a1 = at[0], at[-1]
+            at = at - a0
+            bounds = at.tolist()
             c0, c1 = col_cut[i], col_cut[i + 1]
-            at = [b - a0 for b in bounds[j0 : j1 + 1]]
             start = i * BLOCK_EDGES
             yield _Block(
+                index=lo // BLOCK_EDGES + i,
                 rows=slice(lo + start, lo + start + BLOCK_EDGES),
-                small=small[start : start + BLOCK_EDGES],
-                spans=list(zip(at[:-1], at[1:])),
-                s=s[a0:a1],
-                col=col[a0:a1] - c0,
-                node=node[c0:c1],
-                eu=eu[c0:c1],
-                ev=ev[c0:c1],
-                side=side[c0:c1],
+                small=part.small[start : start + BLOCK_EDGES],
+                bounds=at,
+                spans=list(zip(bounds[:-1], bounds[1:])),
+                s=part.s[a0:a1],
+                col=part.col[a0:a1] - (c0 - n_cols),
+                cols=slice(c0, c1),
+                node=part.node[c0 - n_cols : c1 - n_cols],
+                eu=part.eu[c0 - n_cols : c1 - n_cols],
+                ev=part.ev[c0 - n_cols : c1 - n_cols],
+                side=part.side[c0 - n_cols : c1 - n_cols],
             )
+        n_cols += part.key.size
 
 
-def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, runs, fast):
-    """Fill ``fast`` and each run's ``gkc_removed`` for the edges of one
-    block, in order."""
-    n = g.n_nodes
-    h = cache.gm.h
-    # (a) row replay, (b) kernel columns against the base rows, (c) one
-    # triangular product with L^-1.  Both dgemm operands are
-    # Fortran-ordered views of C-ordered arrays, so neither is copied, and
-    # the product comes out Fortran-ordered.
-    rows, norms = _replay_rows(cache, g, blk.node, blk.eu, blk.ev, blk.side)
-    m = arccos_kernel(blas.dgemm(1.0, cache.xt.matrix.T, rows.T, trans_a=1))
-    # h is exactly symmetric, so its rows are the columns, read contiguously.
-    m -= h[blk.node].T
+def _held(block, until, n_blocks):
+    """Columns held after each block, column j after blocks block[j] ..
+    until[j] - 1."""
+    change = np.bincount(block, minlength=n_blocks + 1)
+    change -= np.bincount(until, minlength=n_blocks + 1)
+    return np.cumsum(change)[:n_blocks]
 
-    # Each edge's true block b = m_e[s] takes the new rows on both sides,
-    # where its shared columns took the base rows.  The inner products of
-    # all the block's edges share one buffer and one kernel map, and each
-    # edge's b~ = m~_e[s] is gathered before the product overwrites m~.
-    # Both are exactly symmetric: the inner products are mirrored, the
-    # kernel map is entrywise and h is exactly symmetric.
-    buf = np.empty(sum((b - a) ** 2 for a, b in blk.spans))
+
+def _evict(block, until, live, over, cap):
+    """Cut ``until`` short for the columns evicted after each block in
+    ``over``, whose held count exceeds ``cap``, farthest next use first.
+
+    ``live`` lists the columns with a later use in block order.  The
+    pool has room before the first block of ``over`` and after the last,
+    so only the blocks between are walked.
+    """
+    starts = np.searchsorted(block[live], np.arange(over[-1] + 2))
+    held = live[: starts[over[0]]]
+    for t in range(over[0], over[-1] + 1):
+        held = np.concatenate((held[until[held] > t], live[starts[t] : starts[t + 1]]))
+        if held.size > cap:
+            # Keep the cap nearest next uses, the earliest held first on a
+            # tie: next uses past the (cap + 1)-th nearest go, and so do
+            # the ties with it that do not fit.
+            near = until[held]
+            edge = np.partition(near, cap)[cap]
+            far = near > edge
+            tied = np.flatnonzero(near == edge)
+            far[tied[cap - np.count_nonzero(near < edge) :]] = True
+            until[held[far]] = t
+
+
+def _schedule(key, col_cut, cap):
+    """The pool's plan for a run's columns (see ``_ColumnPool``).
+
+    Returns ``prev``, the column whose slot each column takes over (-1
+    for a column that must be built), ``move``, which built columns stay
+    after their block, the columns that free a main slot in the order
+    they do with each block's range ``drop_cut``, and the numbers of
+    main and of tail slots.
+    """
+    n_blocks = col_cut.size - 1
+    block = np.repeat(np.arange(n_blocks, dtype=np.int32), np.diff(col_cut))
+    keyed = np.flatnonzero(key >= 0).astype(np.int32)
+    order = keyed[np.argsort(key[keyed], kind="stable")]
+    again = key[order[1:]] == key[order[:-1]]
+    # Column here[i]'s key is next used by column there[i].
+    here, there = order[:-1][again], order[1:][again]
+    until = block.copy()
+    until[here] = block[there]
+    over = np.flatnonzero(_held(block, until, n_blocks) > cap)
+    if over.size:
+        _evict(block, until, np.sort(here), over, int(cap))
+    kept = until[here] == block[there]
+    prev = np.full(key.size, -1, dtype=np.int32)
+    prev[there[kept]] = here[kept]
+    new = prev < 0
+    move = new & (until > block)
+    # A column in a main slot that no later column takes over frees it
+    # after block until[j].
+    stays = np.zeros(key.size, dtype=bool)
+    stays[here[kept]] = True
+    drop = np.flatnonzero(~stays & (~new | move))
+    drop = drop[np.argsort(until[drop], kind="stable")]
+    drop_cut = np.searchsorted(until[drop], np.arange(n_blocks + 1))
+    main = int(_held(block, until, n_blocks).max(initial=0))
+    tail = int(np.bincount(block[new], minlength=1).max())
+    return prev, move, drop, drop_cut, main, tail
+
+
+class _ColumnPool:
+    """The Y~ = L^-1 M~ columns the fast route keeps across blocks, each
+    with its M~^T z rows for every label set.
+
+    The whole schedule is fixed up front from the columns' keys (see
+    ``_key_pass``), so it depends on the edge list and N alone.  A
+    column stays after its block while a later block has its key, and
+    is dropped at once when none has.  Between blocks the pool keeps at
+    most ``cap`` columns; past that, the columns whose next use is
+    farthest ahead go first, which builds the fewest columns for a
+    sequence known in advance (Belady, IBM Systems Journal 5(2), 1966).
+    Kept columns sit in the first ``main`` slots of ``y``.  A block
+    builds the columns the pool lacks in the slots after those, and the
+    ones it keeps then move into main slots that have been freed.
+    """
+
+    def __init__(self, key, col_cut, cap, n_rows, runs):
+        self.prev, self.move, self.drop, self.drop_cut, self.main, tail = _schedule(
+            key, col_cut, cap
+        )
+        self.free = np.arange(self.main)
+        self.slot = np.empty(key.size, dtype=np.int32)
+        self.y = np.empty((n_rows, self.main + tail), order="F")
+        self.mt_z = [
+            np.empty((self.main + tail, run.labels.columns.shape[1])) for run in runs
+        ]
+
+    def enter(self, blk: _Block):
+        """Slots of the block's columns, and which ones it must build."""
+        slot, prev = self.slot[blk.cols], self.prev[blk.cols]
+        # A new column's prev is -1, and its slot is set after.
+        slot[:] = self.slot[prev]
+        new = prev < 0
+        slot[new] = self.main + np.arange(np.count_nonzero(new))
+        return slot, new
+
+    def leave(self, blk: _Block):
+        """Free the slots the block's end releases and move its kept
+        columns into main slots."""
+        t = blk.index
+        freed = self.slot[self.drop[self.drop_cut[t] : self.drop_cut[t + 1]]]
+        if freed.size:
+            self.free = np.concatenate((self.free, freed))
+        slot = self.slot[blk.cols]
+        moved = np.flatnonzero(self.move[blk.cols])
+        if moved.size:
+            dst = self.free[self.free.size - moved.size :]
+            self.free = self.free[: self.free.size - moved.size]
+            src = slot[moved]
+            self.y[:, dst] = self.y[:, src]
+            for mt in self.mt_z:
+                mt[dst] = mt[src]
+            slot[moved] = dst
+
+
+def _corners(cache: _ScoreCache, blk: _Block, rows):
+    """Each small edge's true block b = m_e[s] and corner b~ = m~_e[s],
+    both without their h[s, s] term.
+
+    b takes the new rows on both sides, and b~ the base rows against the
+    new ones, so both come from one syrk over the edge's new rows and
+    its base rows, stacked.  They share one buffer and one kernel map,
+    and b is exactly symmetric: its inner products are mirrored and the
+    map is entrywise.
+    """
+    # Edge [a, b) stacks its new rows at 2a .. a+b and its base rows at
+    # a+b .. 2b.
+    sizes = np.diff(blk.bounds)
+    k = np.arange(blk.s.size)
+    stack = np.empty((2 * blk.s.size, rows.shape[1]))
+    stack[k + np.repeat(blk.bounds[:-1], sizes)] = rows[blk.col]
+    stack[k + np.repeat(blk.bounds[1:], sizes)] = cache.base_rows[blk.s]
+    buf = np.empty(2 * int(sizes @ sizes))
     true, shared = [], []
     end = 0
     for a, b in blk.spans:
-        s, c = blk.s[a:b], blk.col[a:b]
-        tri = blas.dsyrk(1.0, rows[c].T, trans=1, lower=1)
-        start, end = end, end + (b - a) ** 2
-        inner = buf[start:end].reshape(b - a, b - a)
-        np.add(tri, tri.T, out=inner)
+        ns = b - a
+        tri = blas.dsyrk(1.0, stack[2 * a : 2 * b].T, trans=1, lower=1)
+        start, mid, end = end, end + ns * ns, end + 2 * ns * ns
+        inner = buf[start:mid].reshape(ns, ns)
+        np.add(tri[:ns, :ns], tri[:ns, :ns].T, out=inner)
         np.fill_diagonal(inner, 1.0)
         true.append(inner)
-        shared.append(m[s[:, None], c])
+        outer = buf[mid:end].reshape(ns, ns)
+        outer[...] = tri[ns:, :ns]
+        shared.append(outer)
     arccos_kernel(buf)
-    if cache.l_inv.shape[0] > n:
-        m = np.pad(m, ((0, cache.l_inv.shape[0] - n), (0, 0)))
-    y = blas.dtrmm(1.0, cache.l_inv, m, lower=1, overwrite_b=1)[:n]
-    mt_z = [blas.dgemm(1.0, y, run.l_inv_y, trans_a=1) for run in runs]
+    return true, shared
+
+
+def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, runs, fast, pool):
+    """Fill ``fast`` and each run's ``gkc_removed`` for the edges of one
+    block, in order."""
+    n = g.n_nodes
+    h = cache.h
+    # (a) row replay of every column, then for the columns the pool
+    # lacks: (b) kernel columns against the base rows, (c) one triangular
+    # product with L^-1, both in place in the pool's slots after the kept
+    # ones.  The dgemm operands are Fortran-ordered views of C-ordered
+    # arrays.
+    rows, norms = _replay_rows(cache, g, blk.node, blk.eu, blk.ev, blk.side)
+    slot, new = pool.enter(blk)
+    if new.any():
+        built = pool.y[:, pool.main : pool.main + np.count_nonzero(new)]
+        blas.dgemm(1.0, cache.base_rows.T, rows[new].T, trans_a=1, c=built, overwrite_c=1)
+        arccos_kernel(built)
+        # h is exactly symmetric, so its rows are the columns, read contiguously.
+        built[:n] -= h[blk.node[new]].T
+        blas.dtrmm(1.0, cache.l_inv, built, lower=1, overwrite_b=1)
+        for run, mt in zip(runs, pool.mt_z):
+            mt[pool.main : pool.main + built.shape[1]] = blas.dgemm(
+                1.0, built[:n], run.l_inv_y, trans_a=1
+            )
+
+    true, shared = _corners(cache, blk, rows)
+    slots, y = slot[blk.col], pool.y[:n]
 
     # (d) per-edge capacitance C~^-1 + V^T V (see the module docstring).
     # With V = [Y~_e, L^-1[:, s]], one syrk gives m~^T H^-1 m~,
@@ -480,8 +709,9 @@ def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, runs, fast):
                     f"at node {int(s[np.argmax(bad)])}"
                 )
             ns = b - a
+            at_pool = slots[a:b]
             vv = np.empty((n, 2 * ns), order="F")
-            vv[:, :ns] = y[:, c]
+            vv[:, :ns] = y[:, at_pool]
             vv[:, ns:] = cache.l_inv[:n, s]
             # syrk fills the lower triangle of a zeroed array, so the
             # mirror below doubles nothing but the diagonal.
@@ -489,11 +719,15 @@ def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, runs, fast):
             low[ns:, :ns] += np.eye(ns)
             cap = low + low.T
             np.fill_diagonal(cap, np.diagonal(low))
-            b_true -= h[s[:, None], s]
+            # b~ and b both lack h[s, s], which b~ + b~^T - b subtracts once.
             corner = b_shared + b_shared.T
             corner -= b_true
+            corner -= h[s[:, None], s]
             cap[:ns, :ns] += corner
-            wt_z = [np.concatenate((mt[c], run.z[s])) for run, mt in zip(runs, mt_z)]
+            wt_z = [
+                np.concatenate((mt[at_pool], run.z[s]))
+                for run, mt in zip(runs, pool.mt_z)
+            ]
             solved = _solve_capacitance(cap, wt_z)
             if solved is not None:
                 for run, rhs, x in zip(runs, wt_z, solved):
@@ -542,7 +776,7 @@ def _kc_scores_each(g: Graph, label_sets) -> list:
 
     Entry i is the table ``kc_scores_all(g, label_sets[i])`` returns, to
     the bit.  What does not depend on the labels is done once: the Gram
-    matrix, its factor and inverse, each block's kernel columns, and each
+    matrix, its factor and inverse, the kernel columns, and each
     edge's route with its capacitance factorization or its naive rebuild.
     Each label set adds its own solves, one product per block and one
     small solve per fast edge, so every edge takes one route for every
@@ -555,8 +789,12 @@ def _kc_scores_each(g: Graph, label_sets) -> list:
     runs = [_LabelRun(labels, g.n_edges) for labels in label_sets]
     fast = np.zeros(g.n_edges, dtype=bool)
     cache = _ScoreCache(g, runs)
+    pool = _ColumnPool(
+        *_pool_keys(g), _POOL_COLUMNS_PER_NODE * g.n_nodes, cache.l_inv.shape[0], runs
+    )
     for blk in _blocks(g):
-        _score_block(cache, g, blk, runs, fast)
+        _score_block(cache, g, blk, runs, fast, pool)
+        pool.leave(blk)
     return [
         KcScoreTable(
             edges=g.edges,

@@ -8,7 +8,8 @@ so H[i, i] = 0.5 exactly and |H[i, j]| <= 0.5.  GKC is the label-norm
 functional 2 y^T H^{-1} y / N, summed over label columns, evaluated
 through a cached Cholesky factorization H = L L^T.  No explicit H^{-1}
 is ever formed: this module solves against L, and the fast scoring
-route's cache inverts the triangular L once per scoring run.  When the
+route's cache inverts the triangular L once per scoring run, in L's own
+memory, so the factor does not outlive the cache's setup.  When the
 factorization fails or its smallest pivot marks the matrix as
 numerically rank-deficient, a small ridge proportional to trace(H)/N is
 added once and flagged.  The ridge is decided once per scoring run, on
@@ -205,15 +206,17 @@ class GramPatcher:
     """
 
     def __init__(self, base: GramMatrix):
-        self.base = base
+        # The base's factor is not kept: the scoring cache reuses its memory.
+        self.base_h = base.h
+        self.ridge = base.ridge
         self._h = None
         self._work = None
 
     def gram(self, xt: AggregatedFeatures, changed: np.ndarray) -> GramMatrix:
+        n = self.base_h.shape[0]
         if self._h is None:
             # Made on first use: a run whose edges all take the fast route
             # never touches them.
-            n = self.base.n
             self._h = np.empty((n, n))
             self._work = np.empty((n, n), order="F")
         tri = _lower_dots(xt.matrix, self._work)
@@ -221,7 +224,7 @@ class GramPatcher:
         # diagonal and tri[c, i] above it; the syrk does not touch the
         # upper triangle, which holds what the last call left there.
         panel = tri[:, changed]
-        above = np.arange(self.base.n)[:, None] < changed
+        above = np.arange(n)[:, None] < changed
         panel[above] = tri[changed].T[above]
         # gram_matrix's mirror adds a zero to every entry, turning -0.0
         # into 0.0; so does this.
@@ -229,10 +232,10 @@ class GramPatcher:
         panel[changed, np.arange(changed.size)] = 1.0
         panel = arccos_kernel(panel)
         h = self._h
-        np.copyto(h, self.base.h)
+        np.copyto(h, self.base_h)
         h[:, changed] = panel
         h[changed] = panel.T
-        ridge, chol = _factor_with_ridge(h, self.base.ridge, self._work)
+        ridge, chol = _factor_with_ridge(h, self.ridge, self._work)
         # Read-only views: the buffers stay writable for the next call.
         return GramMatrix(h.view(), ridge, chol.view())
 

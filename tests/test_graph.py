@@ -125,7 +125,8 @@ def test_non_whole_ids_are_refused_not_truncated(build, what):
     assert g.edges.tolist() == [[0, 2]] and g.labels.tolist() == [1, 0, 1]
 
 
-@pytest.mark.parametrize(
+# The four call sites of whole_ids, each given one bad id.
+_ID_SITES = pytest.mark.parametrize(
     "build",
     [
         lambda bad: Graph(np.eye(2), [(bad, 1)]),
@@ -137,10 +138,19 @@ def test_non_whole_ids_are_refused_not_truncated(build, what):
     ],
     ids=["graph-edges", "graph-labels", "dice-attack", "evaluate-classifier"],
 )
+
+
+@_ID_SITES
 def test_non_numeric_ids_raise_input_error(build):
     for bad, dtype in (("a", "<U21"), (None, "object")):
         with pytest.raises(InputError, match=rf": values of dtype {dtype} are not whole numbers$"):
             build(bad)
+
+
+@_ID_SITES
+def test_ragged_ids_raise_input_error(build):
+    with pytest.raises(InputError, match=r": values of ragged shape are not an array$"):
+        build([1])
 
 
 def test_edges_are_canonical_and_sorted():

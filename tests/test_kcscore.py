@@ -1,6 +1,7 @@
 """Per-edge complexity scores: naive route, fast route, golden case."""
 
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -550,7 +551,7 @@ def _kernel_columns(g, block_edges):
     return columns, total
 
 
-def test_block_builds_each_distinct_kernel_column_once(monkeypatch):
+def test_pool_builds_each_distinct_kernel_column_once(monkeypatch):
     g = _star_ring_graph()
     lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
     built = []
@@ -561,12 +562,96 @@ def test_block_builds_each_distinct_kernel_column_once(monkeypatch):
         return dtrmm(alpha, a, b, *args, **kwargs)
 
     monkeypatch.setattr(kcscore.blas, "dtrmm", counting)
-    table = kc_scores_all(g, lm)
-    assert table.fast.all()
-    columns, total = _kernel_columns(g, BLOCK_EDGES)
+    per_block, total = _kernel_columns(g, BLOCK_EDGES)
+    # one block holding every edge has each distinct column once
+    distinct, _ = _kernel_columns(g, g.n_edges)
+    assert distinct < per_block < total
     # the cache maps the label columns once; the blocks map the rest
-    assert sum(built) == lm.columns.shape[1] + columns
-    assert columns < total
+    for pool, columns in ((0, per_block), (np.inf, distinct)):
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(kcscore, "_POOL_COLUMNS_PER_NODE", pool)
+            assert kc_scores_all(g, lm).fast.all()
+        assert sum(built) == lm.columns.shape[1] + columns, f"pool {pool}"
+
+
+@pytest.mark.parametrize(
+    "make_graph",
+    [_hub_ring_graph, _star_ring_graph, _twin_forming_graph, _ridged_twin_graph, _sparse_sbm_202],
+    ids=["_hub_ring_graph", "_star_ring_graph", "_twin_forming_graph", "_ridged_twin_graph", "_sparse_sbm_202"],
+)
+@pytest.mark.parametrize("pool", [0, np.inf], ids=["block-local", "unbounded"])
+def test_scores_do_not_depend_on_the_pool_size(make_graph, pool, monkeypatch, tmp_path):
+    g = make_graph()
+    lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KcesWarning)
+        default = kc_scores_all(g, lm)
+        with monkeypatch.context() as m:
+            m.setattr(kcscore, "_POOL_COLUMNS_PER_NODE", pool)
+            table = kc_scores_all(g, lm)
+            table.write_tsv(tmp_path / "a.tsv")
+            kc_scores_all(g, lm).write_tsv(tmp_path / "b.tsv")
+        ref = np.array([kc_score_naive(g, lm, u, v) for u, v in g.edges.tolist()])
+    assert np.array_equal(table.fast, default.fast)
+    fast = table.fast
+    assert fast.any()
+    assert np.all(np.abs(table.scores - ref)[fast] <= np.maximum(1e-8 * np.abs(ref), 1e-12)[fast])
+    assert np.array_equal(table.scores[~fast], ref[~fast])
+    assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+
+def _pool_builds(blocks, cap):
+    """Columns a pool builds for ``blocks``, lists of keys (-1 for a
+    column of one edge), keeping at most ``cap`` columns between blocks:
+    a column with no later use goes at once, then the farthest next uses."""
+    uses = {}
+    for t, keys in enumerate(blocks):
+        for k in keys:
+            uses.setdefault(k, []).append(t)
+    held, built = set(), 0
+    for t, keys in enumerate(blocks):
+        built += sum(k < 0 or k not in held for k in keys)
+        held |= {k for k in keys if k >= 0}
+        after = {k: next((b for b in uses[k] if b > t), None) for k in held}
+        held = sorted((b, k) for k, b in after.items() if b is not None)[:cap]
+        held = {k for _, k in held}
+    return built
+
+
+def test_pool_schedule_builds_what_a_plain_pool_builds():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        blocks = [
+            rng.choice(12, size=rng.integers(0, 8), replace=False) - 2
+            for _ in range(rng.integers(1, 20))
+        ]
+        blocks = [np.where(b < 0, -1, b) for b in blocks]
+        key = np.concatenate(blocks).astype(np.int64)
+        col_cut = np.cumsum([0] + [b.size for b in blocks])
+        block = np.repeat(np.arange(len(blocks)), np.diff(col_cut))
+        for cap in (0, 1, 3, 6, 100):
+            prev, move, drop, drop_cut, main, tail = kcscore._schedule(key, col_cut, cap)
+            assert np.count_nonzero(prev < 0) == _pool_builds(blocks, cap)
+            taken = prev >= 0
+            assert np.all(key[prev[taken]] == key[taken])
+            assert np.all(block[prev[taken]] < block[taken])
+            assert main <= cap
+
+
+def test_pool_fits_in_the_memory_of_the_released_factor():
+    # the numpy memory scoring holds at N = 400: 5.39 MiB, 4.41 N^2
+    # doubles, before the pool, whose N columns take the place of the
+    # base's Cholesky factor
+    g = make_sbm_benchmark(0, n=400, p_in=12 / 400, p_out=2 / 400)
+    lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
+    tracemalloc.start()
+    try:
+        kc_scores_all(g, lm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.7 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize(
