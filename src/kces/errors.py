@@ -52,11 +52,7 @@ class DegenerateClusteringError(NumericError):
 
 
 class IllConditionedError(NumericError):
-    """Linear solve failed its residual check."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """Linear solve failed its backward-error check."""
 
 
 class DivergenceError(NumericError):

@@ -82,7 +82,7 @@ from .graph import (
     format_float,
     remove_edge,
 )
-from .kernel import GramPatcher, arccos_kernel, gkc, gram_matrix
+from .kernel import GramPatcher, arccos_kernel, gkc, gram_matrix, solve_labels
 from .pseudolabel import LabelMatrix
 
 #: Fast path falls back to naive when the capacitance system's estimated
@@ -271,8 +271,7 @@ class _ScoreCache:
         self.h = gm.h
         self.patcher = GramPatcher(gm)
         for run in runs:
-            run.base_gkc = gkc(gm, run.labels)
-            run.z = gm.solve_factored(run.labels.columns)
+            run.base_gkc, run.z = solve_labels(gm, run.labels)
             run.quad = np.einsum("nc,nc->c", run.labels.columns, run.z)
         self.weights = 1.0 / np.sqrt(g.degrees.astype(np.float64))
         # Sum_{j in closed nbhd(k)} X_j / sqrt(d_j), recoverable from the

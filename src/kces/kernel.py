@@ -21,13 +21,22 @@ neighborhoods of its endpoints, so ``GramPatcher`` rebuilds its Gram
 matrix from the base's: it maps only the changed columns through the
 kernel and copies every other entry, into buffers reused across edges.
 
-The rebuild (Gram product, factorization, solves and the residual
-check) runs entirely in scipy's BLAS and LAPACK.  numpy and scipy wheels
-each bundle their own OpenBLAS with its own thread pool, and a product
-in numpy's runtime leaves that pool spinning while scipy's factors, which
-made each factorization several times slower.  The BLAS calls here hand
-over the operands numpy's matmul would, so every value is the one numpy
-computes, to the bit.
+Every solve is accepted by its normwise backward error (Rigal and
+Gaches; Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+section 7.1): for each label column b with solution z and residual
+r = b - (H + ridge I) z,
+
+    |r|_inf / (|H + ridge I|_inf |z|_inf + |b|_inf) <= 1e-12.
+
+A backward-stable Cholesky solve leaves an error near machine epsilon
+however large z is, so the gate fails only on a broken factor, and then
+``IllConditionedError`` is raised.  A solve is never refined.
+
+The rebuild (Gram product, factorization, solve and the residual
+product) runs entirely in scipy's BLAS and LAPACK.  numpy and scipy
+wheels each bundle their own OpenBLAS with its own thread pool, and a
+product in numpy's runtime leaves that pool spinning while scipy's
+factors, which made each factorization several times slower.
 """
 
 from __future__ import annotations
@@ -36,19 +45,18 @@ import warnings
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
 from .errors import IllConditionedError, InputError, KcesWarning, NumericError
 from .graph import AggregatedFeatures
 from .pseudolabel import LabelMatrix
 
 RIDGE_SCALE = 1e-8
-SOLVE_RESIDUAL_TOL = 1e-8
+#: The largest normwise backward error a solve may leave.
+BACKWARD_ERROR_TOL = 1e-12
 #: A Cholesky pivot below sqrt(N * eps * max_ii h) marks the matrix as
 #: numerically rank-deficient even when the factorization routine returns.
 PIVOT_RTOL = np.finfo(np.float64).eps
-#: Refinement passes allowed before the residual gate gives up.
-MAX_REFINEMENTS = 2
 
 
 def arccos_kernel(dots: np.ndarray) -> np.ndarray:
@@ -101,12 +109,6 @@ class GramMatrix:
             except np.linalg.LinAlgError as exc:
                 raise NumericError("eigenvalue computation failed") from exc
         return self._lambda_min
-
-    def solve_factored(self, rhs: np.ndarray) -> np.ndarray:
-        """Raw triangular solve against the cached factor (no residual check)."""
-        return scipy.linalg.cho_solve(
-            (self.chol_lower, True), rhs, check_finite=False
-        )
 
 
 def _factor_with_ridge(h: np.ndarray, ridge: float = 0.0, work=None):
@@ -240,57 +242,48 @@ class GramPatcher:
         return GramMatrix(h.view(), ridge, chol.view())
 
 
-def _h_times(h: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``h @ z`` for a C-ordered h, in scipy's BLAS.
-
-    numpy's matmul hands a column right-hand side to gemv and a
-    Fortran-ordered matrix to gemm as a transposed operand; the same
-    calls here give the same bits.  Another operand order moves the
-    residual's rounding noise, and with it the residual gate.
-    """
-    if z.ndim == 1 or z.shape[1] == 1:
-        return blas.dgemv(1.0, h.T, z.ravel(), trans=1).reshape(z.shape)
-    # cho_solve returns Fortran order, so this never copies.
-    return blas.dgemm(1.0, np.asfortranarray(z), h.T, trans_a=1).T
-
-
 def solve_spd(gm: GramMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve (h + ridge I) z = rhs via the cached factor, with residual check.
+    """Solve (h + ridge I) z = rhs with the cached factor, one solve.
 
-    A marginal first solve gets up to two rounds of iterative refinement;
-    the relative residual must come out below 1e-8 or the system is
-    reported ill-conditioned.
+    Raises ``IllConditionedError`` when a column's normwise backward
+    error exceeds ``BACKWARD_ERROR_TOL`` (see the module docstring).
+    ``rhs`` is a vector or an N x C matrix of columns.
     """
-    rhs = np.asarray(rhs, dtype=np.float64)
-    rhs_norm = float(np.linalg.norm(rhs))
-    z = gm.solve_factored(rhs)
-    residual = rhs - (_h_times(gm.h, z) + gm.ridge * z)
-    res_norm = float(np.linalg.norm(residual))
-    refinements = 0
-    while res_norm > SOLVE_RESIDUAL_TOL * rhs_norm and refinements < MAX_REFINEMENTS:
-        z = z + gm.solve_factored(residual)
-        residual = rhs - (_h_times(gm.h, z) + gm.ridge * z)
-        res_norm = float(np.linalg.norm(residual))
-        refinements += 1
-    if res_norm > SOLVE_RESIDUAL_TOL * rhs_norm:
+    b = np.asarray(rhs, dtype=np.float64).reshape(gm.n, -1)
+    z, _ = lapack.dpotrs(gm.chol_lower, b, lower=1)
+    # h is symmetric, so h.T is h in Fortran order: the residual product
+    # and the inf-norm read it in place, with no N x N temporary.  Adding
+    # the ridge bounds |h + ridge I|_inf, and equals it on a non-negative
+    # diagonal, such as a Gram matrix's 0.5.
+    r = b - blas.dgemm(1.0, gm.h.T, z) - gm.ridge * z
+    h_norm = float(lapack.dlange("I", gm.h.T)) + gm.ridge
+    worst = np.abs(r).max(axis=0)
+    scale = h_norm * np.abs(z).max(axis=0) + np.abs(b).max(axis=0)
+    # Written as a product, so a zero column passes and a NaN fails.
+    ok = worst <= BACKWARD_ERROR_TOL * scale
+    if not ok.all():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err = float(np.max(np.where(ok, 0.0, worst / scale)))
         raise IllConditionedError(
-            f"solve residual {res_norm:.3e} exceeds tolerance "
-            f"{SOLVE_RESIDUAL_TOL:.1e} * {rhs_norm:.3e}",
-            residual=res_norm,
+            f"solve backward error {err:.3e} exceeds {BACKWARD_ERROR_TOL:.0e}"
         )
-    return z
+    return z.reshape(np.shape(rhs))
 
 
-def gkc(gm: GramMatrix, labels: LabelMatrix) -> float:
-    """Label-norm complexity 2 y^T H^{-1} y / N summed over label columns."""
+def solve_labels(gm: GramMatrix, labels: LabelMatrix):
+    """Return the complexity of ``labels`` and its solve z = H^-1 y."""
     if labels.columns.shape[0] != gm.n:
         raise InputError(
             f"labels have {labels.columns.shape[0]} rows, Gram matrix has {gm.n}"
         )
     z = solve_spd(gm, labels.columns)
-    return float(
-        sum(
-            float(2.0 * (labels.columns[:, c] @ z[:, c]) / gm.n)
-            for c in range(labels.columns.shape[1])
-        )
+    value = sum(
+        float(2.0 * (labels.columns[:, c] @ z[:, c]) / gm.n)
+        for c in range(labels.columns.shape[1])
     )
+    return float(value), z
+
+
+def gkc(gm: GramMatrix, labels: LabelMatrix) -> float:
+    """Label-norm complexity 2 y^T H^{-1} y / N summed over label columns."""
+    return solve_labels(gm, labels)[0]

@@ -12,8 +12,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .errors import InputError
-
 VERSION = "0.1.0"
 
 
@@ -70,32 +68,3 @@ def write_manifest(manifest: RunManifest, path: str) -> None:
     text = json.dumps(manifest.to_dict(), sort_keys=True, indent=2)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-
-
-def load_manifest(path: str) -> RunManifest:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: not valid manifest JSON: {exc}") from exc
-    required = ("command", "version", "parameters", "inputs", "outputs", "argv")
-    missing = [key for key in required if key not in data]
-    if missing:
-        raise InputError(f"{path}: manifest missing keys: {', '.join(missing)}")
-    return RunManifest(
-        command=data["command"],
-        version=data["version"],
-        parameters=data["parameters"],
-        inputs=data["inputs"],
-        outputs=data["outputs"],
-        argv=tuple(data["argv"]),
-    )
-
-
-def verify_outputs(manifest: RunManifest) -> list[str]:
-    """Return the roles whose current file digests differ from the record."""
-    stale = []
-    for name, entry in sorted(manifest.outputs.items()):
-        if sha256_file(entry["path"]) != entry["sha256"]:
-            stale.append(name)
-    return stale

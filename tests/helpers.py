@@ -8,10 +8,14 @@ exception is ``oracle_evaluate``, which puts the library's unchanged
 aggregation, initial draw, step-size rule and forward pass around the
 one-model training loop ``oracle_train_gd``.
 
-The two builders at the end are not oracles: they wrap raw arrays as the
-library's own inputs, for tests that start from a chosen matrix.
+The manifest readers check a CLI run's record against the files on disk
+with ``json`` and ``hashlib`` alone.  The two builders at the end are not
+oracles: they wrap raw arrays as the library's own inputs, for tests that
+start from a chosen matrix.
 """
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -252,6 +256,24 @@ def random_label_columns(rng, n, k=2):
         assign = rng.integers(0, k, size=n)
         if np.unique(assign).size == k:
             return oracle_one_hot(assign, k)
+
+
+def load_manifest(path):
+    """The manifest at ``path`` as a dict, with every key a CLI run writes."""
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert set(manifest) == {"command", "version", "parameters", "inputs", "outputs", "argv"}
+    return manifest
+
+
+def verify_outputs(manifest):
+    """The output roles whose files no longer match their recorded sha256."""
+    stale = []
+    for name, entry in sorted(manifest["outputs"].items()):
+        with open(entry["path"], "rb") as fh:
+            if hashlib.sha256(fh.read()).hexdigest() != entry["sha256"]:
+                stale.append(name)
+    return stale
 
 
 def gram_from_matrix(h):

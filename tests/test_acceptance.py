@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import oracle_fd_loss_gradient, oracle_gkc
+from helpers import load_manifest, oracle_fd_loss_gradient, oracle_gkc, verify_outputs
 
 from kces.errors import KcesWarning
 from kces.gnn import (
@@ -34,7 +34,6 @@ from kces.graph import (
 )
 from kces.kcscore import kc_score_naive, kc_scores_all
 from kces.kernel import arccos_kernel, gkc, gram_matrix
-from kces.manifest import load_manifest, verify_outputs
 from kces.perturb import dice_attack, random_attack
 from kces.pseudolabel import encode_labels, kmeans_pseudo_labels
 from kces.sanitize import PruneConfig, apply_prune, select_edges
@@ -322,10 +321,10 @@ def test_criterion_10_manifest_replay_determinism(tmp_path):
             "sweep": tmp_path / "sweep.csv.manifest.json",
         }[name]
         manifest = load_manifest(str(manifest_path))
-        assert cli_main(list(manifest.argv)) == 0, name
+        assert cli_main(list(manifest["argv"])) == 0, name
         replayed = verify_outputs(manifest)
         child = subprocess.run(
-            [sys.executable, "-m", "kces.cli", *manifest.argv],
+            [sys.executable, "-m", "kces.cli", *manifest["argv"]],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert child.returncode == 0, f"{name}: {child.stderr}"

@@ -1,6 +1,5 @@
 """End-to-end command-line checks: outputs, exit codes, manifests, replay."""
 
-import json
 import hashlib
 import os
 import subprocess
@@ -11,15 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import OracleDivergence, oracle_evaluate
+from helpers import OracleDivergence, load_manifest, oracle_evaluate, verify_outputs
 
 from kces import gnn, kcscore
 from kces.cli import SWEEP_ALPHAS, main
-from kces.errors import IllConditionedError, KcesWarning
+from kces.errors import DegenerateFeatureError, KcesWarning
 from kces.gnn import TrainConfig, make_split, write_trace_csv
-from kces.graph import format_float, load_graph, write_edge_tsv, write_features_csv, write_labels
+from kces.graph import Graph, format_float, load_graph, write_edge_tsv, write_features_csv, write_labels
 from kces.kcscore import kc_scores_all
-from kces.manifest import load_manifest, verify_outputs
 from kces.perturb import PerturbationRecord
 from kces.pseudolabel import encode_labels, kmeans_pseudo_labels
 from kces.sanitize import PruneConfig, apply_prune, select_edges
@@ -150,28 +148,27 @@ def test_manifest_replay_and_thread_invariance(tmp_path, graph_files):
     assert main(argv) == 0
     first = out.read_bytes()
     manifest = load_manifest(str(out) + ".manifest.json")
-    assert tuple(manifest.argv) == tuple(argv)
+    assert tuple(manifest["argv"]) == tuple(argv)
     assert verify_outputs(manifest) == []
 
     # replay the stored argv, then again in a child process whose
     # OpenBLAS alone runs on one thread
-    assert main(list(manifest.argv)) == 0
+    assert main(list(manifest["argv"])) == 0
     assert verify_outputs(manifest) == []
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     child = subprocess.run(
-        [sys.executable, "-m", "kces.cli", *manifest.argv],
+        [sys.executable, "-m", "kces.cli", *manifest["argv"]],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stderr
     assert verify_outputs(manifest) == []
     assert out.read_bytes() == first
 
-    payload = json.loads(Path(str(out) + ".manifest.json").read_text())
-    assert set(payload) == {"command", "version", "parameters", "inputs", "outputs", "argv"}
+    # load_manifest checked the keys
     digest = hashlib.sha256(Path(graph_files["edges"]).read_bytes()).hexdigest()
-    assert payload["inputs"]["edges"]["sha256"] == digest
+    assert manifest["inputs"]["edges"]["sha256"] == digest
 
 
 def test_exit_code_input_error(tmp_path):
@@ -496,19 +493,26 @@ def test_sweep_factors_each_edge_once_for_all_seeds(tmp_path, graph_files, monke
     assert calls["dtrmm"] == alone["dtrmm"] + 2 * k
 
 
-def test_sweep_raises_the_per_seed_loops_scoring_error(tmp_path, capsys, monkeypatch):
-    # removing (0, 1) makes nodes 1 and 70 near-twins; the removal's solve
-    # fails its residual check under seed 0's pseudo-labels only; the
-    # sweep stops before any seed trains, in either seed order
-    g = make_sbm_benchmark(seed=110, n=110, p_in=8 / 110, p_out=1 / 110)
+def test_sweep_stops_at_the_first_scoring_error(tmp_path, capsys, monkeypatch):
+    # node 40 has zero features and one edge, to node 0: K-means succeeds
+    # under both seeds, but removing (0, 40) leaves node 40's aggregated
+    # row zero, so scoring raises; the sweep stops before any seed
+    # trains, in either seed order
+    sbm = make_sbm_benchmark(seed=0, n=40)
+    g = Graph(
+        np.vstack([sbm.features, np.zeros(sbm.features.shape[1])]),
+        np.vstack([sbm.edges, [0, 40]]),
+        labels=np.append(sbm.labels, 0),
+    )
     write_edge_tsv(g, tmp_path / "edges.tsv")
     write_features_csv(g, tmp_path / "features.csv")
     write_labels(g.labels, tmp_path / "labels.csv")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", KcesWarning)
-        kc_scores_all(g, encode_labels(kmeans_pseudo_labels(g, 2, 1), "one-hot"))
-        with pytest.raises(IllConditionedError) as info:
-            kc_scores_all(g, encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot"))
+        for seed in (0, 1):
+            labels = encode_labels(kmeans_pseudo_labels(g, 2, seed), "one-hot")
+            with pytest.raises(DegenerateFeatureError, match=r"removing edge \(0, 40\)") as info:
+                kc_scores_all(g, labels)
     capsys.readouterr()
     descents = []
     descend = gnn._descend

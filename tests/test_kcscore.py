@@ -764,6 +764,24 @@ def test_sparse_benchmark_graph_matches_the_naive_reference_on_every_edge():
     assert np.all(np.abs(table.scores - ref)[fast] <= np.maximum(1e-8 * np.abs(ref), 1e-12)[fast])
 
 
+def test_near_singular_removal_is_scored_on_every_edge():
+    # removing (0, 1) makes nodes 1 and 70 near-twins: the removal's
+    # matrix has lambda_min near 2e-9 and its solve a norm near 4e8, so a
+    # relative residual near 1e-8 comes with a backward error near 1e-17,
+    # and the table must not be refused for it
+    g = make_sbm_benchmark(seed=110, n=110, p_in=8 / 110, p_out=1 / 110)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KcesWarning)
+        lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
+        table = kc_scores_all(g, lm)
+        ref = np.array([kc_score_naive(g, lm, u, v) for u, v in table.edges.tolist()])
+    fast = table.fast
+    assert _rows(table)[(0, 1)][2] == "naive"
+    assert np.isfinite(ref).all()
+    assert np.array_equal(table.scores[~fast], ref[~fast])
+    assert np.all(np.abs(table.scores - ref)[fast] <= np.maximum(1e-8 * np.abs(ref), 1e-12)[fast])
+
+
 def test_each_label_set_gets_the_table_it_gets_alone():
     g = _sparse_sbm_204()
     sets = [encode_labels(kmeans_pseudo_labels(g, 2, seed), "one-hot") for seed in range(3)]
@@ -781,6 +799,25 @@ def test_each_label_set_gets_the_table_it_gets_alone():
         with pytest.raises(InputError, match="does not match graph size"):
             kcscore._kc_scores_each(g, sets + [mismatched])
         assert kcscore._kc_scores_each(g, []) == []
+
+
+def test_each_matrix_is_solved_once_per_label_set(monkeypatch):
+    # the base complexity and the fast route's z come from one gated
+    # solve per label set, and each naive removal adds one per set
+    g = _sparse_sbm_204()
+    sets = [encode_labels(kmeans_pseudo_labels(g, 2, seed), "one-hot") for seed in range(3)]
+    calls = []
+    dpotrs = scipy.linalg.lapack.dpotrs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dpotrs(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KcesWarning)
+        each = kcscore._kc_scores_each(g, sets)
+    assert len(calls) == len(sets) * (1 + (~each[0].fast).sum())
 
 
 def _timed_fast_and_naive(g, lm):

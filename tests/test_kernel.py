@@ -14,11 +14,11 @@ from helpers import (
     unit_row_features,
 )
 
-from kces.errors import InputError, KcesWarning, NumericError
+from kces.errors import IllConditionedError, InputError, KcesWarning, NumericError
 from kces.graph import Graph, aggregate_features
 from kces.kernel import (
     RIDGE_SCALE,
-    _h_times,
+    GramMatrix,
     arccos_kernel,
     gkc,
     gram_matrix,
@@ -99,17 +99,6 @@ def test_ridged_gram_keeps_its_arrays_read_only():
     assert np.abs(lower @ lower.T - gm.h - gm.ridge * np.eye(10)).max() <= 1e-12
 
 
-def test_residual_product_is_bitwise_numpy_matmul():
-    # the residual gate compares rounding noise, so the product must keep
-    # numpy's bits for every right-hand side shape solve_spd sees
-    rng = np.random.default_rng(3)
-    for n in (5, 64, 401):
-        h = rng.standard_normal((n, n))
-        for shape in ((n,), (n, 1), (n, 2), (n, 3)):
-            z = np.asfortranarray(rng.standard_normal(shape))
-            assert _h_times(h, z).tobytes() == (h @ z).tobytes(), (n, shape)
-
-
 def test_gkc_matches_explicit_inverse_oracle():
     rng = np.random.default_rng(2024)
     for seed in range(20):
@@ -142,6 +131,20 @@ def test_solve_matches_dense_solver():
         rhs = rng.standard_normal((8, 2))
         z = solve_spd(gm, rhs)
         assert np.allclose(z, np.linalg.solve(gm.h, rhs), atol=1e-10)
+
+
+def test_wrong_factor_fails_the_backward_error_gate():
+    # a solve that is accurate for its matrix passes however large its
+    # solution; a factor of another matrix gives a backward error far
+    # above the bound
+    g = random_graph(n=12, edge_prob=0.4, n_features=3, seed=7, avoid_twins=True)
+    gm = gram_matrix(aggregate_features(g))
+    lm = encode_labels(np.array([0, 1] * 6), "one-hot")
+    gkc(gm, lm)
+    chol = np.array(gm.chol_lower, order="F")
+    chol[5, 3] *= 1.0 + 1e-6
+    with pytest.raises(IllConditionedError, match="backward error"):
+        gkc(GramMatrix(np.array(gm.h), gm.ridge, chol), lm)
 
 
 def test_failing_factorization_takes_ridge_path():
