@@ -413,8 +413,8 @@ def write_features_csv(g: Graph, path) -> None:
 
 
 def write_labels(labels, path) -> None:
-    """Write integer labels, one per line."""
-    lab = np.asarray(labels, dtype=np.int64)
+    """Write integer labels, one per line; see ``whole_ids``."""
+    lab = whole_ids(labels, "labels")
     with open(path, "w", encoding="utf-8") as fh:
         for value in lab.tolist():
             fh.write(f"{value}\n")

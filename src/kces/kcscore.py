@@ -38,10 +38,12 @@ and with z = H^-1 y the Woodbury identity gives
 where W~^T z = [M~_e^T z; z[s]].  The route walks ``g.edges`` in
 consecutive blocks of ``BLOCK_EDGES``.  A block needs one kernel column
 per distinct key: (k, u), (k, v), or an endpoint or common neighbor of
-one edge.  A pool keeps the columns Y~ = L^-1 M~, with their M~^T z,
-across blocks: a shared key's column stays until its last use, and when
-more than N columns would stay between blocks, those whose next use is
-farthest ahead are dropped first.  Each block replays the new row of
+one edge; a run keys its edges once, into a plan of every block's
+columns.  A pool keeps the columns Y~ = L^-1 M~, with their M~^T z,
+across blocks, on a schedule read from that plan: a shared key's
+column stays until its last use, and when more than N columns would
+stay between blocks, those whose next use is farthest ahead are
+dropped first.  Each block replays the new row of
 every key, and builds the columns the pool lacks with one product, one
 kernel map and one triangular product.  Per edge, b and b~ come from
 the inner products of its new rows and of its base rows against them,
@@ -101,15 +103,6 @@ CAPACITANCE_COND_LIMIT = 1e6
 #: 5 of the 8 seeds only, and its wider pool tail peaked at 110.6 MB RSS
 #: against 106.0 MB.
 BLOCK_EDGES = 16
-#: Blocks whose kernel-column keys are assigned in one pass; a run keys
-#: its edges twice, once for the pool's schedule and once as it scores.
-#: With the pool, on ``dense-sbm-1000`` seed 0 (5506 edges) the numpy
-#: memory that scoring holds peaked at 40.1 MiB with every edge keyed at
-#: once, 29.6 MiB in passes of 64 blocks and 28.1 MiB in passes of 16;
-#: on the attacked 200-node graph of ``defense-sweep-200`` seed 0 (1074
-#: edges) both keyings took 2.9 ms in passes of 64 and 3.4 ms in passes
-#: of 16.
-KEY_PASS_BLOCKS = 16
 #: Kernel columns the fast route keeps between blocks, per node: the
 #: pool then takes the memory of the base's Cholesky factor, which the
 #: scoring run releases.
@@ -352,23 +345,23 @@ def _replay_rows(cache: _ScoreCache, g: Graph, s, eu, ev, side):
 
 
 @dataclass
-class _Pass:
-    """The kernel columns of ``KEY_PASS_BLOCKS`` blocks of edges.
+class _Plan:
+    """The kernel columns of a run, block by block.
 
-    ``small`` flags the pass's edges whose affected set covers less than
-    half the graph; only those have columns.  The i-th small edge's
-    affected rows are ``s[indptr[i]:indptr[i + 1]]``, sorted, and ``col``
-    holds each row's column.  Column j belongs to the pass's block
-    ``block[j]``, and the columns of a block are consecutive.  It is the
-    new row of ``node[j]`` after removing edge (``eu[j]``, ``ev[j]``), on
-    that edge's ``side[j]``, and ``key[j]`` names it for the pool.
+    ``small`` flags the edges whose affected set covers less than half
+    the graph; only those have columns.  The i-th small edge's affected
+    rows are ``s[indptr[i]:indptr[i + 1]]``, sorted, and ``col`` holds
+    each row's column.  The columns of block t are ``col_cut[t]`` ..
+    ``col_cut[t + 1]`` - 1.  Column j is the new row of ``node[j]`` after
+    removing edge (``eu[j]``, ``ev[j]``), on that edge's ``side[j]``, and
+    ``key[j]`` names it for the pool.
     """
 
     small: np.ndarray
     indptr: np.ndarray
     s: np.ndarray
     col: np.ndarray
-    block: np.ndarray
+    col_cut: np.ndarray
     node: np.ndarray
     eu: np.ndarray
     ev: np.ndarray
@@ -376,21 +369,21 @@ class _Pass:
     key: np.ndarray
 
 
-def _key_pass(g: Graph, lo: int) -> _Pass:
-    """Find the distinct kernel columns of each block of the edges from
-    ``lo`` on, ``KEY_PASS_BLOCKS`` blocks of them.
+def _key_pass(g: Graph) -> _Plan:
+    """Find the distinct kernel columns of each block of ``g.edges``.
 
     A node k in N(u) but not N[v] gets a new row that depends on (k, u)
     alone when (u, v) is removed, and likewise for N(v) without N[u]; the
     edges of a block that share such a key share its column, and the
     key, ``k * N + u``, names the same column in every block.  An
     endpoint or a common neighbor gets a column of its own edge, keyed
-    -1.  Keying a pass at a time bounds the bookkeeping however large
-    the graph.
+    -1.  A run keys its edges once, before the Gram matrix is built, so
+    the keying's temporaries are freed before that memory is taken; the
+    plan it keeps holds int32 indices, int8 sides and int64 keys.
     """
-    n = g.n_nodes
-    edges = g.edges[lo : lo + KEY_PASS_BLOCKS * BLOCK_EDGES]
+    n, edges = g.n_nodes, g.edges
     ne = edges.shape[0]
+    n_blocks = -(-ne // BLOCK_EDGES)
     # Row e of hit is 1 on N[u] only, 2 on N[v] only and 3 on both.
     pick = sp.csr_matrix(
         (np.tile([1.0, 2.0], ne), edges.ravel(), np.arange(0, 2 * ne + 1, 2)),
@@ -402,8 +395,8 @@ def _key_pass(g: Graph, lo: int) -> _Pass:
     if not small.all():
         hit = hit[small]
     owner = np.repeat(np.flatnonzero(small), np.diff(hit.indptr))
-    s, side = hit.indices, hit.data
-    eu, ev = edges[owner, 0], edges[owner, 1]
+    s, side = hit.indices, hit.data.astype(np.int8)
+    eu, ev = edges[owner, 0].astype(np.int32), edges[owner, 1].astype(np.int32)
     block = owner // BLOCK_EDGES
     key = np.where(
         side == 3,
@@ -415,29 +408,18 @@ def _key_pass(g: Graph, lo: int) -> _Pass:
         key + block * (n * n + s.size), return_index=True, return_inverse=True
     )
     # Each column is replayed from the first row that takes it.
-    return _Pass(
+    return _Plan(
         small=small,
         indptr=hit.indptr,
         s=s,
-        col=col,
-        block=block[first],
+        col=col.astype(np.int32),
+        col_cut=np.searchsorted(block[first], np.arange(n_blocks + 1)),
         node=s[first],
         eu=eu[first],
         ev=ev[first],
         side=side[first],
         key=np.where(side[first] == 3, -1, key[first]),
     )
-
-
-def _pool_keys(g: Graph):
-    """Every column's pool key in run order, and each block's first
-    column, with one past the last."""
-    keys, sizes = [], [[0]]
-    for lo in range(0, g.n_edges, KEY_PASS_BLOCKS * BLOCK_EDGES):
-        part = _key_pass(g, lo)
-        keys.append(part.key)
-        sizes.append(np.bincount(part.block, minlength=-(-part.small.size // BLOCK_EDGES)))
-    return np.concatenate(keys), np.cumsum(np.concatenate(sizes))
 
 
 @dataclass
@@ -449,7 +431,7 @@ class _Block:
     such edge's range of affected rows, from ``bounds``; the rows' nodes
     are ``s`` and their columns ``col``, an index into the block's
     columns.  Those are the run's columns ``cols``, with ``node``,
-    ``eu``, ``ev`` and ``side`` as in ``_Pass``.
+    ``eu``, ``ev`` and ``side`` as in ``_Plan``.
     """
 
     index: int
@@ -466,40 +448,35 @@ class _Block:
     side: np.ndarray
 
 
-def _blocks(g: Graph):
-    """Split ``g.edges`` into consecutive blocks of ``BLOCK_EDGES``, keyed
-    ``KEY_PASS_BLOCKS`` at a time; the blocks are yielded in order."""
-    per_pass = KEY_PASS_BLOCKS * BLOCK_EDGES
-    n_cols = 0
-    for lo in range(0, g.n_edges, per_pass):
-        part = _key_pass(g, lo)
-        n_blocks = -(-part.small.size // BLOCK_EDGES)
-        cuts = np.arange(n_blocks + 1)
-        col_cut = (np.searchsorted(part.block, cuts) + n_cols).tolist()
-        edge_cut = np.searchsorted(np.flatnonzero(part.small), cuts * BLOCK_EDGES)
-        for i in range(n_blocks):
-            j0, j1 = edge_cut[i], edge_cut[i + 1]
-            at = part.indptr[j0 : j1 + 1]
-            a0, a1 = at[0], at[-1]
-            at = at - a0
-            bounds = at.tolist()
-            c0, c1 = col_cut[i], col_cut[i + 1]
-            start = i * BLOCK_EDGES
-            yield _Block(
-                index=lo // BLOCK_EDGES + i,
-                rows=slice(lo + start, lo + start + BLOCK_EDGES),
-                small=part.small[start : start + BLOCK_EDGES],
-                bounds=at,
-                spans=list(zip(bounds[:-1], bounds[1:])),
-                s=part.s[a0:a1],
-                col=part.col[a0:a1] - (c0 - n_cols),
-                cols=slice(c0, c1),
-                node=part.node[c0 - n_cols : c1 - n_cols],
-                eu=part.eu[c0 - n_cols : c1 - n_cols],
-                ev=part.ev[c0 - n_cols : c1 - n_cols],
-                side=part.side[c0 - n_cols : c1 - n_cols],
-            )
-        n_cols += part.key.size
+def _blocks(plan: _Plan):
+    """Cut the plan into consecutive blocks of ``BLOCK_EDGES`` edges,
+    yielded in order."""
+    n_blocks = plan.col_cut.size - 1
+    edge_cut = np.searchsorted(
+        np.flatnonzero(plan.small), np.arange(n_blocks + 1) * BLOCK_EDGES
+    )
+    col_cut = plan.col_cut.tolist()
+    for i in range(n_blocks):
+        at = plan.indptr[edge_cut[i] : edge_cut[i + 1] + 1]
+        a0, a1 = at[0], at[-1]
+        at = at - a0
+        bounds = at.tolist()
+        c0, c1 = col_cut[i], col_cut[i + 1]
+        rows = slice(i * BLOCK_EDGES, (i + 1) * BLOCK_EDGES)
+        yield _Block(
+            index=i,
+            rows=rows,
+            small=plan.small[rows],
+            bounds=at,
+            spans=list(zip(bounds[:-1], bounds[1:])),
+            s=plan.s[a0:a1],
+            col=plan.col[a0:a1] - c0,
+            cols=slice(c0, c1),
+            node=plan.node[c0:c1],
+            eu=plan.eu[c0:c1],
+            ev=plan.ev[c0:c1],
+            side=plan.side[c0:c1],
+        )
 
 
 def _held(block, until, n_blocks):
@@ -576,10 +553,10 @@ class _ColumnPool:
     """The Y~ = L^-1 M~ columns the fast route keeps across blocks, each
     with its M~^T z rows for every label set.
 
-    The whole schedule is fixed up front from the columns' keys (see
-    ``_key_pass``), so it depends on the edge list and N alone.  A
-    column stays after its block while a later block has its key, and
-    is dropped at once when none has.  Between blocks the pool keeps at
+    The whole schedule is fixed up front from the keys of the run's
+    plan (see ``_key_pass``), so it depends on the edge list and N
+    alone.  A column stays after its block while a later block has its
+    key, and is dropped at once when none has.  Between blocks the pool keeps at
     most ``cap`` columns; past that, the columns whose next use is
     farthest ahead go first, which builds the fewest columns for a
     sequence known in advance (Belady, IBM Systems Journal 5(2), 1966).
@@ -588,12 +565,12 @@ class _ColumnPool:
     ones it keeps then move into main slots that have been freed.
     """
 
-    def __init__(self, key, col_cut, cap, n_rows, runs):
+    def __init__(self, plan: _Plan, cap, n_rows, runs):
         self.prev, self.move, self.drop, self.drop_cut, self.main, tail = _schedule(
-            key, col_cut, cap
+            plan.key, plan.col_cut, cap
         )
         self.free = np.arange(self.main)
-        self.slot = np.empty(key.size, dtype=np.int32)
+        self.slot = np.empty(plan.key.size, dtype=np.int32)
         self.y = np.empty((n_rows, self.main + tail), order="F")
         self.mt_z = [
             np.empty((self.main + tail, run.labels.columns.shape[1])) for run in runs
@@ -751,9 +728,11 @@ def _solve_capacitance(cap, rhs):
     singular, or its 1-norm condition estimate exceeds
     ``CAPACITANCE_COND_LIMIT``.
     """
-    if not np.isfinite(cap).all():
-        return None
+    # A NaN or inf entry, or a column sum that overflows, makes the norm
+    # non-finite.
     anorm = float(np.abs(cap).sum(axis=0).max())
+    if not np.isfinite(anorm):
+        return None
     ldu, ipiv, info = lapack.dsytrf(cap, lower=1)
     if info != 0:
         return None
@@ -787,11 +766,10 @@ def _kc_scores_each(g: Graph, label_sets) -> list:
         raise InputError("label matrix does not match graph size")
     runs = [_LabelRun(labels, g.n_edges) for labels in label_sets]
     fast = np.zeros(g.n_edges, dtype=bool)
+    plan = _key_pass(g)
     cache = _ScoreCache(g, runs)
-    pool = _ColumnPool(
-        *_pool_keys(g), _POOL_COLUMNS_PER_NODE * g.n_nodes, cache.l_inv.shape[0], runs
-    )
-    for blk in _blocks(g):
+    pool = _ColumnPool(plan, _POOL_COLUMNS_PER_NODE * g.n_nodes, cache.l_inv.shape[0], runs)
+    for blk in _blocks(plan):
         _score_block(cache, g, blk, runs, fast, pool)
         pool.leave(blk)
     return [

@@ -1,5 +1,7 @@
 """Graph construction, aggregation, file round-trips."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -112,8 +114,9 @@ _HALF_LABELS = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 1.7, 1.0, 1.0]
             ),
             "labels",
         ),
+        (lambda: write_labels(_HALF_LABELS, os.devnull), "labels"),
     ],
-    ids=["graph-edges", "graph-labels", "dice-attack", "evaluate-classifier"],
+    ids=["graph-edges", "graph-labels", "dice-attack", "evaluate-classifier", "write-labels"],
 )
 def test_non_whole_ids_are_refused_not_truncated(build, what):
     with pytest.raises(InputError, match=rf"^{what}: 0\.5 is not a whole number in int64 range$"):
@@ -125,7 +128,7 @@ def test_non_whole_ids_are_refused_not_truncated(build, what):
     assert g.edges.tolist() == [[0, 2]] and g.labels.tolist() == [1, 0, 1]
 
 
-# The four call sites of whole_ids, each given one bad id.
+# The five call sites of whole_ids, each given one bad id.
 _ID_SITES = pytest.mark.parametrize(
     "build",
     [
@@ -135,8 +138,9 @@ _ID_SITES = pytest.mark.parametrize(
         lambda bad: evaluate_classifier(
             _TEN, [bad] + [0] * 9, make_split(10, 0, train_frac=0.5), TrainConfig(m=4, steps=1)
         ),
+        lambda bad: write_labels([bad, 1], os.devnull),
     ],
-    ids=["graph-edges", "graph-labels", "dice-attack", "evaluate-classifier"],
+    ids=["graph-edges", "graph-labels", "dice-attack", "evaluate-classifier", "write-labels"],
 )
 
 

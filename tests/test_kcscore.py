@@ -639,10 +639,32 @@ def test_pool_schedule_builds_what_a_plain_pool_builds():
             assert main <= cap
 
 
+def test_each_run_keys_its_edges_once(monkeypatch):
+    g = _sparse_sbm_202()
+    sets = [encode_labels(kmeans_pseudo_labels(g, 2, seed), "one-hot") for seed in range(3)]
+    keyings = []
+    key_pass = kcscore._key_pass
+
+    def counting(*args):
+        keyings.append(args)
+        return key_pass(*args)
+
+    monkeypatch.setattr(kcscore, "_key_pass", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KcesWarning)
+        assert kc_scores_all(g, sets[0]).fast.any()
+        assert len(keyings) == 1
+        keyings.clear()
+        kcscore._kc_scores_each(g, sets)
+    assert len(keyings) == 1
+
+
 def test_pool_fits_in_the_memory_of_the_released_factor():
-    # the numpy memory scoring holds at N = 400: 5.39 MiB, 4.41 N^2
-    # doubles, before the pool, whose N columns take the place of the
-    # base's Cholesky factor
+    # the numpy memory scoring holds at N = 400 peaks at 5.44 MiB, 4.46 N^2
+    # doubles: the pool's N columns take the place of the base's Cholesky
+    # factor, and the run's plan of columns is kept throughout (5.13 MiB
+    # when the edges were keyed in passes, once for the schedule and once
+    # as they were scored)
     g = make_sbm_benchmark(0, n=400, p_in=12 / 400, p_out=2 / 400)
     lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
     tracemalloc.start()
