@@ -413,8 +413,10 @@ def write_features_csv(g: Graph, path) -> None:
 
 
 def write_labels(labels, path) -> None:
-    """Write integer labels, one per line; see ``whole_ids``."""
+    """Write a vector of integer labels, one per line; see ``whole_ids``."""
     lab = whole_ids(labels, "labels")
+    if lab.ndim != 1:
+        raise InputError(f"labels must be a vector, got shape {lab.shape}")
     with open(path, "w", encoding="utf-8") as fh:
         for value in lab.tolist():
             fh.write(f"{value}\n")

@@ -40,22 +40,24 @@ consecutive blocks of ``BLOCK_EDGES``.  A block needs one kernel column
 per distinct key: (k, u), (k, v), or an endpoint or common neighbor of
 one edge; a run keys its edges once, into a plan of every block's
 columns.  A pool keeps the columns Y~ = L^-1 M~, with their M~^T z,
-across blocks, on a schedule read from that plan: a shared key's
-column stays until its last use, and when more than N columns would
-stay between blocks, those whose next use is farthest ahead are
-dropped first.  Each block replays the new row of
-every key, and builds the columns the pool lacks with one product, one
-kernel map and one triangular product.  Per edge, b and b~ come from
-the inner products of its new rows and of its base rows against them,
-and with V = [Y~_e, L^-1[:, s]] the capacitance matrix is C~^-1 + V^T
-V, one symmetric rank-k product; it is factored, condition-estimated
-and solved with LAPACK's symmetric indefinite routines.  The partition
-and the pool's schedule depend on the edge list alone, so every score
-is the same however the caller is configured.  A ridged base changes nothing here: its removals
-are scored under its ridge, so the update is exact against the factor
-of H + ridge I.  An edge goes to the naive route when its affected set
-covers half the graph, or when its capacitance system is not finite,
-singular or ill-conditioned by its 1-norm condition estimate.
+across blocks, and one walk over the plan fixes every slot and move
+before scoring starts: a shared key's column stays until its last
+use, and when more than N columns would stay between blocks, those
+whose next use is farthest ahead are dropped first.  Each block
+replays the new row of every key, and builds the columns the pool
+lacks, in slots after the kept ones, with one product, one kernel
+map and one triangular product.  Per edge, b and b~ come from the
+inner products of its new rows and of its base rows against them, and
+with V = [Y~_e, L^-1[:, s]] the capacitance matrix is C~^-1 + V^T V,
+one symmetric rank-k product; it is factored, condition-estimated and
+solved with LAPACK's symmetric indefinite routines.  The partition and
+the pool's slots depend on the edge list alone, so every score is the
+same however the caller is configured.  A ridged base changes nothing
+here: its removals are scored under its ridge, so the update is exact
+against the factor of H + ridge I.  An edge goes to the naive route
+when its affected set covers half the graph, or when its capacitance
+system is not finite, singular or ill-conditioned by its 1-norm
+condition estimate.
 
 Every BLAS and LAPACK call of the fast route goes through scipy, the
 runtime the Gram rebuild uses (see ``kernel``).
@@ -346,15 +348,19 @@ def _replay_rows(cache: _ScoreCache, g: Graph, s, eu, ev, side):
 
 @dataclass
 class _Plan:
-    """The kernel columns of a run, block by block.
+    """The kernel columns of a run, block by block, and the pool's slots.
 
     ``small`` flags the edges whose affected set covers less than half
     the graph; only those have columns.  The i-th small edge's affected
     rows are ``s[indptr[i]:indptr[i + 1]]``, sorted, and ``col`` holds
     each row's column.  The columns of block t are ``col_cut[t]`` ..
     ``col_cut[t + 1]`` - 1.  Column j is the new row of ``node[j]`` after
-    removing edge (``eu[j]``, ``ev[j]``), on that edge's ``side[j]``, and
-    ``key[j]`` names it for the pool.
+    removing edge (``eu[j]``, ``ev[j]``), on that edge's ``side[j]``.  One
+    walk, ``_schedule``, fixes where the pool keeps it: column j is read
+    from slot ``slot[j]``, where its block builds it if ``built[j]``, and
+    after block t the pool copies the slots of row 0 of ``moves[t]`` to
+    those of row 1.  Built columns fill the slots from ``main`` on, of
+    ``n_slots`` in all.
     """
 
     small: np.ndarray
@@ -366,20 +372,25 @@ class _Plan:
     eu: np.ndarray
     ev: np.ndarray
     side: np.ndarray
-    key: np.ndarray
+    slot: np.ndarray
+    built: np.ndarray
+    moves: list
+    main: int
+    n_slots: int
 
 
 def _key_pass(g: Graph) -> _Plan:
-    """Find the distinct kernel columns of each block of ``g.edges``.
+    """Find the distinct kernel columns of each block of ``g.edges``, and
+    place them in the pool.
 
     A node k in N(u) but not N[v] gets a new row that depends on (k, u)
     alone when (u, v) is removed, and likewise for N(v) without N[u]; the
     edges of a block that share such a key share its column, and the
     key, ``k * N + u``, names the same column in every block.  An
-    endpoint or a common neighbor gets a column of its own edge, keyed
-    -1.  A run keys its edges once, before the Gram matrix is built, so
-    the keying's temporaries are freed before that memory is taken; the
-    plan it keeps holds int32 indices, int8 sides and int64 keys.
+    endpoint or a common neighbor gets a column of its own edge.  A run
+    keys its edges once, before the Gram matrix is built, so the
+    keying's temporaries are freed before that memory is taken; the plan
+    it keeps holds int32 indices and slots, and int8 sides.
     """
     n, edges = g.n_nodes, g.edges
     ne = edges.shape[0]
@@ -407,45 +418,144 @@ def _key_pass(g: Graph) -> _Plan:
     _, first, col = np.unique(
         key + block * (n * n + s.size), return_index=True, return_inverse=True
     )
+    col_cut = np.searchsorted(block[first], np.arange(n_blocks + 1))
+    col, indptr = col.astype(np.int32), hit.indptr
     # Each column is replayed from the first row that takes it.
+    node, eu, ev, side = s[first], eu[first], ev[first], side[first]
+    key = np.where(side == 3, -1, key[first])
+    # The rows' temporaries go before the walk, whose own then take
+    # their memory instead of growing the process heap.
+    del owner, block, first, hit
+    slot, built, moves, main, n_slots = _schedule(
+        key, col_cut, _POOL_COLUMNS_PER_NODE * n
+    )
     return _Plan(
         small=small,
-        indptr=hit.indptr,
+        indptr=indptr,
         s=s,
-        col=col.astype(np.int32),
-        col_cut=np.searchsorted(block[first], np.arange(n_blocks + 1)),
-        node=s[first],
-        eu=eu[first],
-        ev=ev[first],
-        side=side[first],
-        key=np.where(side[first] == 3, -1, key[first]),
+        col=col,
+        col_cut=col_cut,
+        node=node,
+        eu=eu,
+        ev=ev,
+        side=side,
+        slot=slot,
+        built=built,
+        moves=moves,
+        main=main,
+        n_slots=n_slots,
     )
+
+
+def _schedule(key, col_cut, cap):
+    """Walk a run's blocks once and fix every slot of the column pool.
+
+    ``key[j]`` names column j (-1 for a column of one edge), and the
+    columns of block t are ``col_cut[t]`` .. ``col_cut[t + 1]`` - 1.  For
+    each block in order: a column whose key the pool holds takes the
+    holder's slot, and the others are built in column order, into the
+    slots from ``main`` on.  The pool then keeps the columns whose key a
+    later block has, at most ``cap`` of them: past that, the farthest
+    next use goes first, and of a tie the column held latest, which
+    builds the fewest columns for a sequence known in advance (Belady,
+    IBM Systems Journal 5(2), 1966).  The dropped columns free their
+    slots, and each built column that stays moves into the lowest free
+    one, so the pool needs ``main`` slots below the built ones, its most
+    columns kept at once.
+
+    Returns the slot each column is read from in its block, whether its
+    block builds it, each block's moves (a row of sources over a row of
+    destinations), ``main`` and the number of slots.
+    """
+    n_blocks, n_cols = col_cut.size - 1, key.size
+    block = np.repeat(np.arange(n_blocks, dtype=np.int32), np.diff(col_cut))
+    keyed = np.flatnonzero(key >= 0)
+    order = keyed[np.argsort(key[keyed], kind="stable")]
+    again = key[order[1:]] == key[order[:-1]]
+    here, there = order[:-1][again], order[1:][again]
+    # Column j's key was last used by column prev[j] (-1 for none) and is
+    # next used in block nxt[j] (n_blocks for none).
+    prev = np.full(n_cols, -1, dtype=np.int32)
+    prev[there] = here
+    nxt = np.full(n_cols, n_blocks, dtype=np.int32)
+    nxt[here] = block[there]
+    # pool lists the columns held after a block, in column order, and
+    # held flags them; its last entry, read for prev -1, stays False.
+    pool = np.empty(0, dtype=np.intp)
+    held = np.zeros(n_cols + 1, dtype=bool)
+    slot = np.empty(n_cols, dtype=np.int32)
+    built = np.empty(n_cols, dtype=bool)
+    main, moved, dsts = 0, [], []
+    cuts = col_cut.tolist()
+    for t in range(n_blocks):
+        c0, c1 = cuts[t], cuts[t + 1]
+        p = prev[c0:c1]
+        taken = held[p]
+        slot[c0:c1][taken] = slot[p[taken]]
+        built[c0:c1] = ~taken
+        # Of the columns with a later use, both lists in column order,
+        # keep the cap nearest next uses, the earliest held first on a
+        # tie: next uses past the (cap + 1)-th nearest go, and so do the
+        # ties with it that do not fit.
+        later = c0 + np.flatnonzero(nxt[c0:c1] < n_blocks)
+        stay = np.concatenate((pool[nxt[pool] > t], later))
+        if stay.size > cap:
+            near = nxt[stay]
+            edge = np.partition(near, cap)[cap]
+            far = near > edge
+            tied = np.flatnonzero(near == edge)
+            far[tied[cap - np.count_nonzero(near < edge) :]] = True
+            stay = stay[~far]
+        held[pool] = False
+        held[stay] = True
+        pool = stay
+        # The block's built columns that stay move into the lowest slots
+        # the others do not hold.
+        new = (pool >= c0) & built[pool]
+        go = pool[new]
+        busy = np.zeros(main + go.size, dtype=bool)
+        busy[slot[pool[~new]]] = True
+        dst = np.flatnonzero(~busy)[: go.size]
+        slot[go] = dst
+        main = max(main, int(dst.max(initial=-1)) + 1)
+        moved.append(go)
+        dsts.append(dst)
+    # The built columns of each block are read from the slots from main on.
+    at = np.flatnonzero(built)
+    start = np.searchsorted(at, col_cut)
+    slot[at] = main + np.arange(at.size) - start[block[at]]
+    # Every block's moves are views of one buffer.
+    moves = np.array([slot[np.concatenate(moved)], np.concatenate(dsts)], dtype=np.int32)
+    moves = np.split(moves, np.cumsum([go.size for go in moved[:-1]]), axis=1)
+    return slot, built, moves, main, main + int(np.diff(start).max(initial=0))
 
 
 @dataclass
 class _Block:
-    """The edges ``g.edges[rows]`` of block ``index`` and the kernel
-    columns they need.
+    """The edges ``g.edges[rows]`` of one block and the kernel columns
+    they need.
 
     ``small`` flags the edges that have columns.  ``spans`` holds each
     such edge's range of affected rows, from ``bounds``; the rows' nodes
     are ``s`` and their columns ``col``, an index into the block's
-    columns.  Those are the run's columns ``cols``, with ``node``,
-    ``eu``, ``ev`` and ``side`` as in ``_Plan``.
+    columns.  Those have ``node``, ``eu``, ``ev``, ``side``, ``slot`` and
+    ``built`` as in ``_Plan``; the built ones fill the pool's slots
+    ``build``.
     """
 
-    index: int
     rows: slice
     small: np.ndarray
     bounds: np.ndarray
     spans: list
     s: np.ndarray
     col: np.ndarray
-    cols: slice
     node: np.ndarray
     eu: np.ndarray
     ev: np.ndarray
     side: np.ndarray
+    slot: np.ndarray
+    built: np.ndarray
+    build: slice
 
 
 def _blocks(plan: _Plan):
@@ -463,145 +573,22 @@ def _blocks(plan: _Plan):
         bounds = at.tolist()
         c0, c1 = col_cut[i], col_cut[i + 1]
         rows = slice(i * BLOCK_EDGES, (i + 1) * BLOCK_EDGES)
+        built = plan.built[c0:c1]
         yield _Block(
-            index=i,
             rows=rows,
             small=plan.small[rows],
             bounds=at,
             spans=list(zip(bounds[:-1], bounds[1:])),
             s=plan.s[a0:a1],
             col=plan.col[a0:a1] - c0,
-            cols=slice(c0, c1),
             node=plan.node[c0:c1],
             eu=plan.eu[c0:c1],
             ev=plan.ev[c0:c1],
             side=plan.side[c0:c1],
+            slot=plan.slot[c0:c1],
+            built=built,
+            build=slice(plan.main, plan.main + np.count_nonzero(built)),
         )
-
-
-def _held(block, until, n_blocks):
-    """Columns held after each block, column j after blocks block[j] ..
-    until[j] - 1."""
-    change = np.bincount(block, minlength=n_blocks + 1)
-    change -= np.bincount(until, minlength=n_blocks + 1)
-    return np.cumsum(change)[:n_blocks]
-
-
-def _evict(block, until, live, over, cap):
-    """Cut ``until`` short for the columns evicted after each block in
-    ``over``, whose held count exceeds ``cap``, farthest next use first.
-
-    ``live`` lists the columns with a later use in block order.  The
-    pool has room before the first block of ``over`` and after the last,
-    so only the blocks between are walked.
-    """
-    starts = np.searchsorted(block[live], np.arange(over[-1] + 2))
-    held = live[: starts[over[0]]]
-    for t in range(over[0], over[-1] + 1):
-        held = np.concatenate((held[until[held] > t], live[starts[t] : starts[t + 1]]))
-        if held.size > cap:
-            # Keep the cap nearest next uses, the earliest held first on a
-            # tie: next uses past the (cap + 1)-th nearest go, and so do
-            # the ties with it that do not fit.
-            near = until[held]
-            edge = np.partition(near, cap)[cap]
-            far = near > edge
-            tied = np.flatnonzero(near == edge)
-            far[tied[cap - np.count_nonzero(near < edge) :]] = True
-            until[held[far]] = t
-
-
-def _schedule(key, col_cut, cap):
-    """The pool's plan for a run's columns (see ``_ColumnPool``).
-
-    Returns ``prev``, the column whose slot each column takes over (-1
-    for a column that must be built), ``move``, which built columns stay
-    after their block, the columns that free a main slot in the order
-    they do with each block's range ``drop_cut``, and the numbers of
-    main and of tail slots.
-    """
-    n_blocks = col_cut.size - 1
-    block = np.repeat(np.arange(n_blocks, dtype=np.int32), np.diff(col_cut))
-    keyed = np.flatnonzero(key >= 0).astype(np.int32)
-    order = keyed[np.argsort(key[keyed], kind="stable")]
-    again = key[order[1:]] == key[order[:-1]]
-    # Column here[i]'s key is next used by column there[i].
-    here, there = order[:-1][again], order[1:][again]
-    until = block.copy()
-    until[here] = block[there]
-    over = np.flatnonzero(_held(block, until, n_blocks) > cap)
-    if over.size:
-        _evict(block, until, np.sort(here), over, int(cap))
-    kept = until[here] == block[there]
-    prev = np.full(key.size, -1, dtype=np.int32)
-    prev[there[kept]] = here[kept]
-    new = prev < 0
-    move = new & (until > block)
-    # A column in a main slot that no later column takes over frees it
-    # after block until[j].
-    stays = np.zeros(key.size, dtype=bool)
-    stays[here[kept]] = True
-    drop = np.flatnonzero(~stays & (~new | move))
-    drop = drop[np.argsort(until[drop], kind="stable")]
-    drop_cut = np.searchsorted(until[drop], np.arange(n_blocks + 1))
-    main = int(_held(block, until, n_blocks).max(initial=0))
-    tail = int(np.bincount(block[new], minlength=1).max())
-    return prev, move, drop, drop_cut, main, tail
-
-
-class _ColumnPool:
-    """The Y~ = L^-1 M~ columns the fast route keeps across blocks, each
-    with its M~^T z rows for every label set.
-
-    The whole schedule is fixed up front from the keys of the run's
-    plan (see ``_key_pass``), so it depends on the edge list and N
-    alone.  A column stays after its block while a later block has its
-    key, and is dropped at once when none has.  Between blocks the pool keeps at
-    most ``cap`` columns; past that, the columns whose next use is
-    farthest ahead go first, which builds the fewest columns for a
-    sequence known in advance (Belady, IBM Systems Journal 5(2), 1966).
-    Kept columns sit in the first ``main`` slots of ``y``.  A block
-    builds the columns the pool lacks in the slots after those, and the
-    ones it keeps then move into main slots that have been freed.
-    """
-
-    def __init__(self, plan: _Plan, cap, n_rows, runs):
-        self.prev, self.move, self.drop, self.drop_cut, self.main, tail = _schedule(
-            plan.key, plan.col_cut, cap
-        )
-        self.free = np.arange(self.main)
-        self.slot = np.empty(plan.key.size, dtype=np.int32)
-        self.y = np.empty((n_rows, self.main + tail), order="F")
-        self.mt_z = [
-            np.empty((self.main + tail, run.labels.columns.shape[1])) for run in runs
-        ]
-
-    def enter(self, blk: _Block):
-        """Slots of the block's columns, and which ones it must build."""
-        slot, prev = self.slot[blk.cols], self.prev[blk.cols]
-        # A new column's prev is -1, and its slot is set after.
-        slot[:] = self.slot[prev]
-        new = prev < 0
-        slot[new] = self.main + np.arange(np.count_nonzero(new))
-        return slot, new
-
-    def leave(self, blk: _Block):
-        """Free the slots the block's end releases and move its kept
-        columns into main slots."""
-        t = blk.index
-        freed = self.slot[self.drop[self.drop_cut[t] : self.drop_cut[t + 1]]]
-        if freed.size:
-            self.free = np.concatenate((self.free, freed))
-        slot = self.slot[blk.cols]
-        moved = np.flatnonzero(self.move[blk.cols])
-        if moved.size:
-            dst = self.free[self.free.size - moved.size :]
-            self.free = self.free[: self.free.size - moved.size]
-            src = slot[moved]
-            self.y[:, dst] = self.y[:, src]
-            for mt in self.mt_z:
-                mt[dst] = mt[src]
-            slot[moved] = dst
 
 
 def _corners(cache: _ScoreCache, blk: _Block, rows):
@@ -639,9 +626,10 @@ def _corners(cache: _ScoreCache, blk: _Block, rows):
     return true, shared
 
 
-def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, runs, fast, pool):
+def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, runs, fast, y, mt_z):
     """Fill ``fast`` and each run's ``gkc_removed`` for the edges of one
-    block, in order."""
+    block, in order, reading the pool's columns ``y`` and their rows
+    ``mt_z`` of each run."""
     n = g.n_nodes
     h = cache.h
     # (a) row replay of every column, then for the columns the pool
@@ -650,21 +638,19 @@ def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, runs, fast, pool):
     # ones.  The dgemm operands are Fortran-ordered views of C-ordered
     # arrays.
     rows, norms = _replay_rows(cache, g, blk.node, blk.eu, blk.ev, blk.side)
-    slot, new = pool.enter(blk)
+    new = blk.built
     if new.any():
-        built = pool.y[:, pool.main : pool.main + np.count_nonzero(new)]
+        built = y[:, blk.build]
         blas.dgemm(1.0, cache.base_rows.T, rows[new].T, trans_a=1, c=built, overwrite_c=1)
         arccos_kernel(built)
         # h is exactly symmetric, so its rows are the columns, read contiguously.
         built[:n] -= h[blk.node[new]].T
         blas.dtrmm(1.0, cache.l_inv, built, lower=1, overwrite_b=1)
-        for run, mt in zip(runs, pool.mt_z):
-            mt[pool.main : pool.main + built.shape[1]] = blas.dgemm(
-                1.0, built[:n], run.l_inv_y, trans_a=1
-            )
+        for run, mt in zip(runs, mt_z):
+            mt[blk.build] = blas.dgemm(1.0, built[:n], run.l_inv_y, trans_a=1)
 
     true, shared = _corners(cache, blk, rows)
-    slots, y = slot[blk.col], pool.y[:n]
+    slots, y = blk.slot[blk.col], y[:n]
 
     # (d) per-edge capacitance C~^-1 + V^T V (see the module docstring).
     # With V = [Y~_e, L^-1[:, s]], one syrk gives m~^T H^-1 m~,
@@ -702,7 +688,7 @@ def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, runs, fast, pool):
             cap[:ns, :ns] += corner
             wt_z = [
                 np.concatenate((mt[at_pool], run.z[s]))
-                for run, mt in zip(runs, pool.mt_z)
+                for run, mt in zip(runs, mt_z)
             ]
             solved = _solve_capacitance(cap, wt_z)
             if solved is not None:
@@ -768,10 +754,15 @@ def _kc_scores_each(g: Graph, label_sets) -> list:
     fast = np.zeros(g.n_edges, dtype=bool)
     plan = _key_pass(g)
     cache = _ScoreCache(g, runs)
-    pool = _ColumnPool(plan, _POOL_COLUMNS_PER_NODE * g.n_nodes, cache.l_inv.shape[0], runs)
-    for blk in _blocks(plan):
-        _score_block(cache, g, blk, runs, fast, pool)
-        pool.leave(blk)
+    # The pool: the columns Y~ = L^-1 M~ kept across blocks, each with its
+    # M~^T z rows for every label set, in the slots the plan fixes.
+    y = np.empty((cache.l_inv.shape[0], plan.n_slots), order="F")
+    mt_z = [np.empty((plan.n_slots, run.labels.columns.shape[1])) for run in runs]
+    for blk, (src, dst) in zip(_blocks(plan), plan.moves):
+        _score_block(cache, g, blk, runs, fast, y, mt_z)
+        y[:, dst] = y[:, src]
+        for mt in mt_z:
+            mt[dst] = mt[src]
     return [
         KcScoreTable(
             edges=g.edges,

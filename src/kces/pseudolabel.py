@@ -156,7 +156,7 @@ def kmeans_pseudo_labels(
 
 
 def encode_labels(source, encoding: str = "one-hot") -> LabelMatrix:
-    """One-hot label matrix of pseudo labels or integer class labels.
+    """One-hot label matrix of pseudo labels or a vector of integer class labels.
 
     Column c holds 1.0 on the nodes of class c and 0.0 elsewhere; the
     column count is the pseudo labels' K, or the largest class plus one.
@@ -170,6 +170,8 @@ def encode_labels(source, encoding: str = "one-hot") -> LabelMatrix:
         assign = np.asarray(source)
         if assign.dtype.kind not in "iu":
             raise EncodingError("one-hot requires integer labels")
+        if assign.ndim != 1:
+            raise EncodingError(f"labels must be a vector, got shape {assign.shape}")
         assign = assign.astype(np.int64)
         if assign.size and assign.min() < 0:
             raise EncodingError("labels must be non-negative")

@@ -157,6 +157,15 @@ def test_ragged_ids_raise_input_error(build):
         build([1])
 
 
+@pytest.mark.parametrize("labels", [[[0, 1], [1, 0]], 7], ids=["matrix", "scalar"])
+def test_write_labels_refuses_what_is_not_a_vector(labels, tmp_path):
+    # one label per line is all load_graph reads back
+    path = tmp_path / "labels.txt"
+    with pytest.raises(InputError, match=r"^labels must be a vector, got shape \("):
+        write_labels(labels, path)
+    assert not path.exists()
+
+
 def test_edges_are_canonical_and_sorted():
     g = Graph(features=np.eye(4), edges=[(3, 1), (2, 0), (1, 0)])
     assert g.edges.tolist() == [[0, 1], [0, 2], [1, 3]]

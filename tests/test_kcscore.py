@@ -619,7 +619,27 @@ def _pool_builds(blocks, cap):
     return built
 
 
-def test_pool_schedule_builds_what_a_plain_pool_builds():
+def _replay_pool(key, col_cut, slot, built, moves, main):
+    """Replay a pool of keys: each block writes the key of every column it
+    builds at that column's slot (a column of one edge, key -1, has a name
+    of its own), every column then reads its key at its slot, and the
+    block's moves copy slots."""
+    names = [k if k >= 0 else ("own", j) for j, k in enumerate(key.tolist())]
+    slot, built = slot.tolist(), built.tolist()
+    held = {}
+    for t, (src, dst) in enumerate(moves):
+        cols = range(col_cut[t], col_cut[t + 1])
+        for j in cols:
+            assert (slot[j] >= main) == built[j], f"column {j}"
+            if built[j]:
+                held[slot[j]] = names[j]
+        for j in cols:
+            assert held.get(slot[j]) == names[j], f"column {j}"
+        assert np.all(dst < main) and np.all(src >= main), f"block {t}"
+        held.update(zip(dst.tolist(), [held[i] for i in src.tolist()]))
+
+
+def test_pool_schedule_builds_what_a_plain_pool_builds(monkeypatch):
     rng = np.random.default_rng(7)
     for _ in range(200):
         blocks = [
@@ -629,14 +649,26 @@ def test_pool_schedule_builds_what_a_plain_pool_builds():
         blocks = [np.where(b < 0, -1, b) for b in blocks]
         key = np.concatenate(blocks).astype(np.int64)
         col_cut = np.cumsum([0] + [b.size for b in blocks])
-        block = np.repeat(np.arange(len(blocks)), np.diff(col_cut))
         for cap in (0, 1, 3, 6, 100):
-            prev, move, drop, drop_cut, main, tail = kcscore._schedule(key, col_cut, cap)
-            assert np.count_nonzero(prev < 0) == _pool_builds(blocks, cap)
-            taken = prev >= 0
-            assert np.all(key[prev[taken]] == key[taken])
-            assert np.all(block[prev[taken]] < block[taken])
-            assert main <= cap
+            slot, built, moves, main, n_slots = kcscore._schedule(key, col_cut, cap)
+            assert np.count_nonzero(built) == _pool_builds(blocks, cap)
+            _replay_pool(key, col_cut, slot, built, moves, main)
+            assert main <= cap and np.all(slot < n_slots)
+    # the plans scoring runs on, with no pool and with an N-column pool
+    for g in (_star_ring_graph(), _sparse_sbm_202()):
+        n = g.n_nodes
+        for pool in (0, 1):
+            monkeypatch.setattr(kcscore, "_POOL_COLUMNS_PER_NODE", pool)
+            plan = kcscore._key_pass(g)
+            key = np.where(
+                plan.side == 3,
+                -1,
+                plan.node.astype(np.int64) * n + np.where(plan.side == 2, plan.ev, plan.eu),
+            )
+            blocks = [key[a:b] for a, b in zip(plan.col_cut[:-1], plan.col_cut[1:])]
+            assert np.count_nonzero(plan.built) == _pool_builds(blocks, pool * n)
+            _replay_pool(key, plan.col_cut, plan.slot, plan.built, plan.moves, plan.main)
+            assert plan.main <= pool * n
 
 
 def test_each_run_keys_its_edges_once(monkeypatch):
@@ -660,11 +692,10 @@ def test_each_run_keys_its_edges_once(monkeypatch):
 
 
 def test_pool_fits_in_the_memory_of_the_released_factor():
-    # the numpy memory scoring holds at N = 400 peaks at 5.44 MiB, 4.46 N^2
+    # the numpy memory scoring holds at N = 400 peaks at 5.28 MiB, 4.33 N^2
     # doubles: the pool's N columns take the place of the base's Cholesky
-    # factor, and the run's plan of columns is kept throughout (5.13 MiB
-    # when the edges were keyed in passes, once for the schedule and once
-    # as they were scored)
+    # factor, and the run's plan, with each column's slot, is kept
+    # throughout
     g = make_sbm_benchmark(0, n=400, p_in=12 / 400, p_out=2 / 400)
     lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
     tracemalloc.start()

@@ -113,6 +113,13 @@ def test_one_hot_encoding():
     assert np.array_equal(np.argmax(lm.columns, axis=1), pl.assignments)
 
 
+def test_one_hot_refuses_labels_that_are_not_a_vector():
+    # a matrix would encode as a matrix of ones, a scalar has no rows
+    for labels in (np.array([[0, 1], [1, 0]]), np.array(3)):
+        with pytest.raises(EncodingError, match=r"^labels must be a vector, got shape \("):
+            encode_labels(labels)
+
+
 def test_signed_binary_encoding():
     # one-hot is the only encoding: a single +1/-1 column is refused
     pl = PseudoLabels(assignments=np.array([0, 1, 1, 0]), k=2, inertia=0.0, seed=0)

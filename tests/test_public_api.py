@@ -55,3 +55,29 @@ def test_no_unused_module_imports():
                         if name not in read:
                             unused.append(f"{folder}/{path.name}: {name}")
     assert unused == []
+
+
+def test_no_unread_private_names():
+    # a module-level _name of the package that no module of it reads, by
+    # name, attribute or import, is dead code
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "src/kces").glob("*.py"))]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    private = [name for name in defined if name.startswith("_") and not name.startswith("__")]
+    assert private
+    assert [name for name in private if name not in read] == []
