@@ -273,7 +273,8 @@ def write_trace_csv(trace: TrainTrace, path, prediction=None) -> None:
 def generalization_bound(gkc_value, n: int, lambda0: float, delta: float, constant: float = 1.0):
     """Generalization bound sqrt(GKC) + C * sqrt(log(n / (lambda0 delta)) / n)."""
     value = float(gkc_value)
-    if value < 0.0:
+    # Written so that a NaN is refused too.
+    if not value >= 0.0:
         raise ConfigError(f"complexity must be non-negative, got {value}")
     if n < 1:
         raise ConfigError(f"n must be positive, got {n}")
@@ -292,7 +293,7 @@ def edge_bound(
     constant: float = 1.0,
 ):
     """Edge-removal variant: adds sqrt(kc) slack to the base bound."""
-    if kc_score < 0.0:
+    if not kc_score >= 0.0:
         raise ConfigError(f"kc score must be non-negative, got {kc_score}")
     return generalization_bound(base_gkc, n, lambda0, delta, constant) + math.sqrt(kc_score)
 
@@ -313,6 +314,9 @@ def make_split(
     n: int, seed: int, train_frac: float = 0.1, val_frac: float = 0.1
 ) -> Split:
     """Seeded permutation split (default 10/10/80)."""
+    for name, frac in (("train_frac", train_frac), ("val_frac", val_frac)):
+        if not 0.0 <= frac < 1.0:
+            raise ConfigError(f"{name} must be in [0, 1), got {frac}")
     if not 0.0 < train_frac + val_frac < 1.0:
         raise ConfigError("split fractions must leave room for a test set")
     rng = np.random.default_rng(seed_key(seed, 0x5917))

@@ -38,8 +38,9 @@ and with z = H^-1 y the Woodbury identity gives
 where W~^T z = [M~_e^T z; z[s]].  The route walks ``g.edges`` in
 consecutive blocks of ``BLOCK_EDGES``.  A block needs one kernel column
 per distinct key: (k, u), (k, v), or an endpoint or common neighbor of
-one edge; a run keys its edges once, into a plan of every block's
-columns.  A pool keeps the columns Y~ = L^-1 M~, with their M~^T z,
+one edge; a run keys its edges once, into one plan of every edge's
+rows and every block's columns, and each block reads its slice of it
+in place.  A pool keeps the columns Y~ = L^-1 M~, with their M~^T z,
 across blocks, and one walk over the plan fixes every slot and move
 before scoring starts: a shared key's column stays until its last
 use, and when more than N columns would stay between blocks, those
@@ -55,9 +56,9 @@ the pool's slots depend on the edge list alone, so every score is the
 same however the caller is configured.  A ridged base changes nothing
 here: its removals are scored under its ridge, so the update is exact
 against the factor of H + ridge I.  An edge goes to the naive route
-when its affected set covers half the graph, or when its capacitance
-system is not finite, singular or ill-conditioned by its 1-norm
-condition estimate.
+when its affected set covers half the graph, which leaves it no rows
+in the plan, or when its capacitance system is not finite, singular
+or ill-conditioned by its 1-norm condition estimate.
 
 Every BLAS and LAPACK call of the fast route goes through scipy, the
 runtime the Gram rebuild uses (see ``kernel``).
@@ -350,20 +351,19 @@ def _replay_rows(cache: _ScoreCache, g: Graph, s, eu, ev, side):
 class _Plan:
     """The kernel columns of a run, block by block, and the pool's slots.
 
-    ``small`` flags the edges whose affected set covers less than half
-    the graph; only those have columns.  The i-th small edge's affected
-    rows are ``s[indptr[i]:indptr[i + 1]]``, sorted, and ``col`` holds
-    each row's column.  The columns of block t are ``col_cut[t]`` ..
-    ``col_cut[t + 1]`` - 1.  Column j is the new row of ``node[j]`` after
-    removing edge (``eu[j]``, ``ev[j]``), on that edge's ``side[j]``.  One
-    walk, ``_schedule``, fixes where the pool keeps it: column j is read
-    from slot ``slot[j]``, where its block builds it if ``built[j]``, and
-    after block t the pool copies the slots of row 0 of ``moves[t]`` to
-    those of row 1.  Built columns fill the slots from ``main`` on, of
-    ``n_slots`` in all.
+    Edge i of ``g.edges`` has the affected rows
+    ``s[indptr[i]:indptr[i + 1]]``, sorted, and ``col`` holds each row's
+    column; an edge whose affected set covers half the graph has none.
+    The columns of block t are ``col_cut[t]`` .. ``col_cut[t + 1]`` - 1,
+    and each block reads its slice of the plan in place.  Column j is the
+    new row of ``node[j]`` after removing edge (``eu[j]``, ``ev[j]``), on
+    that edge's ``side[j]``.  One walk, ``_schedule``, fixes where the
+    pool keeps it: column j is read from slot ``slot[j]``, where its
+    block builds it if ``built[j]``, and after block t the pool copies the
+    slots of row 0 of ``moves[t]`` to those of row 1.  Built columns fill
+    the slots from ``main`` on, of ``n_slots`` in all.
     """
 
-    small: np.ndarray
     indptr: np.ndarray
     s: np.ndarray
     col: np.ndarray
@@ -402,10 +402,12 @@ def _key_pass(g: Graph) -> _Plan:
     )
     hit = pick @ g.adjacency_with_self_loops()
     hit.sort_indices()
-    small = 2 * np.diff(hit.indptr) < n
-    if not small.all():
-        hit = hit[small]
-    owner = np.repeat(np.flatnonzero(small), np.diff(hit.indptr))
+    # An edge whose affected set covers half the graph goes naive: it
+    # keeps its range of indptr, but no rows.
+    sizes = np.diff(hit.indptr)
+    hit.data[np.repeat(2 * sizes >= n, sizes)] = 0.0
+    hit.eliminate_zeros()
+    owner = np.repeat(np.arange(ne), np.diff(hit.indptr))
     s, side = hit.indices, hit.data.astype(np.int8)
     eu, ev = edges[owner, 0].astype(np.int32), edges[owner, 1].astype(np.int32)
     block = owner // BLOCK_EDGES
@@ -430,7 +432,6 @@ def _key_pass(g: Graph) -> _Plan:
         key, col_cut, _POOL_COLUMNS_PER_NODE * n
     )
     return _Plan(
-        small=small,
         indptr=indptr,
         s=s,
         col=col,
@@ -530,88 +531,30 @@ def _schedule(key, col_cut, cap):
     return slot, built, moves, main, main + int(np.diff(start).max(initial=0))
 
 
-@dataclass
-class _Block:
-    """The edges ``g.edges[rows]`` of one block and the kernel columns
-    they need.
+def _corners(cache: _ScoreCache, s, bounds, rows):
+    """The true block b = m_e[s] and corner b~ = m~_e[s] of each edge of a
+    block that has affected rows, both without their h[s, s] term.
 
-    ``small`` flags the edges that have columns.  ``spans`` holds each
-    such edge's range of affected rows, from ``bounds``; the rows' nodes
-    are ``s`` and their columns ``col``, an index into the block's
-    columns.  Those have ``node``, ``eu``, ``ev``, ``side``, ``slot`` and
-    ``built`` as in ``_Plan``; the built ones fill the pool's slots
-    ``build``.
-    """
-
-    rows: slice
-    small: np.ndarray
-    bounds: np.ndarray
-    spans: list
-    s: np.ndarray
-    col: np.ndarray
-    node: np.ndarray
-    eu: np.ndarray
-    ev: np.ndarray
-    side: np.ndarray
-    slot: np.ndarray
-    built: np.ndarray
-    build: slice
-
-
-def _blocks(plan: _Plan):
-    """Cut the plan into consecutive blocks of ``BLOCK_EDGES`` edges,
-    yielded in order."""
-    n_blocks = plan.col_cut.size - 1
-    edge_cut = np.searchsorted(
-        np.flatnonzero(plan.small), np.arange(n_blocks + 1) * BLOCK_EDGES
-    )
-    col_cut = plan.col_cut.tolist()
-    for i in range(n_blocks):
-        at = plan.indptr[edge_cut[i] : edge_cut[i + 1] + 1]
-        a0, a1 = at[0], at[-1]
-        at = at - a0
-        bounds = at.tolist()
-        c0, c1 = col_cut[i], col_cut[i + 1]
-        rows = slice(i * BLOCK_EDGES, (i + 1) * BLOCK_EDGES)
-        built = plan.built[c0:c1]
-        yield _Block(
-            rows=rows,
-            small=plan.small[rows],
-            bounds=at,
-            spans=list(zip(bounds[:-1], bounds[1:])),
-            s=plan.s[a0:a1],
-            col=plan.col[a0:a1] - c0,
-            node=plan.node[c0:c1],
-            eu=plan.eu[c0:c1],
-            ev=plan.ev[c0:c1],
-            side=plan.side[c0:c1],
-            slot=plan.slot[c0:c1],
-            built=built,
-            build=slice(plan.main, plan.main + np.count_nonzero(built)),
-        )
-
-
-def _corners(cache: _ScoreCache, blk: _Block, rows):
-    """Each small edge's true block b = m_e[s] and corner b~ = m~_e[s],
-    both without their h[s, s] term.
-
-    b takes the new rows on both sides, and b~ the base rows against the
-    new ones, so both come from one syrk over the edge's new rows and
-    its base rows, stacked.  They share one buffer and one kernel map,
-    and b is exactly symmetric: its inner products are mirrored and the
-    map is entrywise.
+    Edge i's rows are ``s[bounds[i]:bounds[i + 1]]``, and ``rows`` holds
+    the new row of each.  b takes the new rows on both sides, and b~ the
+    base rows against the new ones, so both come from one syrk over the
+    edge's new rows and its base rows, stacked.  They share one buffer
+    and one kernel map, and b is exactly symmetric: its inner products
+    are mirrored and the map is entrywise.
     """
     # Edge [a, b) stacks its new rows at 2a .. a+b and its base rows at
     # a+b .. 2b.
-    sizes = np.diff(blk.bounds)
-    k = np.arange(blk.s.size)
-    stack = np.empty((2 * blk.s.size, rows.shape[1]))
-    stack[k + np.repeat(blk.bounds[:-1], sizes)] = rows[blk.col]
-    stack[k + np.repeat(blk.bounds[1:], sizes)] = cache.base_rows[blk.s]
+    sizes = np.diff(bounds)
+    k = np.arange(s.size)
+    stack = np.empty((2 * s.size, rows.shape[1]))
+    stack[k + np.repeat(bounds[:-1], sizes)] = rows
+    stack[k + np.repeat(bounds[1:], sizes)] = cache.base_rows[s]
     buf = np.empty(2 * int(sizes @ sizes))
     true, shared = [], []
     end = 0
-    for a, b in blk.spans:
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if a == b:
+            continue
         ns = b - a
         tri = blas.dsyrk(1.0, stack[2 * a : 2 * b].T, trans=1, lower=1)
         start, mid, end = end, end + ns * ns, end + 2 * ns * ns
@@ -626,52 +569,64 @@ def _corners(cache: _ScoreCache, blk: _Block, rows):
     return true, shared
 
 
-def _score_block(cache: _ScoreCache, g: Graph, blk: _Block, runs, fast, y, mt_z):
-    """Fill ``fast`` and each run's ``gkc_removed`` for the edges of one
-    block, in order, reading the pool's columns ``y`` and their rows
-    ``mt_z`` of each run."""
-    n = g.n_nodes
-    h = cache.h
+def _score_block(cache: _ScoreCache, g: Graph, plan: _Plan, t, runs, fast, y, mt_z):
+    """Fill ``fast`` and each run's ``gkc_removed`` for the edges of block
+    t, in order, reading the pool's columns ``y`` and their rows ``mt_z``
+    of each run.
+
+    The block reads its slice of ``plan`` in place: its edges
+    ``g.edges[e0 : e0 + BLOCK_EDGES]``, e0 = t * ``BLOCK_EDGES``, their
+    rows from ``indptr[e0]`` on, and its columns from ``col_cut[t]`` on.
+    An edge with no rows takes the naive route.
+    """
+    n, h = g.n_nodes, cache.h
+    e0 = t * BLOCK_EDGES
+    bounds = plan.indptr[e0 : e0 + BLOCK_EDGES + 1]
+    cols = slice(plan.col_cut[t], plan.col_cut[t + 1])
     # (a) row replay of every column, then for the columns the pool
     # lacks: (b) kernel columns against the base rows, (c) one triangular
     # product with L^-1, both in place in the pool's slots after the kept
     # ones.  The dgemm operands are Fortran-ordered views of C-ordered
     # arrays.
-    rows, norms = _replay_rows(cache, g, blk.node, blk.eu, blk.ev, blk.side)
-    new = blk.built
+    node = plan.node[cols]
+    rows, norms = _replay_rows(cache, g, node, plan.eu[cols], plan.ev[cols], plan.side[cols])
+    new = plan.built[cols]
     if new.any():
-        built = y[:, blk.build]
+        build = slice(plan.main, plan.main + np.count_nonzero(new))
+        built = y[:, build]
         blas.dgemm(1.0, cache.base_rows.T, rows[new].T, trans_a=1, c=built, overwrite_c=1)
         arccos_kernel(built)
         # h is exactly symmetric, so its rows are the columns, read contiguously.
-        built[:n] -= h[blk.node[new]].T
+        built[:n] -= h[node[new]].T
         blas.dtrmm(1.0, cache.l_inv, built, lower=1, overwrite_b=1)
         for run, mt in zip(runs, mt_z):
-            mt[blk.build] = blas.dgemm(1.0, built[:n], run.l_inv_y, trans_a=1)
+            mt[build] = blas.dgemm(1.0, built[:n], run.l_inv_y, trans_a=1)
 
-    true, shared = _corners(cache, blk, rows)
-    slots, y = blk.slot[blk.col], y[:n]
+    # Each affected row's node, pool slot, new row and norm.
+    a0, a1 = bounds[0], bounds[-1]
+    affected, col = plan.s[a0:a1], plan.col[a0:a1]
+    slots, y = plan.slot[col], y[:n]
+    rows, norms = rows[col - cols.start], norms[col - cols.start]
+    bounds = (bounds - a0).tolist()
+    corners = zip(*_corners(cache, affected, bounds, rows))
 
     # (d) per-edge capacitance C~^-1 + V^T V (see the module docstring).
     # With V = [Y~_e, L^-1[:, s]], one syrk gives m~^T H^-1 m~,
     # (H^-1 m~)[s] and H^-1[s, s] at once.  The matrix, its factorization
     # and the route are shared by every label set; each set solves for
     # its own right-hand side.
-    j = 0
-    for pos, (u, v) in enumerate(g.edges[blk.rows].tolist(), start=blk.rows.start):
-        if blk.small[pos - blk.rows.start]:
-            a, b = blk.spans[j]
-            b_true, b_shared = true[j], shared[j]
-            j += 1
-            s, c = blk.s[a:b], blk.col[a:b]
-            bad = norms[c] < DEGENERATE_ROW_NORM
+    for i, (u, v) in enumerate(g.edges[e0 : e0 + BLOCK_EDGES].tolist()):
+        pos, a, b = e0 + i, bounds[i], bounds[i + 1]
+        if a < b:
+            b_true, b_shared = next(corners)
+            s, at_pool = affected[a:b], slots[a:b]
+            bad = norms[a:b] < DEGENERATE_ROW_NORM
             if bad.any():
                 raise DegenerateFeatureError(
                     f"removing edge ({u}, {v}) degenerates aggregation "
                     f"at node {int(s[np.argmax(bad)])}"
                 )
             ns = b - a
-            at_pool = slots[a:b]
             vv = np.empty((n, 2 * ns), order="F")
             vv[:, :ns] = y[:, at_pool]
             vv[:, ns:] = cache.l_inv[:n, s]
@@ -758,8 +713,8 @@ def _kc_scores_each(g: Graph, label_sets) -> list:
     # M~^T z rows for every label set, in the slots the plan fixes.
     y = np.empty((cache.l_inv.shape[0], plan.n_slots), order="F")
     mt_z = [np.empty((plan.n_slots, run.labels.columns.shape[1])) for run in runs]
-    for blk, (src, dst) in zip(_blocks(plan), plan.moves):
-        _score_block(cache, g, blk, runs, fast, y, mt_z)
+    for t, (src, dst) in enumerate(plan.moves):
+        _score_block(cache, g, plan, t, runs, fast, y, mt_z)
         y[:, dst] = y[:, src]
         for mt in mt_z:
             mt[dst] = mt[src]

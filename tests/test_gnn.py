@@ -320,6 +320,32 @@ def test_bound_domain_errors():
         edge_bound(0.1, -0.01, 10, 0.1, 0.1)
 
 
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: generalization_bound(float("nan"), 10, 0.1, 0.1),
+        lambda: edge_bound(0.1, float("nan"), 10, 0.1, 0.1),
+        lambda: edge_bound(float("nan"), 0.01, 10, 0.1, 0.1),
+    ],
+    ids=["complexity", "kc-score", "base-complexity"],
+)
+def test_bounds_refuse_nan(call):
+    # NaN < 0 is False, so a sign check alone returned a NaN bound
+    with pytest.raises(ConfigError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "fracs", [(-0.1, 0.5), (0.5, -0.1), (1.0, 0.0)], ids=["train", "val", "whole"]
+)
+def test_make_split_refuses_each_fraction_outside_unit_interval(fracs):
+    # (-0.1, 0.5) sums into (0, 1) but used to put 5 of 10 nodes in both
+    # train and test
+    with pytest.raises(ConfigError):
+        make_split(10, 0, train_frac=fracs[0], val_frac=fracs[1])
+
+
 def test_make_split_partitions_nodes():
     split = make_split(40, seed=9)
     masks = np.stack([split.train, split.val, split.test])

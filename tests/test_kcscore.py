@@ -575,6 +575,43 @@ def test_pool_builds_each_distinct_kernel_column_once(monkeypatch):
         assert sum(built) == lm.columns.shape[1] + columns, f"pool {pool}"
 
 
+def _half_hub_graph():
+    # ring over 20 nodes plus a hub at node 0 joined to nodes 3, 6, .., 15:
+    # each hub edge (0, k) touches exactly half the graph, 2|S| = N, and
+    # the hub's ring edges (0, 1) and (0, 19) touch 9 nodes
+    n = 20
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(0, k) for k in range(3, 16, 3)]
+    feats = np.random.default_rng(3).standard_normal((n, 4))
+    return Graph(features=feats, edges=edges)
+
+
+def test_an_edge_touching_half_the_graph_has_no_rows():
+    g = _half_hub_graph()
+    lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
+    plan = kcscore._key_pass(g)
+    table = kc_scores_all(g, lm)
+    edges = g.edges.tolist()
+    affected = [affected_nodes(g, u, v).tolist() for u, v in edges]
+    half = [i for i, s in enumerate(affected) if 2 * len(s) == g.n_nodes]
+    less = [i for i, s in enumerate(affected) if 2 * len(s) < g.n_nodes]
+    assert len(half) == 5 and len(half) + len(less) == g.n_edges
+    assert {edges[i][0] for i in half} == {0} and [0, 1] in [edges[i] for i in less]
+    # the plan's columns are those of the smaller edges alone, and none is
+    # replayed for a half edge
+    assert plan.col_cut[-1] == _kernel_columns(g, BLOCK_EDGES)[0]
+    replayed = set(zip(plan.eu.tolist(), plan.ev.tolist()))
+    for i in half:
+        u, v = edges[i]
+        assert plan.indptr[i] == plan.indptr[i + 1]
+        assert (u, v) not in replayed
+        assert not table.fast[i]
+        assert table.scores[i] == kc_score_naive(g, lm, u, v)
+    for i in less:
+        assert plan.s[plan.indptr[i] : plan.indptr[i + 1]].tolist() == affected[i]
+    assert table.fast[less].all()
+
+
 @pytest.mark.parametrize(
     "make_graph",
     [_hub_ring_graph, _star_ring_graph, _twin_forming_graph, _ridged_twin_graph, _sparse_sbm_202],

@@ -59,7 +59,8 @@ def test_no_unused_module_imports():
 
 def test_no_unread_private_names():
     # a module-level _name of the package that no module of it reads, by
-    # name, attribute or import, is dead code
+    # name, attribute or import, is dead code; so is a field of a private
+    # dataclass that no module reads as an attribute
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "src/kces").glob("*.py"))]
     read = set()
     for tree in trees:
@@ -81,3 +82,21 @@ def test_no_unread_private_names():
     private = [name for name in defined if name.startswith("_") and not name.startswith("__")]
     assert private
     assert [name for name in private if name not in read] == []
+    loaded = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [
+        (cls.name, stmt.target.id)
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        and cls.name.startswith("_")
+        and any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    assert fields
+    assert [f"{cls}.{name}" for cls, name in fields if name not in loaded] == []
