@@ -15,24 +15,20 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import logging
 import os
 import sys
 
 import numpy as np
 
+from . import VERSION
 from .dist import score_distribution, write_distribution_csv
 from .errors import ConfigError, InputError, NumericError
-from .gnn import (
-    TrainConfig,
-    evaluate_classifier,
-    evaluate_classifiers,
-    make_split,
-    write_trace_csv,
-)
+from .gnn import TrainConfig, _evaluate, evaluate_classifiers, make_split, write_trace_csv
 from .graph import Graph, format_float, load_graph, write_edge_tsv
 from .kcscore import KcScoreTable, _kc_scores_each, kc_scores_all
-from .manifest import build_manifest, write_manifest
 from .perturb import dice_attack, random_attack
 from .pseudolabel import encode_labels, kmeans_pseudo_labels
 from .sanitize import STRATEGIES, PruneConfig, apply_prune, select_edges
@@ -173,18 +169,13 @@ def cmd_train(args):
     split = make_split(g.n_nodes, split_seed)
     cfg = TrainConfig(m=args.m, steps=args.steps, eta=args.eta, kappa=args.kappa, seed=args.seed)
     outputs = {"report": args.out}
-    traces = {}
-
-    def sink(idx, trace):
-        traces[idx] = trace
-
-    report = evaluate_classifier(g, g.labels, split, cfg, trace_sink=sink if args.trace_dir else None)
+    (report,), (traces,) = _evaluate([g], g.labels, split, cfg)
     report.write_csv(args.out)
     if args.trace_dir:
         os.makedirs(args.trace_dir, exist_ok=True)
-        for idx in sorted(traces):
+        for idx, trace in enumerate(traces):
             path = os.path.join(args.trace_dir, f"class_{idx}.csv")
-            write_trace_csv(traces[idx], path)
+            write_trace_csv(trace, path)
             outputs[f"trace_class_{idx}"] = path
     log.info("test accuracy %.4f -> %s", report.test_accuracy, args.out)
     params = {
@@ -362,6 +353,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_manifest(
+    path: str, command: str, parameters: dict, inputs: dict, outputs: dict, argv: list
+) -> None:
+    """Write the run's record: its command, the resolved parameters, its
+    argv, and the sha256 of every input and output file.
+
+    ``inputs`` and ``outputs`` map a role name (e.g. "edges") to a file
+    path.  Re-running the argv must regenerate the outputs byte for byte,
+    so the record holds no timestamp, host name or other field that
+    varies between runs, and its keys are sorted.
+    """
+
+    def digest(file_path):
+        sha = hashlib.sha256()
+        with open(file_path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                sha.update(chunk)
+        return {"path": file_path, "sha256": sha.hexdigest()}
+
+    record = {
+        "command": command,
+        "version": VERSION,
+        "parameters": parameters,
+        "inputs": {name: digest(p) for name, p in inputs.items()},
+        "outputs": {name: digest(p) for name, p in outputs.items()},
+        "argv": argv,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -373,8 +395,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         params, inputs, outputs, primary = args.handler(args)
-        manifest = build_manifest(args.command, params, inputs, outputs, argv=argv)
-        write_manifest(manifest, args.manifest_out or primary + ".manifest.json")
+        manifest_path = args.manifest_out or primary + ".manifest.json"
+        _write_manifest(manifest_path, args.command, params, inputs, outputs, argv)
     except InputError as exc:
         print(f"kces: input error: {exc}", file=sys.stderr)
         return _EXIT_INPUT

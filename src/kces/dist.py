@@ -31,7 +31,6 @@ _SUBSAMPLE_SALT = 0xD157
 class DistributionExport:
     """Distribution summary of one graph variant's edge scores."""
 
-    raw_scores: np.ndarray
     normalized: np.ndarray
     kde_x: np.ndarray
     kde_y: np.ndarray
@@ -119,7 +118,6 @@ def score_distribution(
     edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     counts, _ = np.histogram(normalized, bins=edges)
     return DistributionExport(
-        raw_scores=raw,
         normalized=np.sort(normalized),
         kde_x=kde_x,
         kde_y=kde_y,

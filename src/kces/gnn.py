@@ -270,8 +270,9 @@ def write_trace_csv(trace: TrainTrace, path, prediction=None) -> None:
 # -- bounds ---------------------------------------------------------------
 
 
-def generalization_bound(gkc_value, n: int, lambda0: float, delta: float, constant: float = 1.0):
-    """Generalization bound sqrt(GKC) + C * sqrt(log(n / (lambda0 delta)) / n)."""
+def generalization_bound(gkc_value, n: int, lambda0: float, delta: float):
+    """Generalization bound sqrt(GKC) + C * sqrt(log(n / (lambda0 delta)) / n),
+    with C = 1."""
     value = float(gkc_value)
     # Written so that a NaN is refused too.
     if not value >= 0.0:
@@ -285,17 +286,14 @@ def generalization_bound(gkc_value, n: int, lambda0: float, delta: float, consta
     log_arg = n / (lambda0 * delta)
     if log_arg < 1.0:
         raise ConfigError("confidence term undefined: n < lambda0 * delta")
-    return math.sqrt(value) + constant * math.sqrt(math.log(log_arg) / n)
+    return math.sqrt(value) + math.sqrt(math.log(log_arg) / n)
 
 
-def edge_bound(
-    base_gkc, kc_score: float, n: int, lambda0: float, delta: float,
-    constant: float = 1.0,
-):
+def edge_bound(base_gkc, kc_score: float, n: int, lambda0: float, delta: float):
     """Edge-removal variant: adds sqrt(kc) slack to the base bound."""
     if not kc_score >= 0.0:
         raise ConfigError(f"kc score must be non-negative, got {kc_score}")
-    return generalization_bound(base_gkc, n, lambda0, delta, constant) + math.sqrt(kc_score)
+    return generalization_bound(base_gkc, n, lambda0, delta) + math.sqrt(kc_score)
 
 
 # -- classifier evaluation ------------------------------------------------
@@ -457,23 +455,16 @@ def _evaluate(graphs, labels, split: Split, cfg: TrainConfig):
     return reports, traces
 
 
-def evaluate_classifier(
-    g: Graph, labels, split: Split, cfg: TrainConfig, trace_sink=None
-) -> AccuracyReport:
+def evaluate_classifier(g: Graph, labels, split: Split, cfg: TrainConfig) -> AccuracyReport:
     """Train one scalar model per class on +1/-1 targets; argmax to predict.
 
     Aggregation sees the whole graph (transductive); gradient descent
     only sees training rows.  Per-class seeds derive from (cfg.seed,
     class index) so the report is reproducible.  This is the one-graph
     case of ``evaluate_classifiers``, so a divergence reports the lowest
-    class that diverged.  ``trace_sink``, if given, receives (class
-    index, TrainTrace) per class.
+    class that diverged.
     """
-    (report,), (traces,) = _evaluate([g], labels, split, cfg)
-    if trace_sink is not None:
-        for idx, trace in enumerate(traces):
-            trace_sink(idx, trace)
-    return report
+    return evaluate_classifiers([g], labels, split, cfg)[0]
 
 
 def evaluate_classifiers(

@@ -152,11 +152,6 @@ class Graph:
         a, b = (u, v) if u < v else (v, u)
         return (a, b) in self.edge_set()
 
-    def neighbors(self, i: int) -> np.ndarray:
-        """Adjacent nodes of i, sorted, self excluded."""
-        row = self._closed_neighborhood(i)
-        return row[row != i]
-
     def _closed_neighborhood(self, i: int) -> np.ndarray:
         """Row i of A + I: i and its neighbors, sorted, as int64."""
         adj = self.adjacency_with_self_loops()

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, StalePlanError
 from .graph import Graph, seed_key, with_edges
 from .kcscore import KcScoreTable, kc_scores_all
-from .pseudolabel import LabelMatrix, PseudoLabels, encode_labels, kmeans_pseudo_labels
+from .pseudolabel import PseudoLabels, encode_labels, kmeans_pseudo_labels
 
 STRATEGIES = ("high-kc", "low-kc", "random")
 
@@ -121,7 +121,6 @@ class SanitizationResult:
     table: KcScoreTable
     plan: PrunePlan
     pseudo_labels: PseudoLabels
-    label_matrix: LabelMatrix
 
 
 def kces_pipeline(g: Graph, alpha: float, k_clusters: int, seed: int) -> SanitizationResult:
@@ -134,13 +133,11 @@ def kces_pipeline(g: Graph, alpha: float, k_clusters: int, seed: int) -> Sanitiz
     restart count.
     """
     pseudo = kmeans_pseudo_labels(g, k_clusters, seed)
-    labels = encode_labels(pseudo)
-    table = kc_scores_all(g, labels)
+    table = kc_scores_all(g, encode_labels(pseudo))
     plan = select_edges(table, PruneConfig(alpha=alpha, strategy="high-kc"))
     return SanitizationResult(
         graph=apply_prune(g, plan),
         table=table,
         plan=plan,
         pseudo_labels=pseudo,
-        label_matrix=labels,
     )

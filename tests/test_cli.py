@@ -1,6 +1,7 @@
 """End-to-end command-line checks: outputs, exit codes, manifests, replay."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 from helpers import OracleDivergence, load_manifest, oracle_evaluate, verify_outputs
 
+import kces
 from kces import gnn, kcscore
 from kces.cli import SWEEP_ALPHAS, main
 from kces.errors import DegenerateFeatureError, KcesWarning
@@ -169,6 +171,16 @@ def test_manifest_replay_and_thread_invariance(tmp_path, graph_files):
     # load_manifest checked the keys
     digest = hashlib.sha256(Path(graph_files["edges"]).read_bytes()).hexdigest()
     assert manifest["inputs"]["edges"]["sha256"] == digest
+
+
+def test_manifest_is_sorted_indented_json(tmp_path, graph_files):
+    # the on-disk form diffs cleanly and names the package's version
+    out = tmp_path / "scores.tsv"
+    argv = ["score", "--edges", graph_files["edges"], "--features", graph_files["features"]]
+    assert main([*argv, "--k", "2", "--out", str(out)]) == 0
+    text = (tmp_path / "scores.tsv.manifest.json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    assert json.loads(text)["version"] == kces.__version__
 
 
 def test_exit_code_input_error(tmp_path):

@@ -12,7 +12,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demo_set_is_found():
-    assert len(DEMOS) == 5
+    assert len(DEMOS) == 6
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

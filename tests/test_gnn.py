@@ -297,8 +297,9 @@ def test_generalization_bound_closed_form():
     assert generalization_bound(0.04, n=100, lambda0=0.1, delta=0.05) == pytest.approx(
         0.514698070418872, rel=1e-12
     )
-    assert generalization_bound(0.04, 100, 0.1, 0.05, constant=2.0) == pytest.approx(
-        0.8293961408377439, rel=1e-12
+    # C = 1: with no complexity, the bound is the confidence term alone
+    assert generalization_bound(0.0, 100, 0.1, 0.05) == pytest.approx(
+        math.sqrt(math.log(100 / (0.1 * 0.05)) / 100), rel=1e-12
     )
     assert edge_bound(0.04, 0.09, 100, 0.1, 0.05) == pytest.approx(
         generalization_bound(0.04, 100, 0.1, 0.05) + 0.3, rel=1e-12
@@ -319,6 +320,14 @@ def test_bound_domain_errors():
     with pytest.raises(ConfigError):
         edge_bound(0.1, -0.01, 10, 0.1, 0.1)
 
+
+@pytest.mark.parametrize("constant", [float("nan"), -5.0], ids=["nan", "negative"])
+def test_bounds_take_no_constant(constant):
+    # C is fixed at 1, so no caller can pass a NaN or negative constant
+    with pytest.raises(TypeError):
+        generalization_bound(0.04, 100, 0.1, 0.05, constant=constant)
+    with pytest.raises(TypeError):
+        edge_bound(0.04, 0.09, 100, 0.1, 0.05, constant=constant)
 
 
 @pytest.mark.parametrize(
@@ -385,14 +394,11 @@ def test_evaluate_classifier_on_separable_graph():
     g = _blob_graph()
     split = make_split(g.n_nodes, seed=1, train_frac=0.2, val_frac=0.2)
     cfg = TrainConfig(m=256, steps=200, kappa=0.1, seed=0)
-    traces = {}
-    report = evaluate_classifier(
-        g, g.labels, split, cfg, trace_sink=lambda i, t: traces.setdefault(i, t)
-    )
+    (report,), (traces,) = gnn._evaluate([g], g.labels, split, cfg)
     assert report.n_classes == 2
     assert report.eta > 0.0
     assert report.test_accuracy >= 0.9
-    assert sorted(traces) == [0, 1]
+    assert len(traces) == 2
     assert traces[0].residual_norms.shape == (201,)
     again = evaluate_classifier(g, g.labels, split, cfg)
     assert again == report
@@ -405,7 +411,7 @@ def test_evaluate_classifier_needs_every_class_in_train():
     lonely = int(np.flatnonzero(~split.train)[0])
     labels[lonely] = 2
     with pytest.raises(DegenerateSplitError, match=r"\[2\]"):
-        evaluate_classifier(g, labels, split, TrainConfig(m=16, steps=1), trace_sink=None)
+        evaluate_classifier(g, labels, split, TrainConfig(m=16, steps=1))
 
 
 def _three_class_graph(seed=0, n=30):
@@ -421,13 +427,12 @@ def test_evaluate_classifier_equals_per_class_loop():
     g = _three_class_graph()
     split = make_split(g.n_nodes, seed=2, train_frac=0.3, val_frac=0.2)
     cfg = TrainConfig(m=32, steps=25, seed=4)
-    traces = {}
-    report = evaluate_classifier(
-        g, g.labels, split, cfg, trace_sink=lambda i, t: traces.setdefault(i, t)
-    )
+    report = evaluate_classifier(g, g.labels, split, cfg)
+    (traced,), (traces,) = gnn._evaluate([g], g.labels, split, cfg)
     ref, ref_traces = oracle_evaluate(g, g.labels, split, cfg)
     assert report == ref
-    assert sorted(traces) == [0, 1, 2]
+    assert traced == ref
+    assert len(traces) == 3
     for idx, ref_trace in enumerate(ref_traces):
         assert np.array_equal(traces[idx].residual_norms, ref_trace.residual_norms)
         assert np.array_equal(traces[idx].losses, ref_trace.losses)

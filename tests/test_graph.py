@@ -172,7 +172,7 @@ def test_edges_are_canonical_and_sorted():
     assert g.has_edge(1, 3) and g.has_edge(3, 1)
     assert not g.has_edge(0, 3)
     assert g.degrees.tolist() == [3, 3, 2, 2]  # self-loop included
-    assert g.neighbors(0).tolist() == [1, 2]
+    assert g.adjacency_with_self_loops().toarray()[0].tolist() == [1.0, 1.0, 1.0, 0.0]
 
 
 def test_remove_edge_and_equality():

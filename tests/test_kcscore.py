@@ -535,12 +535,13 @@ def _kernel_columns(g, block_edges):
     (node, endpoint) key of a node off one endpoint only, and one per
     endpoint or common neighbor of each edge; and the sum of |S|."""
     columns = total = 0
-    nbrs = [set(g.neighbors(i).tolist()) for i in range(g.n_nodes)]
+    adj = g.adjacency_with_self_loops()
+    near = [set(adj.indices[adj.indptr[i] : adj.indptr[i + 1]].tolist()) for i in range(g.n_nodes)]
     edges = g.edges.tolist()
     for start in range(0, len(edges), block_edges):
         keys = set()
         for u, v in edges[start : start + block_edges]:
-            near_u, near_v = nbrs[u] | {u}, nbrs[v] | {v}
+            near_u, near_v = near[u], near[v]
             if 2 * len(near_u | near_v) >= g.n_nodes:
                 continue
             total += len(near_u | near_v)

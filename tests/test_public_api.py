@@ -100,3 +100,37 @@ def test_no_unread_private_names():
     ]
     assert fields
     assert [f"{cls}.{name}" for cls, name in fields if name not in loaded] == []
+
+
+def test_no_unread_public_members():
+    # the public twin of the test above: a public module-level function or
+    # constant of the package, or a public method or dataclass field of
+    # one of its classes, that neither the package, the benchmark scripts
+    # nor the demos read by name or attribute serves the tests alone
+    package = sorted((ROOT / "src/kces").glob("*.py"))
+    readers = package + sorted(BENCHMARKS.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    read = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    members = []
+    for path in package:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                members.append((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                members += [(path.stem, n.id) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            elif isinstance(node, ast.ClassDef):
+                dataclass = any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef):
+                        members.append((node.name, stmt.name))
+                    elif dataclass and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        members.append((node.name, stmt.target.id))
+    public = [(owner, name) for owner, name in members if not name.startswith("_")]
+    assert public
+    assert [f"{owner}.{name}" for owner, name in public if name not in read] == []

@@ -190,7 +190,7 @@ def test_pipeline_prunes_exactly_the_top_scores():
     assert result.graph.n_edges == g.n_edges - k
     assert set(result.plan.removed) <= g.edge_set()
     assert list(result.plan.removed) == result.table.sorted_edges()[:k]
-    assert result.label_matrix.columns.shape == (g.n_nodes, 2)
+    assert encode_labels(result.pseudo_labels).columns.shape == (g.n_nodes, 2)
     rerun = kces_pipeline(g, alpha=0.25, k_clusters=2, seed=9)
     assert rerun.plan.removed == result.plan.removed
 
