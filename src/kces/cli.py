@@ -1,9 +1,9 @@
 """Command-line interface: score, prune, attack, train, dist, sweep.
 
 Commands compose through files only.  Every run writes a manifest with
-content digests of its inputs and outputs; re-running a manifest's argv
-reproduces the outputs byte for byte, given the same BLAS build and
-BLAS thread count.  Scoring always takes the fast route wherever it can;
+its parsed arguments and content digests of its inputs and outputs;
+re-running a manifest's argv reproduces the outputs byte for byte, given
+the same BLAS build and BLAS thread count.  Scoring always takes the fast route wherever it can;
 ``kc_score_naive`` is the per-edge reference.  ``sweep`` scores its
 graph once for all its seeds, so it warns of a ridged base once per
 graph, not once per seed.
@@ -67,26 +67,16 @@ def _train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--split-seed", type=int, default=None, help="split seed (default: --seed)")
 
 
-def _label_matrix(g: Graph, args):
-    """Resolve the label matrix for scoring: file labels or K-means.
-
-    Returns (matrix, parameter dict for the manifest).
-    """
+def _score_table(g: Graph, args) -> KcScoreTable:
+    """Score every edge against the file labels or K-means pseudo-labels."""
     if g.labels is not None and args.k is not None:
         raise ConfigError("pass --labels or --k, not both")
     if g.labels is not None:
-        return encode_labels(g.labels), {"labels": "file"}
+        return kc_scores_all(g, encode_labels(g.labels))
     if args.k is None:
         raise ConfigError("need --k for pseudo labels when no --labels file is given")
     pseudo = kmeans_pseudo_labels(g, args.k, args.seed, restarts=args.restarts)
-    return encode_labels(pseudo), {"labels": "kmeans", "k": args.k, "restarts": args.restarts}
-
-
-def _score_table(g: Graph, args) -> tuple[KcScoreTable, dict]:
-    matrix, params = _label_matrix(g, args)
-    table = kc_scores_all(g, matrix)
-    params = dict(params, seed=args.seed)
-    return table, params
+    return kc_scores_all(g, encode_labels(pseudo))
 
 
 def _input_paths(args) -> dict:
@@ -98,10 +88,9 @@ def _input_paths(args) -> dict:
 
 def cmd_score(args):
     g = load_graph(args.edges, args.features, args.labels)
-    table, params = _score_table(g, args)
-    table.write_tsv(args.out)
+    _score_table(g, args).write_tsv(args.out)
     log.info("scored %d edges -> %s", g.n_edges, args.out)
-    return params, _input_paths(args), {"scores": args.out}, args.out
+    return _input_paths(args), {"scores": args.out}, args.out
 
 
 def cmd_prune(args):
@@ -117,9 +106,8 @@ def cmd_prune(args):
                 f"{args.scores}: its {table.edges.shape[0]} edges are not "
                 f"the graph's {g.n_edges} edges"
             )
-        params = {"scores": "file"}
     else:
-        table, params = _score_table(g, args)
+        table = _score_table(g, args)
     config = PruneConfig(alpha=args.alpha, strategy=args.strategy, seed=args.seed)
     plan = select_edges(table, config)
     pruned = apply_prune(g, plan)
@@ -127,11 +115,10 @@ def cmd_prune(args):
     plan_out = args.plan_out or args.out + ".plan.tsv"
     plan.write_tsv(plan_out)
     log.info("removed %d of %d edges -> %s", len(plan.removed), g.n_edges, args.out)
-    params = dict(params, alpha=args.alpha, strategy=args.strategy, seed=args.seed)
     inputs = _input_paths(args)
     if args.scores is not None:
         inputs["scores"] = args.scores
-    return params, inputs, {"edges": args.out, "plan": plan_out}, args.out
+    return inputs, {"edges": args.out, "plan": plan_out}, args.out
 
 
 def cmd_attack(args):
@@ -152,21 +139,16 @@ def cmd_attack(args):
         len(record.removed),
         args.out,
     )
-    params = {
-        "kind": args.kind,
-        "budget_ratio": args.budget_ratio,
-        "seed": args.seed,
-        "add_fraction": args.add_fraction if args.kind == "random" else None,
-    }
-    return params, _input_paths(args), {"edges": args.out, "record": record_out}, args.out
+    return _input_paths(args), {"edges": args.out, "record": record_out}, args.out
 
 
 def cmd_train(args):
     g = load_graph(args.edges, args.features, args.labels)
     if g.labels is None:
         raise ConfigError("train needs --labels")
-    split_seed = args.seed if args.split_seed is None else args.split_seed
-    split = make_split(g.n_nodes, split_seed)
+    if args.split_seed is None:
+        args.split_seed = args.seed
+    split = make_split(g.n_nodes, args.split_seed)
     cfg = TrainConfig(m=args.m, steps=args.steps, eta=args.eta, kappa=args.kappa, seed=args.seed)
     outputs = {"report": args.out}
     (report,), (traces,) = _evaluate([g], g.labels, split, cfg)
@@ -178,15 +160,7 @@ def cmd_train(args):
             write_trace_csv(trace, path)
             outputs[f"trace_class_{idx}"] = path
     log.info("test accuracy %.4f -> %s", report.test_accuracy, args.out)
-    params = {
-        "m": args.m,
-        "steps": args.steps,
-        "eta": args.eta,
-        "kappa": args.kappa,
-        "seed": args.seed,
-        "split_seed": split_seed,
-    }
-    return params, _input_paths(args), outputs, args.out
+    return _input_paths(args), outputs, args.out
 
 
 def cmd_dist(args):
@@ -202,20 +176,15 @@ def cmd_dist(args):
     if args.labels:
         inputs["labels"] = args.labels
     outputs = {}
-    params = None
     for name, edge_path in variants:
         g = load_graph(edge_path, args.features, args.labels)
-        table, score_params = _score_table(g, args)
-        export = score_distribution(table.scores, samples=args.samples, seed=args.seed)
+        export = score_distribution(_score_table(g, args).scores, samples=args.samples, seed=args.seed)
         out = f"{args.out_prefix}{name}.csv"
         write_distribution_csv(export, out)
         log.info("%s: %d scores summarized -> %s", name, export.sample_size, out)
         inputs[f"{name}_edges"] = edge_path
         outputs[name] = out
-        params = score_params
-    params = dict(params, samples=args.samples)
-    primary = f"{args.out_prefix}{variants[0][0]}.csv"
-    return params, inputs, outputs, primary
+    return inputs, outputs, outputs[variants[0][0]]
 
 
 def cmd_sweep(args):
@@ -238,13 +207,14 @@ def cmd_sweep(args):
     for name, given in (("strategies", strategies), ("seeds", seeds)):
         if len(set(given)) < len(given):
             raise ConfigError(f"repeated {name}: {', '.join(map(str, given))}")
-    k = args.k if args.k is not None else int(np.unique(g.labels).size)
+    if args.k is None:
+        args.k = int(np.unique(g.labels).size)
 
     # Every seed's labels, then one scoring run for all of them, then
     # training: the first labelling or scoring error stops the sweep
     # before any seed trains.
     label_sets = [
-        encode_labels(kmeans_pseudo_labels(g, k, seed, restarts=args.restarts))
+        encode_labels(kmeans_pseudo_labels(g, args.k, seed, restarts=args.restarts))
         for seed in seeds
     ]
     rows = []
@@ -268,18 +238,7 @@ def cmd_sweep(args):
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     log.info("%d sweep cells -> %s", len(rows), args.out)
-    params = {
-        "strategies": list(strategies),
-        "seeds": list(seeds),
-        "k": k,
-        "restarts": args.restarts,
-        "m": args.m,
-        "steps": args.steps,
-        "eta": args.eta,
-        "kappa": args.kappa,
-        "split_seed": args.split_seed,
-    }
-    return params, _input_paths(args), {"sweep": args.out}, args.out
+    return _input_paths(args), {"sweep": args.out}, args.out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,10 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(
-    path: str, command: str, parameters: dict, inputs: dict, outputs: dict, argv: list
-) -> None:
-    """Write the run's record: its command, the resolved parameters, its
+def _write_manifest(path: str, args, inputs: dict, outputs: dict, argv: list) -> None:
+    """Write the run's record: its command, every parsed argument as the
+    command left it (defaults included, and the values it resolved), its
     argv, and the sha256 of every input and output file.
 
     ``inputs`` and ``outputs`` map a role name (e.g. "edges") to a file
@@ -372,8 +330,9 @@ def _write_manifest(
                 sha.update(chunk)
         return {"path": file_path, "sha256": sha.hexdigest()}
 
+    parameters = {name: value for name, value in vars(args).items() if name not in ("command", "handler")}
     record = {
-        "command": command,
+        "command": args.command,
         "version": VERSION,
         "parameters": parameters,
         "inputs": {name: digest(p) for name, p in inputs.items()},
@@ -388,19 +347,14 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(message)s",
-        stream=sys.stderr,
-    )
+    # basicConfig only acts while the root logger has no handler, so the
+    # level is set on the package's logger, on every call
+    logging.basicConfig(format="%(levelname)s %(message)s", stream=sys.stderr)
+    logging.getLogger("kces").setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
-        params, inputs, outputs, primary = args.handler(args)
-        manifest_path = args.manifest_out or primary + ".manifest.json"
-        _write_manifest(manifest_path, args.command, params, inputs, outputs, argv)
-    except InputError as exc:
-        print(f"kces: input error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
-    except OSError as exc:
+        inputs, outputs, primary = args.handler(args)
+        _write_manifest(args.manifest_out or primary + ".manifest.json", args, inputs, outputs, argv)
+    except (InputError, OSError) as exc:
         print(f"kces: input error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
     except NumericError as exc:

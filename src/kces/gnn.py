@@ -249,22 +249,12 @@ def spectral_predictor(gm: GramMatrix, y, eta: float) -> SpectralPrediction:
     )
 
 
-def write_trace_csv(trace: TrainTrace, path, prediction=None) -> None:
-    """CSV 'step,residual_norm,loss,predicted_norm' for theory-vs-run plots."""
-    steps = np.arange(trace.residual_norms.shape[0])
-    predicted = (
-        prediction.predicted_norm(steps)
-        if prediction is not None
-        else np.full(steps.shape[0], float("nan"))
-    )
+def write_trace_csv(trace: TrainTrace, path) -> None:
+    """CSV 'step,residual_norm,loss', one row per gradient step."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,residual_norm,loss,predicted_norm\n")
-        for t in steps:
-            fh.write(
-                f"{t},{format_float(trace.residual_norms[t])},"
-                f"{format_float(trace.losses[t])},"
-                f"{format_float(predicted[t])}\n"
-            )
+        fh.write("step,residual_norm,loss\n")
+        for t in range(trace.residual_norms.shape[0]):
+            fh.write(f"{t},{format_float(trace.residual_norms[t])},{format_float(trace.losses[t])}\n")
 
 
 # -- bounds ---------------------------------------------------------------

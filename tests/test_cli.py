@@ -1,5 +1,7 @@
 """End-to-end command-line checks: outputs, exit codes, manifests, replay."""
 
+import argparse
+import ast
 import hashlib
 import json
 import os
@@ -15,9 +17,9 @@ from helpers import OracleDivergence, load_manifest, oracle_evaluate, verify_out
 
 import kces
 from kces import gnn, kcscore
-from kces.cli import SWEEP_ALPHAS, main
+from kces.cli import SWEEP_ALPHAS, build_parser, main
 from kces.errors import DegenerateFeatureError, KcesWarning
-from kces.gnn import TrainConfig, make_split, write_trace_csv
+from kces.gnn import TrainConfig, evaluate_classifier, make_split, write_trace_csv
 from kces.graph import Graph, format_float, load_graph, write_edge_tsv, write_features_csv, write_labels
 from kces.kcscore import kc_scores_all
 from kces.perturb import PerturbationRecord
@@ -653,3 +655,176 @@ def test_sweep_rejects_unknown_strategy(tmp_path, graph_files, capsys, strategie
     assert rc == 4
     assert capsys.readouterr().err == f"kces: config error: {message}\n"
     assert not (tmp_path / "s.csv").exists()
+
+
+def _subparsers():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _parameters(manifest_path):
+    """The manifest's parameters, checked to be exactly its command's
+    parsed arguments."""
+    manifest = load_manifest(manifest_path)
+    parser = _subparsers()[manifest["command"]]
+    assert set(manifest["parameters"]) == {action.dest for action in parser._actions} - {"help"}
+    return manifest["parameters"]
+
+
+def test_every_option_is_set_by_some_test():
+    # an option no test passes can break or lose its effect unseen
+    given = set()
+    for path in Path(__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                given.add(node.value)
+    unset = sorted(
+        {
+            option
+            for parser in _subparsers().values()
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        - given
+    )
+    assert unset == []
+
+
+def test_manifest_parameters_are_the_parsed_arguments(tmp_path, graph_files):
+    base = ["--edges", graph_files["edges"], "--features", graph_files["features"]]
+    labels = ["--labels", graph_files["labels"]]
+    runs = {
+        "score": (["score", *base, "--k", "2", "--out", str(tmp_path / "s.tsv")], "s.tsv"),
+        "prune": (["prune", *base, "--k", "2", "--alpha", "0.25", "--out", str(tmp_path / "p.tsv")], "p.tsv"),
+        "attack": (
+            ["attack", *base, "--kind", "random", "--budget-ratio", "0.4", "--out", str(tmp_path / "a.tsv")],
+            "a.tsv",
+        ),
+        "train": (
+            ["train", *base, *labels, "--m", "16", "--steps", "10", "--seed", "4", "--out", str(tmp_path / "r.csv")],
+            "r.csv",
+        ),
+        "dist": (
+            ["dist", "--features", graph_files["features"], "--clean-edges", graph_files["edges"],
+             "--k", "2", "--out-prefix", str(tmp_path / "d_")],
+            "d_clean.csv",
+        ),
+        "sweep": (
+            ["sweep", *base, *labels, "--strategies", "random", "--m", "8", "--steps", "2",
+             "--out", str(tmp_path / "w.csv")],
+            "w.csv",
+        ),
+    }
+    assert set(runs) == set(_subparsers())
+    recorded = {}
+    for command, (argv, primary) in runs.items():
+        assert main(argv) == 0, command
+        recorded[command] = _parameters(str(tmp_path / primary) + ".manifest.json")
+    # a default the command resolved is recorded as resolved
+    assert recorded["sweep"]["k"] == 2
+    assert recorded["train"]["split_seed"] == 4
+    assert recorded["score"]["restarts"] == 10 and recorded["score"]["labels"] is None
+
+
+def test_verbose_logs_on_every_call(tmp_path, caplog):
+    argv = [
+        "score",
+        "--edges", str(GOLDEN / "edges.tsv"),
+        "--features", str(GOLDEN / "features.csv"),
+        "--k", "2",
+        "--out", str(tmp_path / "scores.tsv"),
+    ]
+    manifest = str(tmp_path / "scores.tsv.manifest.json")
+    assert main([*argv, "--verbose"]) == 0
+    assert "scored 4 edges" in caplog.text
+    assert _parameters(manifest)["verbose"] is True
+    caplog.clear()
+    assert main(argv) == 0
+    assert "scored" not in caplog.text
+    assert _parameters(manifest)["verbose"] is False
+
+
+def test_score_restarts(tmp_path, graph_files):
+    # on this graph one K-means start finds a worse 3-clustering than ten
+    graph = ["--edges", graph_files["edges"], "--features", graph_files["features"], "--k", "3"]
+    out, default = tmp_path / "scores.tsv", tmp_path / "default.tsv"
+    assert main(["score", *graph, "--restarts", "1", "--out", str(out)]) == 0
+    assert main(["score", *graph, "--out", str(default)]) == 0
+    g = load_graph(graph_files["edges"], graph_files["features"])
+    ref = tmp_path / "ref.tsv"
+    kc_scores_all(g, encode_labels(kmeans_pseudo_labels(g, 3, 0, restarts=1))).write_tsv(ref)
+    assert out.read_bytes() == ref.read_bytes()
+    assert out.read_bytes() != default.read_bytes()
+    assert _parameters(str(out) + ".manifest.json")["restarts"] == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value, kappa, split_seed",
+    [("--kappa", "0.2", 0.2, 2), ("--split-seed", "7", 0.1, 7)],
+    ids=["kappa", "split-seed"],
+)
+def test_train_config_and_split_flags(tmp_path, graph_files, flag, value, kappa, split_seed):
+    out = tmp_path / "report.csv"
+    rc = main(
+        [
+            "train",
+            "--edges", graph_files["edges"],
+            "--features", graph_files["features"],
+            "--labels", graph_files["labels"],
+            "--m", "16",
+            "--steps", "10",
+            "--seed", "2",
+            flag, value,
+            "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    g = load_graph(graph_files["edges"], graph_files["features"], graph_files["labels"])
+    cfg = TrainConfig(m=16, steps=10, kappa=kappa, seed=2)
+    ref = tmp_path / "ref.csv"
+    evaluate_classifier(g, g.labels, make_split(g.n_nodes, split_seed), cfg).write_csv(ref)
+    assert out.read_bytes() == ref.read_bytes()
+    params = _parameters(str(out) + ".manifest.json")
+    assert (params["kappa"], params["split_seed"]) == (kappa, split_seed)
+
+
+def test_attack_add_fraction_and_record_out(tmp_path, graph_files):
+    out = tmp_path / "attacked.tsv"
+    record = tmp_path / "elsewhere.tsv"
+    rc = main(
+        [
+            "attack",
+            "--edges", graph_files["edges"],
+            "--features", graph_files["features"],
+            "--kind", "random",
+            "--budget-ratio", "0.4",
+            "--add-fraction", "1.0",
+            "--out", str(out),
+            "--record-out", str(record),
+        ]
+    )
+    assert rc == 0
+    rows = record.read_text().splitlines()
+    assert rows and all(row.startswith("+\t") for row in rows)
+    assert not Path(str(out) + ".record.tsv").exists()
+    manifest = str(out) + ".manifest.json"
+    assert load_manifest(manifest)["outputs"]["record"]["path"] == str(record)
+    params = _parameters(manifest)
+    assert (params["add_fraction"], params["record_out"]) == (1.0, str(record))
+
+
+def test_dist_pruned_edges(tmp_path, graph_files):
+    graph = ["--edges", graph_files["edges"], "--features", graph_files["features"], "--k", "2"]
+    pruned = str(tmp_path / "pruned.tsv")
+    assert main(["prune", *graph, "--alpha", "0.25", "--out", pruned]) == 0
+    scoring = ["--features", graph_files["features"], "--k", "2", "--samples", "20"]
+    prefix = str(tmp_path / "dist_")
+    assert main(["dist", *scoring, "--pruned-edges", pruned, "--out-prefix", prefix]) == 0
+    # the same graph as the clean variant summarizes to the same bytes
+    assert main(["dist", *scoring, "--clean-edges", pruned, "--out-prefix", str(tmp_path / "ref_")]) == 0
+    assert Path(prefix + "pruned.csv").read_bytes() == (tmp_path / "ref_clean.csv").read_bytes()
+    assert not Path(prefix + "clean.csv").exists()
+    manifest = prefix + "pruned.csv.manifest.json"
+    assert _parameters(manifest)["pruned_edges"] == pruned
+    assert load_manifest(manifest)["inputs"]["pruned_edges"]["path"] == pruned
