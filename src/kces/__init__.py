@@ -7,27 +7,7 @@ story with a reference two-layer trainer.
 """
 
 from .dist import DistributionExport, score_distribution, write_distribution_csv
-from .errors import (
-    BoundedLabelError,
-    BudgetError,
-    ConfigError,
-    DegenerateClusteringError,
-    DegenerateFeatureError,
-    DegenerateSplitError,
-    DivergenceError,
-    EdgeRangeError,
-    EncodingError,
-    GraphFormatError,
-    IllConditionedError,
-    InfeasibleKError,
-    InputError,
-    KcesError,
-    KcesWarning,
-    MissingEdgeError,
-    NumericError,
-    SelfLoopError,
-    StalePlanError,
-)
+from .errors import ConfigError, InputError, KcesError, KcesWarning, NumericError
 from .gnn import (
     AccuracyReport,
     ModelState,
@@ -77,27 +57,15 @@ __version__ = VERSION
 __all__ = [
     "AccuracyReport",
     "AggregatedFeatures",
-    "BoundedLabelError",
-    "BudgetError",
     "ConfigError",
-    "DegenerateClusteringError",
-    "DegenerateFeatureError",
-    "DegenerateSplitError",
     "DistributionExport",
-    "DivergenceError",
-    "EdgeRangeError",
-    "EncodingError",
     "GramMatrix",
     "Graph",
-    "GraphFormatError",
-    "IllConditionedError",
-    "InfeasibleKError",
     "InputError",
     "KcScoreTable",
     "KcesError",
     "KcesWarning",
     "LabelMatrix",
-    "MissingEdgeError",
     "ModelState",
     "NumericError",
     "PerturbationRecord",
@@ -105,10 +73,8 @@ __all__ = [
     "PrunePlan",
     "PseudoLabels",
     "SanitizationResult",
-    "SelfLoopError",
     "SpectralPrediction",
     "Split",
-    "StalePlanError",
     "TrainConfig",
     "TrainTrace",
     "VERSION",

@@ -35,13 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    BoundedLabelError,
-    ConfigError,
-    DegenerateSplitError,
-    DivergenceError,
-    KcesWarning,
-)
+from .errors import ConfigError, InputError, KcesWarning, NumericError
 from .graph import AggregatedFeatures, Graph, aggregate_features, format_float, seed_key, whole_ids
 from .kernel import GramMatrix, arccos_kernel
 
@@ -173,10 +167,8 @@ def _descend(w, a, x, y, eta, steps):
     return np.ascontiguousarray(norms.T), np.ascontiguousarray(losses.T), failed
 
 
-def _diverged(step: int) -> DivergenceError:
-    return DivergenceError(
-        f"training loss became non-finite at step {step}", step=step
-    )
+def _diverged(step: int) -> NumericError:
+    return NumericError(f"training loss became non-finite at step {step}")
 
 
 def train_gd(state: ModelState, xt, y, cfg: TrainConfig) -> TrainTrace:
@@ -193,7 +185,7 @@ def train_gd(state: ModelState, xt, y, cfg: TrainConfig) -> TrainTrace:
     x = _rows(xt)
     y = np.asarray(y, dtype=np.float64)
     if (np.abs(y) > 1.0 + 1e-12).any():
-        raise BoundedLabelError("training labels must lie in [-1, 1]")
+        raise ConfigError("training labels must lie in [-1, 1]")
     if state.w.shape != (x.shape[1], cfg.m):
         raise ConfigError(
             f"model shape {state.w.shape} does not match features x width "
@@ -397,11 +389,11 @@ def _evaluate(graphs, labels, split: Split, cfg: TrainConfig):
     n_nodes = graphs[0].n_nodes
     lab = whole_ids(labels, "labels")
     if lab.shape != (n_nodes,):
-        raise ConfigError(f"labels must have length {n_nodes}")
+        raise InputError(f"labels must have length {n_nodes}")
     classes = np.unique(lab)
     missing = [c for c in classes.tolist() if not (split.train & (lab == c)).any()]
     if missing:
-        raise DegenerateSplitError(f"classes {missing} have no training nodes")
+        raise ConfigError(f"classes {missing} have no training nodes")
     if any(g.n_nodes != n_nodes for g in graphs):
         raise ConfigError("graphs must share one node set")
     xts = [aggregate_features(g) for g in graphs]

@@ -11,20 +11,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    DegenerateFeatureError,
-    EdgeRangeError,
-    GraphFormatError,
-    InputError,
-    KcesWarning,
-    MissingEdgeError,
-    SelfLoopError,
-)
+from .errors import InputError, KcesWarning, NumericError
 
 #: Aggregated rows with pre-normalization norm below this are degenerate.
 DEGENERATE_ROW_NORM = 1e-10
@@ -97,12 +90,12 @@ class Graph:
         if e.shape[0]:
             if e.min() < 0 or e.max() >= n:
                 bad = e[((e < 0) | (e >= n)).any(axis=1)][0]
-                raise EdgeRangeError(
+                raise InputError(
                     f"edge ({bad[0]}, {bad[1]}) out of range for {n} nodes"
                 )
             if (e[:, 0] == e[:, 1]).any():
                 u = int(e[e[:, 0] == e[:, 1]][0, 0])
-                raise SelfLoopError(f"self-loop ({u}, {u}) is not allowed")
+                raise InputError(f"self-loop ({u}, {u}) is not allowed")
             lo = e.min(axis=1)
             hi = e.max(axis=1)
             order = np.lexsort((hi, lo))
@@ -228,7 +221,7 @@ def aggregate_features(g: Graph) -> AggregatedFeatures:
     norms = finite_row_norms(raw)
     if (norms < DEGENERATE_ROW_NORM).any():
         i = int(np.argmax(norms < DEGENERATE_ROW_NORM))
-        raise DegenerateFeatureError(
+        raise NumericError(
             f"aggregated features vanish at node {i} (norm {norms[i]:.3e})"
         )
     return AggregatedFeatures(
@@ -240,10 +233,10 @@ def aggregate_features(g: Graph) -> AggregatedFeatures:
 def remove_edge(g: Graph, u: int, v: int) -> Graph:
     """Return a copy of g without edge (u, v); features are shared."""
     if u == v:
-        raise SelfLoopError(f"({u}, {v}) is a self-loop")
+        raise InputError(f"({u}, {v}) is a self-loop")
     a, b = (u, v) if u < v else (v, u)
     if not g.has_edge(a, b):
-        raise MissingEdgeError(f"edge ({a}, {b}) not in graph")
+        raise InputError(f"edge ({a}, {b}) not in graph")
     keep = ~((g.edges[:, 0] == a) & (g.edges[:, 1] == b))
     return Graph(g.features, g.edges[keep], labels=g.labels)
 
@@ -262,18 +255,29 @@ def affected_nodes(g: Graph, u: int, v: int) -> np.ndarray:
     """
     a, b = (u, v) if u < v else (v, u)
     if not g.has_edge(a, b):
-        raise MissingEdgeError(f"edge ({a}, {b}) not in graph")
+        raise InputError(f"edge ({a}, {b}) not in graph")
     return np.union1d(g._closed_neighborhood(a), g._closed_neighborhood(b))
 
 
 # -- file formats --------------------------------------------------------
 
 
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading.  A byte sequence that is not
+    UTF-8 is an InputError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _parse_int(token: str, path, line_no: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise GraphFormatError(
+        raise InputError(
             f"{path}: line {line_no}: expected integer, got {token!r}"
         ) from None
 
@@ -290,7 +294,7 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
     """
     features = []
     width = None
-    with open(feature_path, "r", encoding="utf-8") as fh:
+    with open_text(feature_path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -299,7 +303,7 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
             if width is None:
                 width = len(cells)
             elif len(cells) != width:
-                raise GraphFormatError(
+                raise InputError(
                     f"{feature_path}: line {line_no}: expected {width} columns, "
                     f"got {len(cells)}"
                 )
@@ -308,19 +312,19 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
                 try:
                     value = float(cell)
                 except ValueError:
-                    raise GraphFormatError(
+                    raise InputError(
                         f"{feature_path}: line {line_no}: non-numeric value "
                         f"{cell.strip()!r}"
                     ) from None
                 if not math.isfinite(value):
-                    raise GraphFormatError(
+                    raise InputError(
                         f"{feature_path}: line {line_no}: non-finite value "
                         f"{cell.strip()!r}"
                     )
                 row.append(value)
             features.append(row)
     if not features:
-        raise GraphFormatError(f"{feature_path}: no feature rows")
+        raise InputError(f"{feature_path}: no feature rows")
     x = np.array(features, dtype=np.float64)
     n = x.shape[0]
 
@@ -328,20 +332,20 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
     edges = []
     n_dup = 0
     n_loops = 0
-    with open(edge_path, "r", encoding="utf-8") as fh:
+    with open_text(edge_path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise GraphFormatError(
+                raise InputError(
                     f"{edge_path}: line {line_no}: expected 'u<TAB>v', got {line!r}"
                 )
             u = _parse_int(parts[0], edge_path, line_no)
             v = _parse_int(parts[1], edge_path, line_no)
             if u < 0 or v < 0 or u >= n or v >= n:
-                raise EdgeRangeError(
+                raise InputError(
                     f"{edge_path}: line {line_no}: edge ({u}, {v}) out of range "
                     f"for {n} nodes"
                 )
@@ -368,7 +372,7 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
     labels = None
     if label_path is not None:
         labels = []
-        with open(label_path, "r", encoding="utf-8") as fh:
+        with open_text(label_path) as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:

@@ -72,19 +72,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
-from .errors import (
-    ConfigError,
-    DegenerateFeatureError,
-    GraphFormatError,
-    InputError,
-    NumericError,
-)
+from .errors import ConfigError, InputError, NumericError
 from .graph import (
     DEGENERATE_ROW_NORM,
     Graph,
     affected_nodes,
     aggregate_features,
     format_float,
+    open_text,
     remove_edge,
 )
 from .kernel import GramPatcher, arccos_kernel, gkc, gram_matrix, solve_labels
@@ -178,10 +173,10 @@ class KcScoreTable:
         finite and non-negative, and each method must be a route name.
         """
         edges, scores, fast, seen = [], [], [], set()
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             header = fh.readline().rstrip("\n")
             if header != TSV_HEADER:
-                raise GraphFormatError(
+                raise InputError(
                     f"{path}: line 1: expected header {TSV_HEADER!r}, got {header!r}"
                 )
             for line_no, line in enumerate(fh, start=2):
@@ -190,30 +185,30 @@ class KcScoreTable:
                     continue
                 parts = line.split("\t")
                 if len(parts) != 4:
-                    raise GraphFormatError(
+                    raise InputError(
                         f"{path}: line {line_no}: expected 4 columns"
                     )
                 try:
                     u, v = int(parts[0]), int(parts[1])
                     score = float(parts[2])
                 except ValueError:
-                    raise GraphFormatError(
+                    raise InputError(
                         f"{path}: line {line_no}: unparseable row {line!r}"
                     ) from None
                 # A NaN would sort first and be pruned first.
                 if not 0.0 <= score < float("inf"):
-                    raise GraphFormatError(
+                    raise InputError(
                         f"{path}: line {line_no}: kc_score must be finite "
                         f"and non-negative, got {parts[2]!r}"
                     )
                 if parts[3] not in ROUTES:
-                    raise GraphFormatError(
+                    raise InputError(
                         f"{path}: line {line_no}: method must be one of "
                         f"{', '.join(ROUTES)}, got {parts[3]!r}"
                     )
                 edge = (min(u, v), max(u, v))
                 if edge in seen:
-                    raise GraphFormatError(
+                    raise InputError(
                         f"{path}: line {line_no}: repeated edge ({u}, {v})"
                     )
                 seen.add(edge)
@@ -297,8 +292,8 @@ def _removed_rows(g: Graph, u: int, v: int):
     """Aggregated rows of g without edge (u, v)."""
     try:
         return aggregate_features(remove_edge(g, u, v))
-    except DegenerateFeatureError as exc:
-        raise DegenerateFeatureError(
+    except NumericError as exc:
+        raise NumericError(
             f"removing edge ({u}, {v}) degenerates aggregation: {exc}"
         ) from None
 
@@ -622,7 +617,7 @@ def _score_block(cache: _ScoreCache, g: Graph, plan: _Plan, t, runs, fast, y, mt
             s, at_pool = affected[a:b], slots[a:b]
             bad = norms[a:b] < DEGENERATE_ROW_NORM
             if bad.any():
-                raise DegenerateFeatureError(
+                raise NumericError(
                     f"removing edge ({u}, {v}) degenerates aggregation "
                     f"at node {int(s[np.argmax(bad)])}"
                 )

@@ -30,7 +30,7 @@ r = b - (H + ridge I) z,
 
 A backward-stable Cholesky solve leaves an error near machine epsilon
 however large z is, so the gate fails only on a broken factor, and then
-``IllConditionedError`` is raised.  A solve is never refined.
+``NumericError`` is raised.  A solve is never refined.
 
 The rebuild (Gram product, factorization, solve and the residual
 product) runs entirely in scipy's BLAS and LAPACK.  numpy and scipy
@@ -47,7 +47,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import blas, lapack
 
-from .errors import IllConditionedError, InputError, KcesWarning, NumericError
+from .errors import InputError, KcesWarning, NumericError
 from .graph import AggregatedFeatures
 from .pseudolabel import LabelMatrix
 
@@ -245,7 +245,7 @@ class GramPatcher:
 def solve_spd(gm: GramMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve (h + ridge I) z = rhs with the cached factor, one solve.
 
-    Raises ``IllConditionedError`` when a column's normwise backward
+    Raises ``NumericError`` when a column's normwise backward
     error exceeds ``BACKWARD_ERROR_TOL`` (see the module docstring).
     ``rhs`` is a vector or an N x C matrix of columns.
     """
@@ -264,7 +264,7 @@ def solve_spd(gm: GramMatrix, rhs: np.ndarray) -> np.ndarray:
     if not ok.all():
         with np.errstate(divide="ignore", invalid="ignore"):
             err = float(np.max(np.where(ok, 0.0, worst / scale)))
-        raise IllConditionedError(
+        raise NumericError(
             f"solve backward error {err:.3e} exceeds {BACKWARD_ERROR_TOL:.0e}"
         )
     return z.reshape(np.shape(rhs))

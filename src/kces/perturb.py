@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, InputError
+from .errors import ConfigError, InputError
 from .graph import Graph, seed_key, whole_ids, with_edges
 
 
@@ -54,7 +54,7 @@ def _nonedge_pool(g: Graph, label_filter=None) -> np.ndarray:
 def _sample_rows(pool: np.ndarray, count: int, rng, what: str) -> np.ndarray:
     """Uniform ``count``-subset of pool rows."""
     if count > pool.shape[0]:
-        raise BudgetError(
+        raise ConfigError(
             f"need {count} {what} but only {pool.shape[0]} are available"
         )
     if count == 0:
@@ -92,7 +92,7 @@ def random_attack(
     n_remove = budget - n_add
 
     if n_remove > g.n_edges:
-        raise BudgetError(f"cannot remove {n_remove} of {g.n_edges} edges")
+        raise ConfigError(f"cannot remove {n_remove} of {g.n_edges} edges")
 
     rng = np.random.default_rng(seed_key(seed, 0xA77))
     added = _sample_rows(_nonedge_pool(g), n_add, rng, "non-edges")
@@ -118,7 +118,7 @@ def dice_attack(g: Graph, labels, budget_ratio: float, seed: int):
 
     same = np.flatnonzero(lab[g.edges[:, 0]] == lab[g.edges[:, 1]])
     if n_remove > same.size:
-        raise BudgetError(
+        raise ConfigError(
             f"need {n_remove} same-label edges to delete, have {same.size}"
         )
 

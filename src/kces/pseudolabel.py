@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateClusteringError,
-    DegenerateFeatureError,
-    EncodingError,
-    InfeasibleKError,
-)
+from .errors import ConfigError, InputError, NumericError
 from .graph import DEGENERATE_ROW_NORM, Graph, _readonly, finite_row_norms, seed_key
 
 MAX_LLOYD_ITERATIONS = 300
@@ -52,9 +47,7 @@ def _cluster_inputs(g: Graph) -> np.ndarray:
     norms = finite_row_norms(raw)
     if (norms < DEGENERATE_ROW_NORM).any():
         i = int(np.argmax(norms < DEGENERATE_ROW_NORM))
-        raise DegenerateFeatureError(
-            f"neighborhood feature sum vanishes at node {i}"
-        )
+        raise NumericError(f"neighborhood feature sum vanishes at node {i}")
     return raw / norms[:, None]
 
 
@@ -120,9 +113,7 @@ def _lloyd(x: np.ndarray, k: int, rng):
     d2 = _sq_dists(x, centers)
     assign = np.argmin(d2, axis=1)
     if len(np.unique(assign)) < k:
-        raise DegenerateClusteringError(
-            f"could not keep {k} non-empty clusters"
-        )
+        raise NumericError(f"could not keep {k} non-empty clusters")
     inertia = float(d2[np.arange(n), assign].sum())
     return assign.astype(np.int64), inertia, history
 
@@ -137,12 +128,12 @@ def kmeans_pseudo_labels(
     resolved toward the lowest restart index.
     """
     if k < 1 or k > g.n_nodes:
-        raise InfeasibleKError(f"k={k} infeasible for {g.n_nodes} nodes")
+        raise ConfigError(f"k={k} infeasible for {g.n_nodes} nodes")
     if restarts < 1:
-        raise InfeasibleKError("need at least one restart")
+        raise ConfigError("need at least one restart")
     x = _cluster_inputs(g)
     if k > 1 and np.unique(x, axis=0).shape[0] < k:
-        raise DegenerateClusteringError(
+        raise NumericError(
             f"only {np.unique(x, axis=0).shape[0]} distinct rows for k={k}"
         )
     best = None
@@ -163,18 +154,18 @@ def encode_labels(source, encoding: str = "one-hot") -> LabelMatrix:
     ``encoding`` must be ``"one-hot"``.
     """
     if encoding != "one-hot":
-        raise EncodingError(f"unknown encoding {encoding!r}")
+        raise ConfigError(f"unknown encoding {encoding!r}")
     if isinstance(source, PseudoLabels):
         assign, k = source.assignments, source.k
     else:
         assign = np.asarray(source)
         if assign.dtype.kind not in "iu":
-            raise EncodingError("one-hot requires integer labels")
+            raise InputError("one-hot requires integer labels")
         if assign.ndim != 1:
-            raise EncodingError(f"labels must be a vector, got shape {assign.shape}")
+            raise InputError(f"labels must be a vector, got shape {assign.shape}")
         assign = assign.astype(np.int64)
         if assign.size and assign.min() < 0:
-            raise EncodingError("labels must be non-negative")
+            raise InputError("labels must be non-negative")
         k = int(assign.max()) + 1 if assign.size else 0
     cols = np.zeros((assign.shape[0], k))
     cols[np.arange(assign.shape[0]), assign] = 1.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StalePlanError
+from .errors import ConfigError, InputError
 from .graph import Graph, seed_key, with_edges
 from .kcscore import KcScoreTable, kc_scores_all
 from .pseudolabel import PseudoLabels, encode_labels, kmeans_pseudo_labels
@@ -90,7 +90,7 @@ def apply_prune(g: Graph, plan: PrunePlan) -> Graph:
     """
     want = prune_count(plan.config.alpha, g.n_edges)
     if plan.k != want:
-        raise StalePlanError(
+        raise InputError(
             f"plan prunes {plan.k} edge(s), but alpha={plan.config.alpha} of "
             f"the graph's {g.n_edges} edges is {want}: its score table "
             "covers another edge set"
@@ -104,7 +104,7 @@ def apply_prune(g: Graph, plan: PrunePlan) -> Graph:
     found[found] = (g.edges[rows[found]] == planned[found]).all(axis=1)
     if not found.all():
         missing = np.flatnonzero(~found)
-        raise StalePlanError(
+        raise InputError(
             f"plan references {missing.size} edge(s) absent from the graph, "
             f"first {plan.removed[missing[0]]}"
         )

@@ -18,7 +18,7 @@ from helpers import OracleDivergence, load_manifest, oracle_evaluate, verify_out
 import kces
 from kces import gnn, kcscore
 from kces.cli import SWEEP_ALPHAS, build_parser, main
-from kces.errors import DegenerateFeatureError, KcesWarning
+from kces.errors import KcesWarning, NumericError
 from kces.gnn import TrainConfig, evaluate_classifier, make_split, write_trace_csv
 from kces.graph import Graph, format_float, load_graph, write_edge_tsv, write_features_csv, write_labels
 from kces.kcscore import kc_scores_all
@@ -250,6 +250,36 @@ def test_exit_code_input_error_on_overflowing_features(tmp_path, capsys):
     assert rc == 2
     assert "feature sums overflow at node 0" in capsys.readouterr().err
     assert not (tmp_path / "out.tsv").exists()
+
+
+@pytest.mark.parametrize("which", ["features", "scores"])
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, which):
+    # a UTF-16 byte-order mark before the features, a stray 0xff in a score row's route
+    graph = ["--edges", str(GOLDEN / "edges.tsv"), "--features", str(GOLDEN / "features.csv")]
+    out = tmp_path / "out.tsv"
+    if which == "features":
+        bad = tmp_path / "features.csv"
+        bad.write_bytes(b"\xff\xfe" + (GOLDEN / "features.csv").read_bytes())
+        graph[3] = str(bad)
+        argv = ["score", *graph, "--k", "2", "--out", str(out)]
+    else:
+        bad = tmp_path / "scores.tsv"
+        bad.write_bytes((GOLDEN / "scores.tsv").read_bytes().replace(b"\tnaive", b"\tna\xffve", 1))
+        argv = ["prune", *graph, "--scores", str(bad), "--alpha", "0.2", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"kces: input error: {bad}: not UTF-8 text (")
+    assert not out.exists()
+
+
+def test_negative_label_is_an_input_error(tmp_path, graph_files, capsys):
+    labels = tmp_path / "labels.csv"
+    rows = Path(graph_files["labels"]).read_text().splitlines()
+    labels.write_text("\n".join(["-1", *rows[1:]]) + "\n")
+    out = tmp_path / "scores.tsv"
+    argv = ["score", "--edges", graph_files["edges"], "--features", graph_files["features"]]
+    assert main([*argv, "--labels", str(labels), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "kces: input error: labels must be non-negative\n"
+    assert not out.exists()
 
 
 def test_exit_code_config_error(tmp_path, graph_files):
@@ -525,7 +555,7 @@ def test_sweep_stops_at_the_first_scoring_error(tmp_path, capsys, monkeypatch):
         warnings.simplefilter("ignore", KcesWarning)
         for seed in (0, 1):
             labels = encode_labels(kmeans_pseudo_labels(g, 2, seed), "one-hot")
-            with pytest.raises(DegenerateFeatureError, match=r"removing edge \(0, 40\)") as info:
+            with pytest.raises(NumericError, match=r"removing edge \(0, 40\) degenerates aggregation") as info:
                 kc_scores_all(g, labels)
     capsys.readouterr()
     descents = []

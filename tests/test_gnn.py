@@ -15,13 +15,7 @@ from helpers import (
 )
 
 from kces import gnn
-from kces.errors import (
-    BoundedLabelError,
-    ConfigError,
-    DegenerateSplitError,
-    DivergenceError,
-    KcesWarning,
-)
+from kces.errors import ConfigError, InputError, KcesWarning, NumericError
 from kces.gnn import (
     AccuracyReport,
     ModelState,
@@ -223,7 +217,7 @@ def test_label_and_shape_guards():
     x = np.random.default_rng(0).standard_normal((6, 4))
     cfg = TrainConfig(m=8, steps=1)
     state = init_model(cfg, 4)
-    with pytest.raises(BoundedLabelError):
+    with pytest.raises(ConfigError, match=r"^training labels must lie in \[-1, 1\]$"):
         train_gd(state, x, np.array([1.5, 0, 0, 0, 0, 0]), cfg)
     with pytest.raises(ConfigError, match="shape"):
         train_gd(state, x[:, :3], np.zeros(6), cfg)
@@ -233,9 +227,8 @@ def test_huge_step_size_diverges():
     x = np.random.default_rng(3).standard_normal((8, 4))
     y = np.random.default_rng(4).choice([-1.0, 1.0], size=8)
     cfg = TrainConfig(m=4, steps=400, eta=1e6, seed=1)
-    with pytest.raises(DivergenceError) as info:
+    with pytest.raises(NumericError, match="non-finite at step [1-9]"):
         train_gd(init_model(cfg, 4), x, y, cfg)
-    assert info.value.step >= 1
 
 
 def test_spectral_predictor_closed_form():
@@ -399,13 +392,20 @@ def test_evaluate_classifier_on_separable_graph():
     assert again == report
 
 
+def test_evaluate_classifier_refuses_labels_of_another_length():
+    g = _blob_graph()
+    split = make_split(g.n_nodes, seed=1)
+    with pytest.raises(InputError, match=f"^labels must have length {g.n_nodes}$"):
+        evaluate_classifier(g, g.labels[:-1], split, TrainConfig(m=16, steps=1))
+
+
 def test_evaluate_classifier_needs_every_class_in_train():
     g = _blob_graph()
     split = make_split(g.n_nodes, seed=1, train_frac=0.2, val_frac=0.2)
     labels = np.asarray(g.labels).copy()
     lonely = int(np.flatnonzero(~split.train)[0])
     labels[lonely] = 2
-    with pytest.raises(DegenerateSplitError, match=r"\[2\]"):
+    with pytest.raises(ConfigError, match=r"^classes \[2\] have no training nodes$"):
         evaluate_classifier(g, labels, split, TrainConfig(m=16, steps=1))
 
 
@@ -476,12 +476,11 @@ def test_evaluate_classifiers_report_the_loops_first_divergence(one_graph):
                 first = exc.step
                 break
     assert first is not None
-    with pytest.raises(DivergenceError) as info:
+    with pytest.raises(NumericError) as info:
         if one_graph:
             evaluate_classifier(graphs[0], g.labels, split, cfg)
         else:
             evaluate_classifiers(graphs, g.labels, split, cfg)
-    assert info.value.step == first
     assert str(info.value) == f"training loss became non-finite at step {first}"
 
 

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from kces.errors import BudgetError, ConfigError, InputError
+from kces.errors import ConfigError, InputError
 from kces.graph import Graph
 from kces.perturb import _nonedge_pool, dice_attack, random_attack
 from kces.synth import random_graph
@@ -61,7 +61,7 @@ def test_random_attack_exhausted_nonedge_pool():
         features=np.random.default_rng(0).standard_normal((n, 3)),
         edges=list(itertools.combinations(range(n), 2)),
     )
-    with pytest.raises(BudgetError, match="non-edges"):
+    with pytest.raises(ConfigError, match="non-edges"):
         random_attack(g, 0.2, seed=0, add_fraction=1.0)
 
 
@@ -88,7 +88,7 @@ def test_dice_attack_needs_same_label_edges():
         edges=[(i, i + 1) for i in range(7)],
     )
     labels = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-    with pytest.raises(BudgetError, match="same-label"):
+    with pytest.raises(ConfigError, match="same-label"):
         dice_attack(g, labels, 0.5, seed=0)
 
 

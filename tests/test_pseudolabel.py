@@ -5,11 +5,7 @@ import pytest
 
 from helpers import oracle_kmeans_best_inertia
 
-from kces.errors import (
-    DegenerateClusteringError,
-    EncodingError,
-    InfeasibleKError,
-)
+from kces.errors import ConfigError, InputError, NumericError
 from kces.graph import Graph
 from kces.pseudolabel import (
     _cluster_inputs,
@@ -93,15 +89,15 @@ def test_every_cluster_non_empty():
 
 def test_infeasible_and_degenerate_inputs():
     g = random_graph(n=6, edge_prob=0.5, n_features=3, seed=1)
-    with pytest.raises(InfeasibleKError):
+    with pytest.raises(ConfigError, match="^k=0 infeasible for 6 nodes$"):
         kmeans_pseudo_labels(g, 0, seed=0)
-    with pytest.raises(InfeasibleKError):
+    with pytest.raises(ConfigError, match="^k=7 infeasible for 6 nodes$"):
         kmeans_pseudo_labels(g, 7, seed=0)
-    with pytest.raises(InfeasibleKError):
+    with pytest.raises(ConfigError, match="^need at least one restart$"):
         kmeans_pseudo_labels(g, 2, seed=0, restarts=0)
     # identical rows cannot support 2 distinct clusters
     flat = Graph(features=np.ones((4, 2)), edges=[(0, 1), (2, 3)])
-    with pytest.raises(DegenerateClusteringError):
+    with pytest.raises(NumericError, match="^only 1 distinct rows for k=2$"):
         kmeans_pseudo_labels(flat, 2, seed=0)
 
 
@@ -116,23 +112,28 @@ def test_one_hot_encoding():
 def test_one_hot_refuses_labels_that_are_not_a_vector():
     # a matrix would encode as a matrix of ones, a scalar has no rows
     for labels in (np.array([[0, 1], [1, 0]]), np.array(3)):
-        with pytest.raises(EncodingError, match=r"^labels must be a vector, got shape \("):
+        with pytest.raises(InputError, match=r"^labels must be a vector, got shape \("):
             encode_labels(labels)
+
+
+def test_one_hot_refuses_negative_labels():
+    with pytest.raises(InputError, match="^labels must be non-negative$"):
+        encode_labels(np.array([0, -1, 1]))
 
 
 def test_signed_binary_encoding():
     # one-hot is the only encoding: a single +1/-1 column is refused
     pl = PseudoLabels(assignments=np.array([0, 1, 1, 0]), k=2, inertia=0.0, seed=0)
-    with pytest.raises(EncodingError, match="unknown encoding 'signed-binary'"):
+    with pytest.raises(ConfigError, match="unknown encoding 'signed-binary'"):
         encode_labels(pl, "signed-binary")
     assert np.array_equal(encode_labels(pl).columns, encode_labels(pl, "one-hot").columns)
 
 
 def test_scalar_truth_encoding():
     # real-valued labels are refused, not passed through or truncated
-    with pytest.raises(EncodingError, match="unknown encoding 'scalar-truth'"):
+    with pytest.raises(ConfigError, match="unknown encoding 'scalar-truth'"):
         encode_labels(np.array([0.5, -1.0, 0.0]), "scalar-truth")
-    with pytest.raises(EncodingError, match="integer labels"):
+    with pytest.raises(InputError, match="integer labels"):
         encode_labels(np.array([0.5, -1.0, 0.0]))
-    with pytest.raises(EncodingError):
+    with pytest.raises(ConfigError, match="^unknown encoding 'no-such-encoding'$"):
         encode_labels(np.array([0.0]), "no-such-encoding")

@@ -8,11 +8,14 @@ from pathlib import Path
 import numpy as np
 
 import kces
+import kces.cli
+import kces.errors
 from kces.pseudolabel import encode_labels, kmeans_pseudo_labels
 from kces.synth import make_sbm_benchmark
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKS = ROOT / "benchmarks"
+SRC = ROOT / "src" / "kces"
 
 
 def test_benchmark_imports_are_public():
@@ -35,6 +38,32 @@ def test_benchmark_imports_are_public():
     columns = encode_labels(pseudo, "one-hot").columns
     assert np.array_equal(columns, encode_labels(pseudo).columns)
     assert columns.shape == (40, 2) and (columns.sum(axis=1) == 1.0).all()
+
+
+def test_one_error_class_per_exit_code(monkeypatch, capsys):
+    # the library raises only the three families, each the CLI's exit code
+    families = {kces.errors.InputError: 2, kces.errors.NumericError: 3, kces.errors.ConfigError: 4}
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("kces" if path.stem == "__init__" else f"kces.{path.stem}")
+        defined[module.__name__] = [
+            name
+            for name, value in vars(module).items()
+            if isinstance(value, type)
+            and issubclass(value, BaseException)
+            and not issubclass(value, Warning)
+            and value.__module__ == module.__name__
+        ]
+    assert defined.pop("kces.errors") == ["KcesError", *(cls.__name__ for cls in families)]
+    assert all(names == [] for names in defined.values()), defined
+    for family, code in families.items():
+
+        def fail(args, family=family):
+            raise family("what failed")
+
+        monkeypatch.setattr(kces.cli, "cmd_score", fail)
+        assert kces.cli.main(["score", "--edges", "E", "--features", "F", "--out", "S"]) == code
+        assert capsys.readouterr().err.endswith(": what failed\n")
 
 
 def test_no_unused_module_imports():

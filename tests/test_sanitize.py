@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kces.errors import ConfigError, KcesWarning, StalePlanError
+from kces.errors import ConfigError, InputError, KcesWarning
 from kces.graph import Graph
 from kces.kcscore import KcScoreTable, kc_scores_all
 from kces.pseudolabel import encode_labels
@@ -135,7 +135,7 @@ def test_apply_prune_rejects_stale_plan():
     # k = 1 is ceil(alpha * |E|) both before and after the removal
     plan = PrunePlan(removed=(edge,), k=1, config=PruneConfig(alpha=1 / g.n_edges))
     pruned = apply_prune(g, plan)
-    with pytest.raises(StalePlanError, match="1 edge"):
+    with pytest.raises(InputError, match="1 edge"):
         apply_prune(pruned, plan)
 
 
@@ -147,7 +147,7 @@ def test_apply_prune_rejects_an_edge_the_graph_does_not_store(kind):
     bad = (v, u) if kind == "reversed" else (a - 1, b + g.n_nodes)
     plan = PrunePlan(removed=((a, b), bad), k=2, config=PruneConfig(alpha=2 / g.n_edges))
     message = f"plan references 1 edge(s) absent from the graph, first {bad}"
-    with pytest.raises(StalePlanError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         apply_prune(g, plan)
 
 
@@ -164,7 +164,7 @@ def test_apply_prune_rejects_plan_from_score_file_of_another_edge_set(tmp_path):
     assert table.edges.shape[0] == 536
     plan = select_edges(table, PruneConfig(alpha=0.5))
     assert plan.k == 268
-    with pytest.raises(StalePlanError, match="268 edge.*1073 edges is 537"):
+    with pytest.raises(InputError, match="268 edge.*1073 edges is 537"):
         apply_prune(g, plan)
     # the full file plans the graph's own share
     plan = select_edges(KcScoreTable.read_tsv(full), PruneConfig(alpha=0.5))
