@@ -40,8 +40,8 @@ g = random_graph(48, 0.15, 8, seed=7, avoid_twins=True)
 print(f"graph: {g.n_nodes} nodes, {g.n_edges} edges")
 
 pseudo = kmeans_pseudo_labels(g, 2, seed=7)
-labels = encode_labels(pseudo.assignments)
-print("pseudo-label split:", np.bincount(pseudo.assignments).tolist())
+labels = encode_labels(pseudo)
+print("pseudo-label split:", np.bincount(pseudo).tolist())
 
 t0 = time.perf_counter()
 fast = kc_scores_all(g, labels)
@@ -75,7 +75,7 @@ twins = Graph(
     np.vstack([sbm.features, np.random.default_rng(7).standard_normal((2, sbm.n_features))]),
     np.vstack([sbm.edges, [[400, 401], [0, 400], [0, 401]]]),
 )
-twin_labels = encode_labels(kmeans_pseudo_labels(twins, 2, seed=7).assignments)
+twin_labels = encode_labels(kmeans_pseudo_labels(twins, 2, seed=7))
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always", KcesWarning)
     t0 = time.perf_counter()

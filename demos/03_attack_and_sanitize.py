@@ -29,9 +29,8 @@ print(
 )
 
 pseudo = kmeans_pseudo_labels(attacked, 2, SEED)
-assign = pseudo.assignments
 agreement = max(
-    float((assign == g.labels).mean()), float((assign != g.labels).mean())
+    float((pseudo == g.labels).mean()), float((pseudo != g.labels).mean())
 )
 print(f"pseudo-label agreement with ground truth: {agreement:.3f}")
 

@@ -28,8 +28,7 @@ print(
 
 tables = {}
 for name, g in (("clean", clean), ("attacked", attacked)):
-    pseudo = kmeans_pseudo_labels(g, 2, SEED)
-    labels = encode_labels(pseudo.assignments)
+    labels = encode_labels(kmeans_pseudo_labels(g, 2, SEED))
     tables[name] = kc_scores_all(g, labels)
 
 injected = set(record.added)

@@ -39,8 +39,7 @@ def study(seeds):
         g = make_sbm_benchmark(seed=seed)
         attacked, record = dice_attack(g, g.labels, 0.5, seed + 1000)
         pseudo = kmeans_pseudo_labels(attacked, 2, seed)
-        assign = pseudo.assignments
-        add("label agreement", "K-means", max((assign == g.labels).mean(), (assign != g.labels).mean()))
+        add("label agreement", "K-means", max((pseudo == g.labels).mean(), (pseudo != g.labels).mean()))
         add("label agreement", "true", 1.0)
         injected = set(record.added)
         k = prune_count(0.25, attacked.n_edges)

@@ -39,7 +39,7 @@ from .graph import (
 from .kcscore import KcScoreTable, kc_score_naive, kc_scores_all
 from .kernel import GramMatrix, arccos_kernel, gkc, gram_matrix
 from .perturb import PerturbationRecord, dice_attack, random_attack
-from .pseudolabel import LabelMatrix, PseudoLabels, encode_labels, kmeans_pseudo_labels
+from .pseudolabel import LabelMatrix, encode_labels, kmeans_pseudo_labels
 from .sanitize import (
     PruneConfig,
     PrunePlan,
@@ -71,7 +71,6 @@ __all__ = [
     "PerturbationRecord",
     "PruneConfig",
     "PrunePlan",
-    "PseudoLabels",
     "SanitizationResult",
     "SpectralPrediction",
     "Split",

@@ -71,12 +71,10 @@ def _score_table(g: Graph, args) -> KcScoreTable:
     """Score every edge against the file labels or K-means pseudo-labels."""
     if g.labels is not None and args.k is not None:
         raise ConfigError("pass --labels or --k, not both")
-    if g.labels is not None:
-        return kc_scores_all(g, encode_labels(g.labels))
-    if args.k is None:
+    if g.labels is None and args.k is None:
         raise ConfigError("need --k for pseudo labels when no --labels file is given")
-    pseudo = kmeans_pseudo_labels(g, args.k, args.seed, restarts=args.restarts)
-    return kc_scores_all(g, encode_labels(pseudo))
+    labels = g.labels if g.labels is not None else kmeans_pseudo_labels(g, args.k, args.seed, restarts=args.restarts)
+    return kc_scores_all(g, encode_labels(labels))
 
 
 def _input_paths(args) -> dict:

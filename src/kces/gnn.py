@@ -35,8 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, InputError, KcesWarning, NumericError
-from .graph import AggregatedFeatures, Graph, aggregate_features, format_float, seed_key, whole_ids
+from .errors import ConfigError, KcesWarning, NumericError
+from .graph import AggregatedFeatures, Graph, aggregate_features, class_labels, format_float, seed_key
 from .kernel import GramMatrix, arccos_kernel
 
 
@@ -387,9 +387,7 @@ def _evaluate(graphs, labels, split: Split, cfg: TrainConfig):
     if not graphs:
         return [], []
     n_nodes = graphs[0].n_nodes
-    lab = whole_ids(labels, "labels")
-    if lab.shape != (n_nodes,):
-        raise InputError(f"labels must have length {n_nodes}")
+    lab = class_labels(labels, n_nodes)
     classes = np.unique(lab)
     missing = [c for c in classes.tolist() if not (split.train & (lab == c)).any()]
     if missing:

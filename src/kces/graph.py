@@ -52,6 +52,23 @@ def whole_ids(values, what: str) -> np.ndarray:
     return np.asarray(a, dtype=np.int64)
 
 
+def class_labels(values, n: int | None = None) -> np.ndarray:
+    """``values`` as a read-only int64 vector of class labels.
+
+    This is the one rule for a labeling, whether it comes from a file,
+    a caller or K-means: whole numbers (see ``whole_ids``) in a vector,
+    of length ``n`` when ``n`` is given, none of them negative.
+    """
+    lab = whole_ids(values, "labels")
+    if lab.ndim != 1:
+        raise InputError(f"labels must be a vector, got shape {lab.shape}")
+    if n is not None and lab.shape[0] != n:
+        raise InputError(f"labels must have length {n}")
+    if lab.size and lab.min() < 0:
+        raise InputError("labels must be non-negative")
+    return _readonly(lab)
+
+
 class Graph:
     """Immutable undirected graph with node features and implicit self-loops.
 
@@ -60,7 +77,8 @@ class Graph:
     features : (N, F) array of finite float64, one row per node.
     edges : iterable of (u, v) pairs; any orientation, no duplicates,
         no self-loops.  Stored canonically with u < v, sorted.
-    labels : optional length-N integer vector of ground-truth classes.
+    labels : optional length-N vector of non-negative integer classes,
+        held as ``class_labels`` returns it.
     """
 
     __slots__ = (
@@ -111,13 +129,7 @@ class Graph:
         deg += np.bincount(e[:, 1], minlength=n)
         self.degrees = _readonly(deg)
 
-        if labels is None:
-            self.labels = None
-        else:
-            lab = whole_ids(labels, "labels")
-            if lab.shape != (n,):
-                raise InputError(f"labels must have length {n}")
-            self.labels = _readonly(lab)
+        self.labels = None if labels is None else class_labels(labels, n)
 
         self._edge_set = None
         self._adjacency = None
@@ -290,7 +302,8 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
     orientation) are dropped and counted in a single warning; explicit
     self-loops are likewise dropped with a warning.  Feature file:
     headerless CSV of finite floats, one row per node; node count is inferred
-    from it.  Label file: one integer per line, exactly N lines.
+    from it.  Label file: one non-negative integer class per line, exactly
+    N lines.
     """
     features = []
     width = None
@@ -412,10 +425,8 @@ def write_features_csv(g: Graph, path) -> None:
 
 
 def write_labels(labels, path) -> None:
-    """Write a vector of integer labels, one per line; see ``whole_ids``."""
-    lab = whole_ids(labels, "labels")
-    if lab.ndim != 1:
-        raise InputError(f"labels must be a vector, got shape {lab.shape}")
+    """Write a vector of class labels, one per line; see ``class_labels``."""
+    lab = class_labels(labels)
     with open(path, "w", encoding="utf-8") as fh:
         for value in lab.tolist():
             fh.write(f"{value}\n")

@@ -83,11 +83,12 @@ class GramMatrix:
     symmetric; ``ridge`` is 0.0 unless the factorization needed
     regularization; ``chol_lower`` factors h + ridge * I and is kept in
     the Fortran order the LAPACK solves take.  ``lambda_min`` is the
-    smallest eigenvalue of the raw matrix, computed on first access.
+    smallest eigenvalue of the raw matrix, computed on first access, and
+    so is the inf-norm every solve's backward error is scaled by.
     The instance takes ownership of both arrays and makes them read-only.
     """
 
-    __slots__ = ("h", "ridge", "chol_lower", "_lambda_min")
+    __slots__ = ("h", "ridge", "chol_lower", "_lambda_min", "_norm_inf")
 
     def __init__(self, h: np.ndarray, ridge: float, chol_lower: np.ndarray):
         h.setflags(write=False)
@@ -96,6 +97,7 @@ class GramMatrix:
         self.ridge = float(ridge)
         self.chol_lower = chol_lower
         self._lambda_min = None
+        self._norm_inf = None
 
     @property
     def n(self) -> int:
@@ -254,11 +256,13 @@ def solve_spd(gm: GramMatrix, rhs: np.ndarray) -> np.ndarray:
     # h is symmetric, so h.T is h in Fortran order: the residual product
     # and the inf-norm read it in place, with no N x N temporary.  Adding
     # the ridge bounds |h + ridge I|_inf, and equals it on a non-negative
-    # diagonal, such as a Gram matrix's 0.5.
+    # diagonal, such as a Gram matrix's 0.5.  The norm is taken on the
+    # matrix's first solve and kept for every label set solved after it.
     r = b - blas.dgemm(1.0, gm.h.T, z) - gm.ridge * z
-    h_norm = float(lapack.dlange("I", gm.h.T)) + gm.ridge
+    if gm._norm_inf is None:
+        gm._norm_inf = float(lapack.dlange("I", gm.h.T)) + gm.ridge
     worst = np.abs(r).max(axis=0)
-    scale = h_norm * np.abs(z).max(axis=0) + np.abs(b).max(axis=0)
+    scale = gm._norm_inf * np.abs(z).max(axis=0) + np.abs(b).max(axis=0)
     # Written as a product, so a zero column passes and a NaN fails.
     ok = worst <= BACKWARD_ERROR_TOL * scale
     if not ok.all():

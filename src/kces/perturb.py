@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
-from .graph import Graph, seed_key, whole_ids, with_edges
+from .errors import ConfigError
+from .graph import Graph, class_labels, seed_key, with_edges
 
 
 def _round_half_up(x: float) -> int:
@@ -109,9 +109,7 @@ def dice_attack(g: Graph, labels, budget_ratio: float, seed: int):
     """
     if not 0.0 < budget_ratio <= 1.0:
         raise ConfigError(f"budget_ratio must be in (0, 1], got {budget_ratio}")
-    lab = whole_ids(labels, "labels")
-    if lab.shape != (g.n_nodes,):
-        raise InputError(f"labels must have length {g.n_nodes}")
+    lab = class_labels(labels, g.n_nodes)
     budget = _round_half_up(budget_ratio * g.n_edges)
     n_add = (budget + 1) // 2
     n_remove = budget - n_add

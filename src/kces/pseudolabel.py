@@ -4,8 +4,9 @@ Clustering runs on row-normalized (A + I) X: neighborhood sums without
 degree weighting, each row rescaled to unit norm.  Lloyd's algorithm with
 k-means++ seeding, several independently seeded restarts, and empty-
 cluster re-seeding keeps the result deterministic for a given
-(graph, K, seed) triple.  Every scoring path encodes the labels one-hot:
-one 0/1 column per class.
+(graph, K, seed) triple.  Pseudo labels are a class vector like any
+other labeling (see ``graph.class_labels``), and every scoring path
+encodes a class vector one-hot: one 0/1 column per class.
 """
 
 from __future__ import annotations
@@ -14,21 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, NumericError
-from .graph import DEGENERATE_ROW_NORM, Graph, _readonly, finite_row_norms, seed_key
+from .errors import ConfigError, NumericError
+from .graph import DEGENERATE_ROW_NORM, Graph, _readonly, class_labels, finite_row_norms, seed_key
 
 MAX_LLOYD_ITERATIONS = 300
 CENTROID_SHIFT_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class PseudoLabels:
-    """Best-of-restarts clustering: assignments in 0..k-1, final inertia."""
-
-    assignments: np.ndarray
-    k: int
-    inertia: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -120,12 +111,13 @@ def _lloyd(x: np.ndarray, k: int, rng):
 
 def kmeans_pseudo_labels(
     g: Graph, k: int, seed: int, restarts: int = 10
-) -> PseudoLabels:
+) -> np.ndarray:
     """Cluster nodes on normalized neighborhood sums.
 
     Runs ``restarts`` independent Lloyd runs with seeds derived from
     (seed, restart index) and keeps the lowest-inertia assignment, ties
-    resolved toward the lowest restart index.
+    resolved toward the lowest restart index.  Returns it as a read-only
+    int64 class vector in which each of 0..k-1 labels at least one node.
     """
     if k < 1 or k > g.n_nodes:
         raise ConfigError(f"k={k} infeasible for {g.n_nodes} nodes")
@@ -140,33 +132,21 @@ def kmeans_pseudo_labels(
     for r in range(restarts):
         assign, inertia, _ = _lloyd(x, k, np.random.default_rng(seed_key(seed, r)))
         if best is None or inertia < best[0]:
-            best = (inertia, r, assign)
-    return PseudoLabels(
-        assignments=_readonly(best[2]), k=k, inertia=best[0], seed=seed
-    )
+            best = (inertia, assign)
+    return _readonly(best[1])
 
 
-def encode_labels(source, encoding: str = "one-hot") -> LabelMatrix:
-    """One-hot label matrix of pseudo labels or a vector of integer class labels.
+def encode_labels(labels, encoding: str = "one-hot") -> LabelMatrix:
+    """One-hot label matrix of a class vector (see ``graph.class_labels``).
 
     Column c holds 1.0 on the nodes of class c and 0.0 elsewhere; the
-    column count is the pseudo labels' K, or the largest class plus one.
-    ``encoding`` must be ``"one-hot"``.
+    column count is the largest class plus one, so K-means' labels give
+    exactly K columns.  ``encoding`` must be ``"one-hot"``.
     """
     if encoding != "one-hot":
         raise ConfigError(f"unknown encoding {encoding!r}")
-    if isinstance(source, PseudoLabels):
-        assign, k = source.assignments, source.k
-    else:
-        assign = np.asarray(source)
-        if assign.dtype.kind not in "iu":
-            raise InputError("one-hot requires integer labels")
-        if assign.ndim != 1:
-            raise InputError(f"labels must be a vector, got shape {assign.shape}")
-        assign = assign.astype(np.int64)
-        if assign.size and assign.min() < 0:
-            raise InputError("labels must be non-negative")
-        k = int(assign.max()) + 1 if assign.size else 0
-    cols = np.zeros((assign.shape[0], k))
-    cols[np.arange(assign.shape[0]), assign] = 1.0
+    lab = class_labels(labels)
+    k = int(lab.max()) + 1 if lab.size else 0
+    cols = np.zeros((lab.shape[0], k))
+    cols[np.arange(lab.shape[0]), lab] = 1.0
     return LabelMatrix(columns=_readonly(cols))

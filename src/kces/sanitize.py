@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .graph import Graph, seed_key, with_edges
 from .kcscore import KcScoreTable, kc_scores_all
-from .pseudolabel import PseudoLabels, encode_labels, kmeans_pseudo_labels
+from .pseudolabel import encode_labels, kmeans_pseudo_labels
 
 STRATEGIES = ("high-kc", "low-kc", "random")
 
@@ -115,22 +115,25 @@ def apply_prune(g: Graph, plan: PrunePlan) -> Graph:
 
 @dataclass(frozen=True)
 class SanitizationResult:
-    """Pruned graph with every intermediate kept for audit."""
+    """Pruned graph with every intermediate kept for audit.
+
+    ``pseudo_labels`` is the K-means class vector the scores used.
+    """
 
     graph: Graph
     table: KcScoreTable
     plan: PrunePlan
-    pseudo_labels: PseudoLabels
+    pseudo_labels: np.ndarray
 
 
 def kces_pipeline(g: Graph, alpha: float, k_clusters: int, seed: int) -> SanitizationResult:
     """Cluster, score, and prune the highest-complexity edges.
 
-    Pseudo labels come from K-means on normalized neighborhood sums
-    (``kmeans_pseudo_labels``' default restarts), one-hot encoded; scores
-    come from ``kc_scores_all``, and the plan removes the top
-    ceil(alpha * |E|) scores.  Compose the stages by hand for another
-    restart count.
+    Pseudo labels are the class vector of K-means on normalized
+    neighborhood sums (``kmeans_pseudo_labels``' default restarts),
+    encoded one-hot; scores come from ``kc_scores_all``, and the plan
+    removes the top ceil(alpha * |E|) scores.  Compose the stages by
+    hand for another restart count.
     """
     pseudo = kmeans_pseudo_labels(g, k_clusters, seed)
     table = kc_scores_all(g, encode_labels(pseudo))

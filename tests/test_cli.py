@@ -272,14 +272,21 @@ def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, which):
 
 
 def test_negative_label_is_an_input_error(tmp_path, graph_files, capsys):
+    # every command that reads a label file holds it to one rule
     labels = tmp_path / "labels.csv"
     rows = Path(graph_files["labels"]).read_text().splitlines()
     labels.write_text("\n".join(["-1", *rows[1:]]) + "\n")
-    out = tmp_path / "scores.tsv"
-    argv = ["score", "--edges", graph_files["edges"], "--features", graph_files["features"]]
-    assert main([*argv, "--labels", str(labels), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "kces: input error: labels must be non-negative\n"
-    assert not out.exists()
+    out = tmp_path / "out"
+    graph = ["--edges", graph_files["edges"], "--features", graph_files["features"], "--labels", str(labels)]
+    for command in (
+        ["score"],
+        ["train", "--m", "8", "--steps", "2"],
+        ["sweep", "--strategies", "random", "--m", "8", "--steps", "2"],
+        ["attack", "--kind", "dice", "--budget-ratio", "0.4"],
+    ):
+        assert main([*command, *graph, "--out", str(out)]) == 2, command[0]
+        assert capsys.readouterr().err == "kces: input error: labels must be non-negative\n", command[0]
+        assert not out.exists(), command[0]
 
 
 def test_exit_code_config_error(tmp_path, graph_files):

@@ -130,7 +130,7 @@ def test_benchmark_distribution_shape():
     medians = {}
     for name, graph in (("clean", g), ("attacked", attacked)):
         pseudo = kmeans_pseudo_labels(graph, 2, 0)
-        table = kc_scores_all(graph, encode_labels(pseudo.assignments, "one-hot"))
+        table = kc_scores_all(graph, encode_labels(pseudo, "one-hot"))
         export = score_distribution(table.scores, seed=0)
         if name == "clean":
             mode = float(export.kde_x[np.argmax(export.kde_y)])

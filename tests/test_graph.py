@@ -20,8 +20,9 @@ from kces.graph import (
     write_features_csv,
     write_labels,
 )
-from kces.gnn import TrainConfig, evaluate_classifier, make_split
+from kces.gnn import TrainConfig, evaluate_classifier, evaluate_classifiers, make_split
 from kces.perturb import dice_attack
+from kces.pseudolabel import encode_labels
 from kces.synth import random_graph
 
 
@@ -120,7 +121,7 @@ def test_non_whole_ids_are_refused_not_truncated(build, what):
     assert g.edges.tolist() == [[0, 2]] and g.labels.tolist() == [1, 0, 1]
 
 
-# The five call sites of whole_ids, each given one bad id.
+# Five entry points that read ids, each given one bad id.
 _ID_SITES = pytest.mark.parametrize(
     "build",
     [
@@ -156,6 +157,28 @@ def test_write_labels_refuses_what_is_not_a_vector(labels, tmp_path):
     with pytest.raises(InputError, match=r"^labels must be a vector, got shape \("):
         write_labels(labels, path)
     assert not path.exists()
+
+
+_NEGATIVE = [0, 0, 0, 0, 0, 1, 1, -1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Graph(_TEN.features, _TEN.edges, labels=_NEGATIVE),
+        lambda: write_labels(_NEGATIVE, os.devnull),
+        lambda: dice_attack(_TEN, _NEGATIVE, 0.5, seed=0),
+        lambda: evaluate_classifiers(
+            [_TEN], _NEGATIVE, make_split(10, 0, train_frac=0.5), TrainConfig(m=4, steps=1)
+        ),
+        lambda: encode_labels(_NEGATIVE),
+    ],
+    ids=["graph", "write-labels", "dice-attack", "evaluate-classifiers", "encode-labels"],
+)
+def test_negative_labels_are_refused_everywhere(build):
+    # one rule for a labeling, whichever entry point reads it
+    with pytest.raises(InputError, match="^labels must be non-negative$"):
+        build()
 
 
 def test_edges_are_canonical_and_sorted():

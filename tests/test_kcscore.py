@@ -74,7 +74,7 @@ def _golden_graph():
 def _golden_labels():
     g = _golden_graph()
     pl = kmeans_pseudo_labels(g, 2, 0)
-    assert pl.assignments.tolist() == GOLDEN_ASSIGNMENTS
+    assert pl.tolist() == GOLDEN_ASSIGNMENTS
     return encode_labels(pl, "one-hot")
 
 
@@ -897,6 +897,25 @@ def test_each_matrix_is_solved_once_per_label_set(monkeypatch):
         warnings.simplefilter("ignore", KcesWarning)
         each = kcscore._kc_scores_each(g, sets)
     assert len(calls) == len(sets) * (1 + (~each[0].fast).sum())
+
+
+def test_each_matrix_takes_its_norm_once(monkeypatch):
+    # the backward-error gate's inf-norm depends on the matrix alone: one
+    # for the base and one per naive removal, however many label sets
+    g = _sparse_sbm_204()
+    sets = [encode_labels(kmeans_pseudo_labels(g, 2, seed), "one-hot") for seed in range(3)]
+    calls = []
+    dlange = scipy.linalg.lapack.dlange
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dlange(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dlange", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KcesWarning)
+        each = kcscore._kc_scores_each(g, sets)
+    assert len(calls) == 1 + (~each[0].fast).sum()
 
 
 def _timed_fast_and_naive(g, lm):

@@ -198,7 +198,7 @@ def test_pipeline_prunes_exactly_the_top_scores():
 def test_pipeline_matches_manual_stages():
     g = random_graph(18, 0.25, 5, seed=21, avoid_twins=True)
     result = kces_pipeline(g, alpha=0.2, k_clusters=2, seed=4)
-    manual = kc_scores_all(g, encode_labels(result.pseudo_labels.assignments, "one-hot"))
+    manual = kc_scores_all(g, encode_labels(result.pseudo_labels, "one-hot"))
     assert np.array_equal(result.table.edges, manual.edges)
     assert np.array_equal(result.table.scores, manual.scores)
 
