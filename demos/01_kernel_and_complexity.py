@@ -30,11 +30,11 @@ g = Graph(
     edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (2, 5)],
 )
 
-xt = aggregate_features(g)
+rows = aggregate_features(g)
 print("aggregated unit rows:")
-print(xt.matrix)
+print(rows)
 
-gm = gram_matrix(xt)
+gm = gram_matrix(rows)
 print("\nGram matrix (diagonal is exactly 0.5):")
 print(gm.h)
 print("ridge used:", gm.ridge, " smallest eigenvalue:", f"{gm.lambda_min:.4f}")

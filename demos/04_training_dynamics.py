@@ -23,15 +23,15 @@ from kces.pseudolabel import encode_labels
 from kces.synth import random_graph
 
 g = random_graph(16, 0.25, 32, seed=0, avoid_twins=True)
-xt = aggregate_features(g)
+rows = aggregate_features(g)
 y = np.random.default_rng(0).choice([-1.0, 1.0], size=16)
 
-gm = gram_matrix(xt)
+gm = gram_matrix(rows)
 eta = min(0.5, 1.0 / float(np.linalg.eigvalsh(gm.h)[-1]))
 cfg = TrainConfig(m=8192, steps=200, eta=eta, kappa=0.1, seed=0)
 print(f"width {cfg.m}, step size {eta:.4f}, {cfg.steps} steps")
 
-trace = train_gd(init_model(cfg, g.n_features), xt, y, cfg)
+trace = train_gd(init_model(cfg, g.n_features), rows, y, cfg)
 predicted = spectral_predictor(gm, y, eta).predicted_norm(np.arange(201))
 
 print("\n  t   measured   predicted")

@@ -25,7 +25,6 @@ from .gnn import (
     write_trace_csv,
 )
 from .graph import (
-    AggregatedFeatures,
     Graph,
     aggregate_features,
     affected_nodes,
@@ -56,7 +55,6 @@ __version__ = VERSION
 
 __all__ = [
     "AccuracyReport",
-    "AggregatedFeatures",
     "ConfigError",
     "DistributionExport",
     "GramMatrix",

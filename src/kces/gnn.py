@@ -1,8 +1,9 @@
 """Two-layer ReLU network on aggregated features, trained in the kernel regime.
 
-The model is f_i = (1/sqrt(m)) * sum_r a_r * relu(w_r . x_i) with random
-signs a fixed at init and first-layer weights w trained by full-batch
-gradient descent on the squared loss.  At large width the residual norm
+The model is f_i = (1/sqrt(m)) * sum_r a_r * relu(w_r . x_i), on the rows
+x_i of the N x F array ``aggregate_features`` returns, with random signs
+a fixed at init and first-layer weights w trained by full-batch gradient
+descent on the squared loss.  At large width the residual norm
 follows the spectrum of the kernel Gram matrix, which the spectral
 predictor evaluates in closed form; the generalization bounds combine
 the complexity functional with a confidence term.
@@ -36,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, KcesWarning, NumericError
-from .graph import AggregatedFeatures, Graph, aggregate_features, class_labels, format_float, seed_key
+from .graph import Graph, aggregate_features, class_labels, format_float, seed_key
 from .kernel import GramMatrix, arccos_kernel
 
 
@@ -80,10 +81,6 @@ class TrainTrace:
     final_state: ModelState
 
 
-def _rows(xt) -> np.ndarray:
-    return xt.matrix if isinstance(xt, AggregatedFeatures) else np.asarray(xt)
-
-
 def init_model(cfg: TrainConfig, n_features: int) -> ModelState:
     """Gaussian first layer with std kappa; signs a_r uniform in {-1, +1}."""
     rng = np.random.default_rng(seed_key(cfg.seed, 0x91))
@@ -92,10 +89,9 @@ def init_model(cfg: TrainConfig, n_features: int) -> ModelState:
     return ModelState(w=w, a=a, config=cfg)
 
 
-def forward(state: ModelState, xt) -> np.ndarray:
+def forward(state: ModelState, x) -> np.ndarray:
     """Network outputs (1/sqrt(m)) * relu(X W) a for each row of X."""
-    x = _rows(xt)
-    z = np.maximum(x @ state.w, 0.0)
+    z = np.maximum(np.asarray(x) @ state.w, 0.0)
     return (z @ state.a) / math.sqrt(state.config.m)
 
 
@@ -167,23 +163,31 @@ def _descend(w, a, x, y, eta, steps):
     return np.ascontiguousarray(norms.T), np.ascontiguousarray(losses.T), failed
 
 
+def _targets(y, n: int) -> np.ndarray:
+    """``y`` as a float64 vector of one target for each of ``n`` rows."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (n,):
+        raise ConfigError(f"targets of shape {y.shape} are not one per row of {n}")
+    return y
+
+
 def _diverged(step: int) -> NumericError:
     return NumericError(f"training loss became non-finite at step {step}")
 
 
-def train_gd(state: ModelState, xt, y, cfg: TrainConfig) -> TrainTrace:
+def train_gd(state: ModelState, x, y, cfg: TrainConfig) -> TrainTrace:
     """Full-batch gradient descent on the squared loss L = 0.5 ||y - f||^2.
 
-    Only the first layer moves; the output signs stay fixed.  Labels must
-    be bounded by 1 in absolute value.  The trace records ||y - f|| and
-    the loss at every step including step 0; a non-finite loss aborts
-    with the offending step number.  The ReLU subgradient at exactly 0 is
-    taken as 0 (strict positivity test), which removes the measure-zero
-    ambiguity of the kink.  This is the one-model stack of the trainer
+    Only the first layer moves; the output signs stay fixed.  ``y`` holds
+    one label per row of ``x``, each bounded by 1 in absolute value.  The
+    trace records ||y - f|| and the loss at every step including step 0;
+    a non-finite loss aborts with the offending step number.  The ReLU
+    subgradient at exactly 0 is taken as 0 (strict positivity test),
+    which removes the measure-zero ambiguity of the kink.  This is the one-model stack of the trainer
     that ``evaluate_classifier`` and ``evaluate_classifiers`` run.
     """
-    x = _rows(xt)
-    y = np.asarray(y, dtype=np.float64)
+    x = np.asarray(x)
+    y = _targets(y, x.shape[0])
     if (np.abs(y) > 1.0 + 1e-12).any():
         raise ConfigError("training labels must lie in [-1, 1]")
     if state.w.shape != (x.shape[1], cfg.m):
@@ -226,9 +230,10 @@ def spectral_predictor(gm: GramMatrix, y, eta: float) -> SpectralPrediction:
     """Closed-form residual-norm forecast from the Gram spectrum.
 
     Eigendecomposes the raw (pre-ridge) matrix; warns when eta exceeds
-    the stable range eta * lambda_max < 2.
+    the stable range eta * lambda_max < 2.  ``y`` holds one target per
+    row of the matrix.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = _targets(y, gm.n)
     lam, vecs = np.linalg.eigh(gm.h)
     if eta * lam[-1] >= 2.0:
         warnings.warn(
@@ -347,11 +352,11 @@ def _class_config(cfg: TrainConfig, idx: int) -> TrainConfig:
     return replace(cfg, seed=derived)
 
 
-def _report(xt, finals, classes, lab, split: Split, eta: float) -> AccuracyReport:
+def _report(x, finals, classes, lab, split: Split, eta: float) -> AccuracyReport:
     """Argmax over the per-class outputs of each node, then accuracies."""
     scores = np.empty((lab.shape[0], classes.shape[0]))
     for idx, state in enumerate(finals):
-        scores[:, idx] = forward(state, xt)
+        scores[:, idx] = forward(state, x)
     pred = classes[np.argmax(scores, axis=1)]
 
     def acc(mask):
@@ -388,14 +393,18 @@ def _evaluate(graphs, labels, split: Split, cfg: TrainConfig):
         return [], []
     n_nodes = graphs[0].n_nodes
     lab = class_labels(labels, n_nodes)
+    if any(g.n_nodes != n_nodes for g in graphs):
+        raise ConfigError("graphs must share one node set")
+    for name in ("train", "val", "test"):
+        mask = np.asarray(getattr(split, name))
+        if mask.dtype != bool or mask.shape != (n_nodes,):
+            raise ConfigError(f"split.{name} must be a boolean mask of {n_nodes} nodes")
     classes = np.unique(lab)
     missing = [c for c in classes.tolist() if not (split.train & (lab == c)).any()]
     if missing:
         raise ConfigError(f"classes {missing} have no training nodes")
-    if any(g.n_nodes != n_nodes for g in graphs):
-        raise ConfigError("graphs must share one node set")
-    xts = [aggregate_features(g) for g in graphs]
-    x = np.stack([xt.matrix[split.train] for xt in xts])
+    rows = [aggregate_features(g) for g in graphs]
+    x = np.stack([r[split.train] for r in rows])
     etas = [resolve_eta(cfg, rows) for rows in x]
     n_graphs = len(graphs)
     targets = lab[split.train]
@@ -429,8 +438,8 @@ def _evaluate(graphs, labels, split: Split, cfg: TrainConfig):
     if failures:
         raise _diverged(min(failures)[2])
     reports = [
-        _report(xt, [t.final_state for t in per_class], classes, lab, split, eta)
-        for xt, per_class, eta in zip(xts, traces, etas)
+        _report(r, [t.final_state for t in per_class], classes, lab, split, eta)
+        for r, per_class, eta in zip(rows, traces, etas)
     ]
     return reports, traces
 

@@ -5,6 +5,10 @@ per undirected pair (u, v), u < v.  Self-loops are never stored explicitly
 but every node contributes one to its own degree, so an isolated node has
 degree 1.  Instances are immutable after construction; structural edits
 return new graphs that share the (read-only) feature matrix.
+
+A graph's aggregated rows are a plain read-only N x F array.  Every row
+set is scaled to unit norm, and a vanishing or overflowing row refused,
+in ``unit_rows``: the aggregation's, K-means' and the scoring cache's.
 """
 
 from __future__ import annotations
@@ -12,14 +16,13 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError, KcesWarning, NumericError
 
-#: Aggregated rows with pre-normalization norm below this are degenerate.
+#: A row whose norm before scaling to unit norm is below this is degenerate.
 DEGENERATE_ROW_NORM = 1e-10
 
 
@@ -193,53 +196,41 @@ class Graph:
         )
 
 
-@dataclass(frozen=True)
-class AggregatedFeatures:
-    """Degree-normalized neighborhood averages, rows scaled to unit norm.
-
-    ``matrix`` holds the unit-norm rows; ``pre_norm_row_norms`` the row
-    norms observed before the final normalization.
-    """
-
-    matrix: np.ndarray
-    pre_norm_row_norms: np.ndarray
-
-
-def finite_row_norms(raw: np.ndarray) -> np.ndarray:
-    """Row 2-norms of ``raw``; InputError when one overflows.
-
-    A row whose norm is not finite would otherwise be divided down to
-    zeros or NaNs and pass every vanishing-norm check.
-    """
+def unit_rows(raw: np.ndarray, what: str):
+    """The rows of ``raw`` scaled to unit 2-norm, C-ordered, and their
+    norms, both read-only.  An overflowing norm is an InputError (the row
+    would divide down to zeros or NaNs); one below ``DEGENERATE_ROW_NORM``
+    is a NumericError saying ``what`` vanish, as the kernel is undefined
+    on zero rows."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(raw, axis=1)
     if not np.isfinite(norms).all():
         i = int(np.argmax(~np.isfinite(norms)))
         raise InputError(f"feature sums overflow at node {i}")
-    return norms
+    if (norms < DEGENERATE_ROW_NORM).any():
+        i = int(np.argmax(norms < DEGENERATE_ROW_NORM))
+        raise NumericError(f"{what} vanish at node {i} (norm {norms[i]:.3e})")
+    rows = np.divide(raw, norms[:, None], order="C")
+    rows.setflags(write=False)
+    norms.setflags(write=False)
+    return rows, norms
 
 
-def aggregate_features(g: Graph) -> AggregatedFeatures:
+def _aggregate(g: Graph):
+    """``aggregate_features`` and the rows' norms before scaling."""
+    w = 1.0 / np.sqrt(g.degrees.astype(np.float64))[:, None]
+    raw = w * (g.adjacency_with_self_loops() @ (w * g.features))
+    return unit_rows(raw, "aggregated features")
+
+
+def aggregate_features(g: Graph) -> np.ndarray:
     """Average each node's features over its closed neighborhood.
 
     Computes D^{-1/2} (A + I) D^{-1/2} X with D the self-loop-inclusive
-    degree matrix, then rescales every row to unit 2-norm.  A row whose
-    pre-normalization norm falls below 1e-10 is a hard error: the kernel
-    downstream is undefined on zero rows.  A row whose sum overflows is
-    an input error.
+    degree matrix, each row scaled to unit 2-norm by ``unit_rows``: a
+    read-only, C-ordered N x F float64 array.
     """
-    w = 1.0 / np.sqrt(g.degrees.astype(np.float64))
-    raw = w[:, None] * (g.adjacency_with_self_loops() @ (w[:, None] * g.features))
-    norms = finite_row_norms(raw)
-    if (norms < DEGENERATE_ROW_NORM).any():
-        i = int(np.argmax(norms < DEGENERATE_ROW_NORM))
-        raise NumericError(
-            f"aggregated features vanish at node {i} (norm {norms[i]:.3e})"
-        )
-    return AggregatedFeatures(
-        matrix=_readonly(raw / norms[:, None]),
-        pre_norm_row_norms=_readonly(norms),
-    )
+    return _aggregate(g)[0]
 
 
 def remove_edge(g: Graph, u: int, v: int) -> Graph:

@@ -76,6 +76,7 @@ from .errors import ConfigError, InputError, NumericError
 from .graph import (
     DEGENERATE_ROW_NORM,
     Graph,
+    _aggregate,
     affected_nodes,
     aggregate_features,
     format_float,
@@ -257,8 +258,8 @@ class _ScoreCache:
     """
 
     def __init__(self, g: Graph, runs):
-        xt = aggregate_features(g)
-        gm = gram_matrix(xt)
+        rows, norms = _aggregate(g)
+        gm = gram_matrix(rows)
         self.h = gm.h
         self.patcher = GramPatcher(gm)
         for run in runs:
@@ -266,10 +267,8 @@ class _ScoreCache:
             run.quad = np.einsum("nc,nc->c", run.labels.columns, run.z)
         self.weights = 1.0 / np.sqrt(g.degrees.astype(np.float64))
         # Sum_{j in closed nbhd(k)} X_j / sqrt(d_j), recoverable from the
-        # stored rows and their pre-normalization norms.
-        self.neighbor_sums = (
-            xt.matrix * xt.pre_norm_row_norms[:, None] / self.weights[:, None]
-        )
+        # unit rows and their norms before scaling.
+        self.neighbor_sums = rows * norms[:, None] / self.weights[:, None]
         # Nothing reads the factor after this, so its inverse overwrites
         # it (gram_matrix hands it over read-only).  The blocks read whole
         # columns of l_inv, so its upper triangle must be zero: the
@@ -283,7 +282,7 @@ class _ScoreCache:
         for run in runs:
             run.l_inv_y = blas.dtrmm(1.0, l_inv, run.labels.columns, lower=1)
         pad = -g.n_nodes % PRODUCT_ROWS
-        self.base_rows = np.pad(xt.matrix, ((0, pad), (0, 0)))
+        self.base_rows = np.pad(rows, ((0, pad), (0, 0)))
         self.l_inv = np.pad(l_inv, (0, pad)) if pad else l_inv
         self.l_inv.setflags(write=False)
 

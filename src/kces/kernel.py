@@ -48,7 +48,6 @@ import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from .errors import InputError, KcesWarning, NumericError
-from .graph import AggregatedFeatures
 from .pseudolabel import LabelMatrix
 
 RIDGE_SCALE = 1e-8
@@ -83,8 +82,9 @@ class GramMatrix:
     symmetric; ``ridge`` is 0.0 unless the factorization needed
     regularization; ``chol_lower`` factors h + ridge * I and is kept in
     the Fortran order the LAPACK solves take.  ``lambda_min`` is the
-    smallest eigenvalue of the raw matrix, computed on first access, and
-    so is the inf-norm every solve's backward error is scaled by.
+    smallest eigenvalue of the raw matrix and ``norm_inf`` the inf-norm
+    every solve's backward error is scaled by, each computed on first
+    access and kept.
     The instance takes ownership of both arrays and makes them read-only.
     """
 
@@ -111,6 +111,15 @@ class GramMatrix:
             except np.linalg.LinAlgError as exc:
                 raise NumericError("eigenvalue computation failed") from exc
         return self._lambda_min
+
+    @property
+    def norm_inf(self) -> float:
+        """|h|_inf + ridge, which bounds |h + ridge I|_inf and equals it
+        on a non-negative diagonal such as a Gram matrix's 0.5."""
+        # h is symmetric, so h.T is h in Fortran order, read in place.
+        if self._norm_inf is None:
+            self._norm_inf = float(lapack.dlange("I", self.h.T)) + self.ridge
+        return self._norm_inf
 
 
 def _factor_with_ridge(h: np.ndarray, ridge: float = 0.0, work=None):
@@ -172,8 +181,8 @@ def _lower_dots(rows: np.ndarray, out=None) -> np.ndarray:
     return blas.dsyrk(1.0, rows.T, trans=1, lower=1, c=out, overwrite_c=1)
 
 
-def gram_matrix(xt: AggregatedFeatures, ridge: float = 0.0) -> GramMatrix:
-    """Build the Gram matrix of the aggregated rows and factor it.
+def gram_matrix(rows: np.ndarray, ridge: float = 0.0) -> GramMatrix:
+    """Build the Gram matrix of the unit rows ``rows`` and factor it.
 
     The inner products come from one syrk into the lower triangle,
     mirrored, so they are exactly symmetric and equal to numpy's
@@ -182,7 +191,7 @@ def gram_matrix(xt: AggregatedFeatures, ridge: float = 0.0) -> GramMatrix:
     factorization starts (see ``_factor_with_ridge``): an edge removal
     is scored under the ridge its base graph got.
     """
-    tri = _lower_dots(xt.matrix)
+    tri = _lower_dots(np.asarray(rows, dtype=np.float64))
     dots = tri.T + tri
     tri = None  # freed before the kernel map takes its temporary
     np.fill_diagonal(dots, 1.0)
@@ -194,8 +203,8 @@ def gram_matrix(xt: AggregatedFeatures, ridge: float = 0.0) -> GramMatrix:
 class GramPatcher:
     """Gram matrices of row sets that differ from a base's at a few rows.
 
-    ``gram(xt, changed)`` equals ``gram_matrix(xt, base.ridge)`` bit for
-    bit when the rows of ``xt`` equal the base's rows except at the
+    ``gram(rows, changed)`` equals ``gram_matrix(rows, base.ridge)`` bit
+    for bit when ``rows`` equal the base's rows except at the
     sorted indices ``changed``.  The inner products come from the syrk
     ``gram_matrix`` makes, so every entry has the same bits, but only the
     changed columns are taken out of the triangle and mapped through the
@@ -216,14 +225,14 @@ class GramPatcher:
         self._h = None
         self._work = None
 
-    def gram(self, xt: AggregatedFeatures, changed: np.ndarray) -> GramMatrix:
+    def gram(self, rows: np.ndarray, changed: np.ndarray) -> GramMatrix:
         n = self.base_h.shape[0]
         if self._h is None:
             # Made on first use: a run whose edges all take the fast route
             # never touches them.
             self._h = np.empty((n, n))
             self._work = np.empty((n, n), order="F")
-        tri = _lower_dots(xt.matrix, self._work)
+        tri = _lower_dots(rows, self._work)
         # Column c of the mirrored products is tri[i, c] on and below the
         # diagonal and tri[c, i] above it; the syrk does not touch the
         # upper triangle, which holds what the last call left there.
@@ -254,15 +263,10 @@ def solve_spd(gm: GramMatrix, rhs: np.ndarray) -> np.ndarray:
     b = np.asarray(rhs, dtype=np.float64).reshape(gm.n, -1)
     z, _ = lapack.dpotrs(gm.chol_lower, b, lower=1)
     # h is symmetric, so h.T is h in Fortran order: the residual product
-    # and the inf-norm read it in place, with no N x N temporary.  Adding
-    # the ridge bounds |h + ridge I|_inf, and equals it on a non-negative
-    # diagonal, such as a Gram matrix's 0.5.  The norm is taken on the
-    # matrix's first solve and kept for every label set solved after it.
+    # reads it in place, with no N x N temporary.
     r = b - blas.dgemm(1.0, gm.h.T, z) - gm.ridge * z
-    if gm._norm_inf is None:
-        gm._norm_inf = float(lapack.dlange("I", gm.h.T)) + gm.ridge
     worst = np.abs(r).max(axis=0)
-    scale = gm._norm_inf * np.abs(z).max(axis=0) + np.abs(b).max(axis=0)
+    scale = gm.norm_inf * np.abs(z).max(axis=0) + np.abs(b).max(axis=0)
     # Written as a product, so a zero column passes and a NaN fails.
     ok = worst <= BACKWARD_ERROR_TOL * scale
     if not ok.all():

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .graph import DEGENERATE_ROW_NORM, Graph, _readonly, class_labels, finite_row_norms, seed_key
+from .graph import Graph, _readonly, class_labels, seed_key, unit_rows
 
 MAX_LLOYD_ITERATIONS = 300
 CENTROID_SHIFT_TOL = 1e-6
@@ -35,11 +35,7 @@ class LabelMatrix:
 
 def _cluster_inputs(g: Graph) -> np.ndarray:
     raw = g.adjacency_with_self_loops() @ g.features
-    norms = finite_row_norms(raw)
-    if (norms < DEGENERATE_ROW_NORM).any():
-        i = int(np.argmax(norms < DEGENERATE_ROW_NORM))
-        raise NumericError(f"neighborhood feature sum vanishes at node {i}")
-    return raw / norms[:, None]
+    return unit_rows(raw, "neighborhood feature sums")[0]
 
 
 def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -192,8 +192,8 @@ def oracle_evaluate(g, labels, split, cfg):
 
     lab = np.asarray(labels, dtype=np.int64)
     classes = np.unique(lab)
-    xt = aggregate_features(g)
-    x_train = xt.matrix[split.train]
+    rows = aggregate_features(g)
+    x_train = rows[split.train]
     eta = resolve_eta(cfg, x_train)
     scores = np.empty((g.n_nodes, classes.shape[0]))
     traces = []
@@ -211,7 +211,7 @@ def oracle_evaluate(g, labels, split, cfg):
         )
         final = ModelState(w=w, a=state.a.copy(), config=cls_cfg)
         traces.append(TrainTrace(residual_norms=norms, losses=losses, final_state=final))
-        scores[:, idx] = forward(final, xt)
+        scores[:, idx] = forward(final, rows)
     pred = classes[np.argmax(scores, axis=1)]
 
     def acc(mask):
@@ -286,9 +286,6 @@ def gram_from_matrix(h):
 
 
 def unit_row_features(rows):
-    """AggregatedFeatures whose rows are ``rows`` scaled to unit norm."""
-    from kces.graph import AggregatedFeatures
-
+    """The rows of ``rows`` scaled to unit norm, as aggregated rows."""
     m = np.asarray(rows, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=1)
-    return AggregatedFeatures(matrix=m / norms[:, None], pre_norm_row_norms=norms)
+    return m / np.linalg.norm(m, axis=1)[:, None]

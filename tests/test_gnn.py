@@ -1,6 +1,7 @@
 """Kernel-regime trainer: gradients, dynamics, bounds, splits, evaluation."""
 
 import math
+import re
 import threading
 
 import numpy as np
@@ -223,6 +224,18 @@ def test_label_and_shape_guards():
         train_gd(state, x[:, :3], np.zeros(6), cfg)
 
 
+@pytest.mark.parametrize("shape", [(5,), (6, 2), ()])
+def test_targets_must_be_one_per_row(shape):
+    x = np.random.default_rng(0).standard_normal((6, 4))
+    cfg = TrainConfig(m=8, steps=1)
+    message = rf"^targets of shape {re.escape(str(shape))} are not one per row of 6$"
+    with pytest.raises(ConfigError, match=message):
+        train_gd(init_model(cfg, 4), x, np.zeros(shape), cfg)
+    gm = gram_from_matrix(np.eye(6) * 0.5)
+    with pytest.raises(ConfigError, match=message):
+        spectral_predictor(gm, np.zeros(shape), eta=1.0)
+
+
 def test_huge_step_size_diverges():
     x = np.random.default_rng(3).standard_normal((8, 4))
     y = np.random.default_rng(4).choice([-1.0, 1.0], size=8)
@@ -397,6 +410,19 @@ def test_evaluate_classifier_refuses_labels_of_another_length():
     split = make_split(g.n_nodes, seed=1)
     with pytest.raises(InputError, match=f"^labels must have length {g.n_nodes}$"):
         evaluate_classifier(g, g.labels[:-1], split, TrainConfig(m=16, steps=1))
+
+
+@pytest.mark.parametrize("graphs", [1, 2])
+def test_evaluate_refuses_a_split_of_another_node_set(graphs):
+    g = _blob_graph()
+    n = g.n_nodes
+    cfg = TrainConfig(m=8, steps=2)
+    with pytest.raises(ConfigError, match=rf"^split.train must be a boolean mask of {n} nodes$"):
+        evaluate_classifiers([g] * graphs, g.labels, make_split(n + 10, 0), cfg)
+    split = make_split(n, 0)
+    bad = gnn.Split(train=split.train, val=split.val.astype(int), test=split.test)
+    with pytest.raises(ConfigError, match=rf"^split.val must be a boolean mask of {n} nodes$"):
+        evaluate_classifiers([g] * graphs, g.labels, bad, cfg)
 
 
 def test_evaluate_classifier_needs_every_class_in_train():

@@ -10,6 +10,7 @@ from helpers import oracle_aggregate
 from kces.errors import InputError, KcesWarning, NumericError
 from kces.graph import (
     Graph,
+    _aggregate,
     affected_nodes,
     aggregate_features,
     format_float,
@@ -29,30 +30,42 @@ from kces.synth import random_graph
 def test_two_node_hand_case():
     # One edge, degrees 2 and 2: both aggregated rows are (x0 + x1) / 2.
     g = Graph(features=[[1.0, 0.0], [0.0, 1.0]], edges=[(0, 1)])
-    xt = aggregate_features(g)
+    rows, norms = _aggregate(g)
     expected_raw = np.array([[0.5, 0.5], [0.5, 0.5]])
     norm = np.sqrt(0.5)
-    assert np.allclose(xt.pre_norm_row_norms, [norm, norm], atol=1e-15)
-    assert np.allclose(xt.matrix, expected_raw / norm, atol=1e-15)
+    assert np.allclose(norms, [norm, norm], atol=1e-15)
+    assert np.allclose(rows, expected_raw / norm, atol=1e-15)
 
 
 def test_isolated_node_is_its_own_neighborhood():
     g = Graph(features=[[3.0, 4.0], [1.0, 0.0], [0.0, 2.0]], edges=[(1, 2)])
-    xt = aggregate_features(g)
+    rows, norms = _aggregate(g)
     # degree 1, so the row is the node's own feature vector, normalized
-    assert np.allclose(xt.matrix[0], [0.6, 0.8], atol=1e-15)
-    assert np.isclose(xt.pre_norm_row_norms[0], 5.0, atol=1e-15)
+    assert np.allclose(rows[0], [0.6, 0.8], atol=1e-15)
+    assert np.isclose(norms[0], 5.0, atol=1e-15)
 
 
 def test_aggregation_matches_dense_oracle():
     for seed in range(20):
         g = random_graph(n=12, edge_prob=0.3, n_features=5, seed=seed)
-        xt = aggregate_features(g)
+        got, got_norms = _aggregate(g)
         rows, norms = oracle_aggregate(g.features, g.edges.tolist())
-        assert np.allclose(xt.matrix, rows, atol=1e-12), f"seed {seed}"
-        assert np.allclose(xt.pre_norm_row_norms, norms, atol=1e-12), f"seed {seed}"
-        unit = np.linalg.norm(xt.matrix, axis=1)
+        assert np.allclose(got, rows, atol=1e-12), f"seed {seed}"
+        assert np.allclose(got_norms, norms, atol=1e-12), f"seed {seed}"
+        unit = np.linalg.norm(got, axis=1)
         assert np.allclose(unit, 1.0, atol=1e-12), f"seed {seed}: rows not unit"
+
+
+def test_aggregate_features_is_the_read_only_array_of_unit_rows():
+    g = random_graph(n=12, edge_prob=0.3, n_features=5, seed=3)
+    rows = aggregate_features(g)
+    assert type(rows) is np.ndarray
+    assert rows.shape == (12, 5) and rows.dtype == np.float64
+    assert rows.flags.c_contiguous and not rows.flags.writeable
+    assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
+    assert rows.tobytes() == _aggregate(g)[0].tobytes()
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.0
 
 
 def test_cancelling_neighborhood_raises():
@@ -212,10 +225,10 @@ def test_affected_nodes_is_union_of_closed_neighborhoods():
 def test_rows_outside_affected_set_do_not_move():
     for seed in range(10):
         g = random_graph(n=14, edge_prob=0.25, n_features=4, seed=100 + seed)
-        xt = aggregate_features(g).matrix
+        xt = aggregate_features(g)
         u, v = g.edges[seed % g.n_edges].tolist()
         s = set(affected_nodes(g, u, v).tolist())
-        xt2 = aggregate_features(remove_edge(g, u, v)).matrix
+        xt2 = aggregate_features(remove_edge(g, u, v))
         others = [i for i in range(g.n_nodes) if i not in s]
         assert np.array_equal(xt[others], xt2[others]), f"seed {seed} edge ({u},{v})"
 

@@ -331,12 +331,12 @@ def _explicit_capacitance(g, u, v):
     route factors it, built in full from an explicit inverse of the base
     Gram matrix: the changed columns map the new rows against the base
     rows, and the corner block corrects the affected rows."""
-    xt = aggregate_features(g).matrix
-    h = gram_matrix(aggregate_features(g)).h
+    xt = aggregate_features(g)
+    h = gram_matrix(xt).h
     removed = aggregate_features(remove_edge(g, u, v))
     s = affected_nodes(g, u, v)
     b = (gram_matrix(removed).h - h)[np.ix_(s, s)]
-    m = xt @ removed.matrix[s].T
+    m = xt @ removed[s].T
     m = m * (np.pi - np.arccos(np.clip(m, -1.0, 1.0))) / (2.0 * np.pi) - h[:, s]
     h_inv = np.linalg.inv(h)
     h_inv_m = h_inv @ m

@@ -70,12 +70,21 @@ def test_gram_matches_entrywise_oracle():
         assert gm.ridge == 0.0, f"seed {seed}: unexpected ridge"
 
 
+def test_gram_takes_any_array_of_the_rows():
+    g = random_graph(n=30, edge_prob=0.2, n_features=4, seed=2, avoid_twins=True)
+    rows = aggregate_features(g)
+    want = gram_matrix(rows)
+    got = gram_matrix(np.array(rows))
+    assert got.h.tobytes() == want.h.tobytes()
+    assert got.chol_lower.tobytes() == want.chol_lower.tobytes()
+    assert gram_matrix(rows.tolist()).h.tobytes() == want.h.tobytes()
+
+
 @pytest.mark.parametrize("n", [5, 64, 400])
 def test_gram_rebuild_is_symmetric_pinned_and_matches_numpy_product(n):
     rng = np.random.default_rng(n)
-    xt = unit_row_features(rng.standard_normal((n, 6)))
-    rows = xt.matrix
-    gm = gram_matrix(xt)
+    rows = unit_row_features(rng.standard_normal((n, 6)))
+    gm = gram_matrix(rows)
     h = gm.h
     assert np.array_equal(h, h.T)
     assert (np.diag(h) == 0.5).all()

@@ -107,6 +107,18 @@ def test_infeasible_and_degenerate_inputs():
         kmeans_pseudo_labels(flat, 2, seed=0)
 
 
+def test_vanishing_and_overflowing_sums_are_refused():
+    # node 2 has no edges and zero features, so its neighborhood sum is zero
+    lonely = Graph(features=[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], edges=[(0, 1)])
+    message = r"^neighborhood feature sums vanish at node 2 \(norm 0\.000e\+00\)$"
+    with pytest.raises(NumericError, match=message):
+        kmeans_pseudo_labels(lonely, 2, seed=0)
+    # node 0's sum is finite entry by entry but its norm overflows
+    huge = Graph(features=[[1e308, 1e308], [1.0, 0.0], [0.0, 1.0]], edges=[(1, 2)])
+    with pytest.raises(InputError, match="^feature sums overflow at node 0$"):
+        kmeans_pseudo_labels(huge, 2, seed=0)
+
+
 def test_one_hot_encoding():
     pl = np.array([0, 2, 1, 2])
     lm = encode_labels(pl, "one-hot")

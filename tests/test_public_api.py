@@ -3,9 +3,11 @@ nothing reads."""
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import kces
 import kces.cli
@@ -38,6 +40,27 @@ def test_benchmark_imports_are_public():
     columns = encode_labels(pseudo, "one-hot").columns
     assert np.array_equal(columns, encode_labels(pseudo).columns)
     assert columns.shape == (40, 2) and (columns.sum(axis=1) == 1.0).all()
+
+
+@pytest.fixture(scope="module")
+def bench():
+    # the benchmark's modules import each other by bare name
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCHMARKS))
+        yield importlib.import_module("gate"), importlib.import_module("workloads"), importlib.import_module("spans")
+
+
+@pytest.mark.filterwarnings("ignore::kces.errors.KcesWarning")
+@pytest.mark.parametrize("name", [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]])
+def test_benchmark_workloads_run_and_pass_their_gate(bench, name, tmp_path):
+    # one smoke-size iteration of each workload, its layer probes, and the
+    # gate against kc_score_naive: what the benchmark calls of the package
+    # still runs and still scores
+    gate, workloads, spans = bench
+    run = workloads.setup(name, 0, str(tmp_path), smoke=True)
+    it = run.iterate(spans.Tracer())
+    run.probe_layers(spans.Tracer())
+    assert gate.check(it.tsv, run.reference()) == []
 
 
 def test_one_error_class_per_exit_code(monkeypatch, capsys):
