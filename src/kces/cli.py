@@ -3,7 +3,7 @@
 Commands compose through files only.  Every run writes a manifest with
 its parsed arguments and content digests of its inputs and outputs;
 re-running a manifest's argv reproduces the outputs byte for byte, given
-the same BLAS build and BLAS thread count.  Scoring always takes the fast route wherever it can;
+the same BLAS build.  Scoring always takes the fast route wherever it can;
 ``kc_score_naive`` is the per-edge reference.  ``sweep`` scores its
 graph once for all its seeds, so it warns of a ridged base once per
 graph, not once per seed.

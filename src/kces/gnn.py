@@ -90,8 +90,18 @@ def init_model(cfg: TrainConfig, n_features: int) -> ModelState:
 
 
 def forward(state: ModelState, x) -> np.ndarray:
-    """Network outputs (1/sqrt(m)) * relu(X W) a for each row of X."""
-    z = np.maximum(np.asarray(x) @ state.w, 0.0)
+    """Network outputs (1/sqrt(m)) * relu(X W) a for each row of X.
+
+    ``x`` must hold rows of the model's input width, as ``train_gd``
+    requires.
+    """
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[1] != state.w.shape[0]:
+        raise ConfigError(
+            f"rows of shape {x.shape} do not match the model's input width "
+            f"{state.w.shape[0]}"
+        )
+    z = np.maximum(x @ state.w, 0.0)
     return (z @ state.a) / math.sqrt(state.config.m)
 
 

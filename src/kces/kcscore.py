@@ -51,14 +51,25 @@ map and one triangular product.  Per edge, b and b~ come from the
 inner products of its new rows and of its base rows against them, and
 with V = [Y~_e, L^-1[:, s]] the capacitance matrix is C~^-1 + V^T V,
 one symmetric rank-k product; it is factored, condition-estimated and
-solved with LAPACK's symmetric indefinite routines.  The partition and
-the pool's slots depend on the edge list alone, so every score is the
-same however the caller is configured.  A ridged base changes nothing
-here: its removals are scored under its ridge, so the update is exact
-against the factor of H + ridge I.  An edge goes to the naive route
-when its affected set covers half the graph, which leaves it no rows
-in the plan, or when its capacitance system is not finite, singular
-or ill-conditioned by its 1-norm condition estimate.
+solved with LAPACK's symmetric indefinite routines.
+
+A large run's blocks are cut into a fixed number of contiguous
+segments, each with a pool of its own, and forked worker processes
+score the segments side by side; a small run is one segment.  A run
+holds scipy's OpenBLAS to one thread throughout, in-process and in the
+workers.  The partition, the segments and the pool's slots depend on
+the edge list alone, so a score's bits do not depend on the CPU count,
+on whether the segments run in workers, or (on the OpenBLAS builds
+checked) on the BLAS thread count the process was started with.
+
+A ridged base changes nothing here: its removals are scored under its
+ridge, so the update is exact against the factor of H + ridge I.  An
+edge goes to the naive route when its affected set covers half the
+graph, which leaves it no rows in the plan, when one of its replayed
+rows vanishes (the full re-aggregation then decides, and words any
+error as ``kc_score_naive`` does), or when its capacitance system is
+not finite, singular or ill-conditioned by its 1-norm condition
+estimate.
 
 Every BLAS and LAPACK call of the fast route goes through scipy, the
 runtime the Gram rebuild uses (see ``kernel``).
@@ -66,6 +77,9 @@ runtime the Gram rebuild uses (see ``kernel``).
 
 from __future__ import annotations
 
+import os
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +97,16 @@ from .graph import (
     open_text,
     remove_edge,
 )
-from .kernel import GramPatcher, arccos_kernel, gkc, gram_matrix, solve_labels
+from .gnn import _usable_cpus
+from .kernel import (
+    GramPatcher,
+    _one_blas_thread,
+    _openblas_swap,
+    arccos_kernel,
+    gkc,
+    gram_matrix,
+    solve_labels,
+)
 from .pseudolabel import LabelMatrix
 
 #: Fast path falls back to naive when the capacitance system's estimated
@@ -106,13 +129,18 @@ BLOCK_EDGES = 16
 #: pool then takes the memory of the base's Cholesky factor, which the
 #: scoring run releases.
 _POOL_COLUMNS_PER_NODE = 1
-#: The blocks' triangular product runs on rows zero-padded to a multiple
-#: of this.  With OpenBLAS 0.3.30's Haswell kernels, a product whose row
-#: count is not a multiple of 8 rounds differently on one thread than on
-#: several (at N = 30 with 84 columns, 12 columns differ); padded, the
-#: scores of SBM graphs of 20-126 nodes have the same bits on 1, 2 and 3
-#: threads.  From N = 128 on, the base's Cholesky factor itself differs.
-PRODUCT_ROWS = 8
+#: A run whose plan holds at least this many column entries, N times its
+#: affected rows, is cut into ``_SEGMENTS`` segments, which worker
+#: processes score; a smaller run is one segment, scored in-process.  On
+#: a 2-vCPU host, two workers took ``dense-sbm-1000`` (1.3e8 entries) from
+#: 3.7 to 2.0 s and N = 400 at its density (2.0e7) from 0.88 to 0.49 s.
+#: The ``sparse-sbm-400`` and ``defense-sweep-200`` graphs (1.4e6 and
+#: 5.5e6 at most, seeds 0-9) stay in-process, where the fork's cost is
+#: not clearly repaid.
+_WORKER_MIN_ENTRIES = 2**24
+#: Segments of a run that goes to workers.  The cut depends on the plan
+#: alone, so the scores do not depend on how many CPUs run them.
+_SEGMENTS = 2
 TSV_HEADER = "u\tv\tkc_score\tmethod"
 #: The ``method`` column's route names, indexed by the ``fast`` flag.
 ROUTES = ("naive", "fast")
@@ -246,15 +274,13 @@ class _ScoreCache:
     its lower Cholesky factor ``l_inv`` (one triangular inversion, in
     place of an explicit H^-1), the pre-normalization neighbor sums
     needed to replay aggregation on the handful of rows an edge removal
-    touches, and the solved quantities of each label set's run;
-    ``base_rows`` and ``l_inv`` are zero-padded to a multiple of
-    ``PRODUCT_ROWS`` rows (and ``l_inv`` columns).  The factor itself is
-    released: once the base complexities and solves are done, nothing
-    reads it, so ``l_inv`` is built in its memory.  A ridged base is
-    factored as H + ridge I and its removals are scored under the same
-    ridge, so the fast-route fields come from that factor.  A cache
-    scores one edge at a time: the patcher rebuilds every naive removal
-    in the same buffers.
+    touches, and the solved quantities of each label set's run.  The
+    factor itself is released: once the base complexities and solves
+    are done, nothing reads it, so ``l_inv`` is built in its memory.  A
+    ridged base is factored as H + ridge I and its removals are scored
+    under the same ridge, so the fast-route fields come from that
+    factor.  A cache scores one edge at a time: the patcher rebuilds
+    every naive removal in the same buffers.
     """
 
     def __init__(self, g: Graph, runs):
@@ -281,10 +307,9 @@ class _ScoreCache:
             raise NumericError("Cholesky factor of the Gram matrix is singular")
         for run in runs:
             run.l_inv_y = blas.dtrmm(1.0, l_inv, run.labels.columns, lower=1)
-        pad = -g.n_nodes % PRODUCT_ROWS
-        self.base_rows = np.pad(rows, ((0, pad), (0, 0)))
-        self.l_inv = np.pad(l_inv, (0, pad)) if pad else l_inv
-        self.l_inv.setflags(write=False)
+        l_inv.setflags(write=False)
+        self.base_rows = rows
+        self.l_inv = l_inv
 
 
 def _removed_rows(g: Graph, u: int, v: int):
@@ -300,12 +325,13 @@ def _removed_rows(g: Graph, u: int, v: int):
 def kc_score_naive(g: Graph, labels: LabelMatrix, u: int, v: int) -> float:
     """Reference score: full recompute of the edge-removed complexity.
 
-    The removal is factored under the ridge the base graph got, as in
-    ``kc_scores_all``.
+    The removal is factored under the ridge the base graph got, and the
+    whole recompute runs on one OpenBLAS thread, as in ``kc_scores_all``.
     """
-    base = gram_matrix(aggregate_features(g))
-    removed = gram_matrix(_removed_rows(g, u, v), base.ridge)
-    return abs(gkc(base, labels) - gkc(removed, labels))
+    with _one_blas_thread:
+        base = gram_matrix(aggregate_features(g))
+        removed = gram_matrix(_removed_rows(g, u, v), base.ridge)
+        return abs(gkc(base, labels) - gkc(removed, labels))
 
 
 def _replay_rows(cache: _ScoreCache, g: Graph, s, eu, ev, side):
@@ -355,7 +381,10 @@ class _Plan:
     pool keeps it: column j is read from slot ``slot[j]``, where its
     block builds it if ``built[j]``, and after block t the pool copies the
     slots of row 0 of ``moves[t]`` to those of row 1.  Built columns fill
-    the slots from ``main`` on, of ``n_slots`` in all.
+    the slots from ``main`` on, of ``n_slots`` in all.  The blocks fall
+    into segments, segment i being blocks ``segment_cut[i]`` ..
+    ``segment_cut[i + 1]`` - 1: no column is kept from one segment into
+    the next, so each can be scored with a pool of its own.
     """
 
     indptr: np.ndarray
@@ -371,6 +400,7 @@ class _Plan:
     moves: list
     main: int
     n_slots: int
+    segment_cut: np.ndarray
 
 
 def _key_pass(g: Graph) -> _Plan:
@@ -384,7 +414,10 @@ def _key_pass(g: Graph) -> _Plan:
     endpoint or a common neighbor gets a column of its own edge.  A run
     keys its edges once, before the Gram matrix is built, so the
     keying's temporaries are freed before that memory is taken; the plan
-    it keeps holds int32 indices and slots, and int8 sides.
+    it keeps holds int32 indices and slots, and int8 sides.  A run whose
+    plan reads ``_WORKER_MIN_ENTRIES`` column entries or more is cut into
+    ``_SEGMENTS`` segments of about equal rows, at block boundaries, and a
+    key then names a column within its segment only.
     """
     n, edges = g.n_nodes, g.edges
     ne = edges.shape[0]
@@ -418,10 +451,15 @@ def _key_pass(g: Graph) -> _Plan:
     col, indptr = col.astype(np.int32), hit.indptr
     # Each column is replayed from the first row that takes it.
     node, eu, ev, side = s[first], eu[first], ev[first], side[first]
-    key = np.where(side == 3, -1, key[first])
+    segments = _SEGMENTS if n * s.size >= _WORKER_MIN_ENTRIES else 1
+    block_rows = indptr[np.arange(n_blocks) * BLOCK_EDGES]
+    cuts = np.searchsorted(block_rows, np.arange(1, segments) * s.size / segments)
+    segment_cut = np.unique(np.concatenate(([0], cuts, [n_blocks])))
+    in_segment = np.searchsorted(segment_cut, block[first], side="right") - 1
+    key = np.where(side == 3, -1, key[first] + in_segment * n * n)
     # The rows' temporaries go before the walk, whose own then take
     # their memory instead of growing the process heap.
-    del owner, block, first, hit
+    del owner, block, first, hit, in_segment
     slot, built, moves, main, n_slots = _schedule(
         key, col_cut, _POOL_COLUMNS_PER_NODE * n
     )
@@ -439,6 +477,7 @@ def _key_pass(g: Graph) -> _Plan:
         moves=moves,
         main=main,
         n_slots=n_slots,
+        segment_cut=segment_cut,
     )
 
 
@@ -591,15 +630,15 @@ def _score_block(cache: _ScoreCache, g: Graph, plan: _Plan, t, runs, fast, y, mt
         blas.dgemm(1.0, cache.base_rows.T, rows[new].T, trans_a=1, c=built, overwrite_c=1)
         arccos_kernel(built)
         # h is exactly symmetric, so its rows are the columns, read contiguously.
-        built[:n] -= h[node[new]].T
+        built -= h[node[new]].T
         blas.dtrmm(1.0, cache.l_inv, built, lower=1, overwrite_b=1)
         for run, mt in zip(runs, mt_z):
-            mt[build] = blas.dgemm(1.0, built[:n], run.l_inv_y, trans_a=1)
+            mt[build] = blas.dgemm(1.0, built, run.l_inv_y, trans_a=1)
 
     # Each affected row's node, pool slot, new row and norm.
     a0, a1 = bounds[0], bounds[-1]
     affected, col = plan.s[a0:a1], plan.col[a0:a1]
-    slots, y = plan.slot[col], y[:n]
+    slots = plan.slot[col]
     rows, norms = rows[col - cols.start], norms[col - cols.start]
     bounds = (bounds - a0).tolist()
     corners = zip(*_corners(cache, affected, bounds, rows))
@@ -613,17 +652,14 @@ def _score_block(cache: _ScoreCache, g: Graph, plan: _Plan, t, runs, fast, y, mt
         pos, a, b = e0 + i, bounds[i], bounds[i + 1]
         if a < b:
             b_true, b_shared = next(corners)
+        # A removal whose replayed rows vanish goes naive, whose full
+        # re-aggregation words the error as ``kc_score_naive`` does.
+        if a < b and not (norms[a:b] < DEGENERATE_ROW_NORM).any():
             s, at_pool = affected[a:b], slots[a:b]
-            bad = norms[a:b] < DEGENERATE_ROW_NORM
-            if bad.any():
-                raise NumericError(
-                    f"removing edge ({u}, {v}) degenerates aggregation "
-                    f"at node {int(s[np.argmax(bad)])}"
-                )
             ns = b - a
             vv = np.empty((n, 2 * ns), order="F")
             vv[:, :ns] = y[:, at_pool]
-            vv[:, ns:] = cache.l_inv[:n, s]
+            vv[:, ns:] = cache.l_inv[:, s]
             # syrk fills the lower triangle of a zeroed array, so the
             # mirror below doubles nothing but the diagonal.
             low = blas.dsyrk(1.0, vv, trans=1, lower=1)
@@ -684,6 +720,129 @@ def _solve_capacitance(cap, rhs):
     return solved
 
 
+def _score_segment(cache: _ScoreCache, g: Graph, plan: _Plan, i, runs, fast):
+    """Score the blocks of segment i in order, with a pool of their own:
+    the columns Y~ = L^-1 M~ kept across blocks, each with its M~^T z rows
+    for every label set, in the slots the plan fixes."""
+    y = np.empty((g.n_nodes, plan.n_slots), order="F")
+    mt_z = [np.empty((plan.n_slots, run.labels.columns.shape[1])) for run in runs]
+    for t in range(plan.segment_cut[i], plan.segment_cut[i + 1]):
+        _score_block(cache, g, plan, t, runs, fast, y, mt_z)
+        src, dst = plan.moves[t]
+        y[:, dst] = y[:, src]
+        for mt in mt_z:
+            mt[dst] = mt[src]
+
+
+def _worker_count(segments: int) -> int:
+    """Worker processes for a run of ``segments`` segments: one per
+    segment, on up to one per usable CPU, or 0 to score in-process.
+
+    A run stays in-process when it is one segment or the process has
+    one usable CPU, and also where it cannot fork safely, with other
+    Python threads alive, or cannot pin OpenBLAS to one thread.
+    """
+    workers = min(segments, _usable_cpus())
+    if (
+        workers < 2
+        or not hasattr(os, "fork")
+        or threading.active_count() > 1
+        or _openblas_swap() is None
+    ):
+        return 0
+    return workers
+
+
+def _worker(write, cache: _ScoreCache, g: Graph, plan: _Plan, runs, out, segments):
+    """The body of a forked worker; it never returns.
+
+    Scores ``segments`` in order into ``out``, and writes to the pipe
+    ``write`` one pickled list: per segment scored, its index, its
+    warnings and the error that stopped it, if any.  It stops at the
+    first error, since no later segment's result can be used.
+    """
+    import pickle
+
+    try:
+        for i, run in enumerate(runs):
+            run.gkc_removed = out[i]
+        report = []
+        for i in segments:
+            with warnings.catch_warnings(record=True) as caught:
+                try:
+                    _score_segment(cache, g, plan, i, runs, out[-1])
+                    error = None
+                except Exception as exc:
+                    error = exc
+            said = [(m.message, m.category, m.filename, m.lineno) for m in caught]
+            report.append((i, said, error))
+            if error is not None:
+                break
+        data = pickle.dumps(report)
+        with os.fdopen(write, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)
+
+
+def _score_in_workers(cache: _ScoreCache, g: Graph, plan: _Plan, runs, fast, workers):
+    """Score every segment in ``workers`` forked processes, worker w
+    taking segments w, w + workers, ... in order, and gather their
+    results as ``_score_segment`` leaves them in-process.
+
+    The children inherit the cache and write each edge's ``fast`` flag
+    and ``gkc_removed`` into one shared anonymous mapping, and report
+    their warnings and errors through a pipe each (see ``_worker``).
+    The parent re-issues the warnings segment by segment and raises the
+    first segment's error, so both are those of scoring the segments in
+    order.  A segment with no report, from a worker that died, is a
+    ``ChildProcessError``.  Every child is reaped before this returns or
+    raises.
+    """
+    import mmap
+    import pickle
+    import signal
+
+    n_segments = plan.segment_cut.size - 1
+    shared = mmap.mmap(-1, 8 * (len(runs) + 1) * g.n_edges)
+    out = np.frombuffer(shared, dtype=np.float64).reshape(len(runs) + 1, g.n_edges)
+    pids, pipes, reports, finished = [], [], {}, False
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            pipes.append(os.fdopen(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(write, cache, g, plan, runs, out, range(w, n_segments, workers))
+            finally:
+                os.close(write)
+            pids.append(pid)
+        for pipe in pipes:
+            data = pipe.read()
+            if data:
+                reports.update((i, (said, error)) for i, said, error in pickle.loads(data))
+        finished = True
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for i in range(n_segments):
+        if i not in reports:
+            raise ChildProcessError(f"the scoring worker of segment {i} exited without a result")
+        said, error = reports[i]
+        for message, category, filename, lineno in said:
+            warnings.warn_explicit(message, category, filename, lineno)
+        if error is not None:
+            raise error
+    fast[:] = out[-1] != 0.0
+    for i, run in enumerate(runs):
+        run.gkc_removed[:] = out[i]
+
+
 def _kc_scores_each(g: Graph, label_sets) -> list:
     """Score every edge of g once for each label matrix in ``label_sets``.
 
@@ -694,6 +853,10 @@ def _kc_scores_each(g: Graph, label_sets) -> list:
     Each label set adds its own solves, one product per block and one
     small solve per fast edge, so every edge takes one route for every
     set.  The first error any set meets is raised.
+
+    The run holds scipy's OpenBLAS to one thread, so no score depends on
+    the thread count.  Its segments are scored in order, in-process or
+    in worker processes (see ``_worker_count``), to the same bits.
     """
     if g.n_edges == 0:
         raise ConfigError("cannot score a graph with no edges")
@@ -702,16 +865,14 @@ def _kc_scores_each(g: Graph, label_sets) -> list:
     runs = [_LabelRun(labels, g.n_edges) for labels in label_sets]
     fast = np.zeros(g.n_edges, dtype=bool)
     plan = _key_pass(g)
-    cache = _ScoreCache(g, runs)
-    # The pool: the columns Y~ = L^-1 M~ kept across blocks, each with its
-    # M~^T z rows for every label set, in the slots the plan fixes.
-    y = np.empty((cache.l_inv.shape[0], plan.n_slots), order="F")
-    mt_z = [np.empty((plan.n_slots, run.labels.columns.shape[1])) for run in runs]
-    for t, (src, dst) in enumerate(plan.moves):
-        _score_block(cache, g, plan, t, runs, fast, y, mt_z)
-        y[:, dst] = y[:, src]
-        for mt in mt_z:
-            mt[dst] = mt[src]
+    with _one_blas_thread:
+        cache = _ScoreCache(g, runs)
+        workers = _worker_count(plan.segment_cut.size - 1)
+        if workers:
+            _score_in_workers(cache, g, plan, runs, fast, workers)
+        else:
+            for i in range(plan.segment_cut.size - 1):
+                _score_segment(cache, g, plan, i, runs, fast)
     return [
         KcScoreTable(
             edges=g.edges,

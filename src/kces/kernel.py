@@ -37,13 +37,26 @@ product) runs entirely in scipy's BLAS and LAPACK.  numpy and scipy
 wheels each bundle their own OpenBLAS with its own thread pool, and a
 product in numpy's runtime leaves that pool spinning while scipy's
 factors, which made each factorization several times slower.
+
+OpenBLAS factors a matrix with different blockings on one thread and on
+several, so from N of about 128 the two factors differ in their last
+bits.  ``gram_matrix`` and ``GramPatcher.gram`` therefore run on one
+thread of scipy's OpenBLAS (``_one_blas_thread``), and so does every
+scoring run, so that a score's bits do not depend on the thread count.
+The count is the runtime's, and so process-wide: while kces holds it at
+one, other threads' calls into scipy's BLAS run on one thread too.
+Where scipy's OpenBLAS cannot be found, the count is left alone.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 import warnings
 
 import numpy as np
+import scipy
 import scipy.linalg
 from scipy.linalg import blas, lapack
 
@@ -56,6 +69,82 @@ BACKWARD_ERROR_TOL = 1e-12
 #: A Cholesky pivot below sqrt(N * eps * max_ii h) marks the matrix as
 #: numerically rank-deficient even when the factorization routine returns.
 PIVOT_RTOL = np.finfo(np.float64).eps
+
+
+@functools.cache
+def _openblas_swap():
+    """A function that sets the thread count of scipy's bundled OpenBLAS
+    and returns the previous count, or None where that runtime cannot be
+    found or does not obey.
+
+    The runtime's thread-local setter is taken where it has one; in a
+    pthreads build it sets the process's count.
+    """
+    import ctypes
+    import glob
+
+    root = os.path.dirname(scipy.__file__)
+    for path in sorted(
+        glob.glob(os.path.join(root + ".libs", "libscipy_openblas*"))
+        + glob.glob(os.path.join(root, ".dylibs", "libscipy_openblas*"))
+    ):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.restype = ctypes.c_int
+        local = getattr(lib, "openblas_set_num_threads_local", None)
+        if local is not None:
+            local.restype = ctypes.c_int
+            local.argtypes = [ctypes.c_int]
+            swap = local
+        else:
+            setter = lib.scipy_openblas_set_num_threads
+            setter.argtypes = [ctypes.c_int]
+
+            def swap(count, get=get, setter=setter):
+                old = get()
+                setter(count)
+                return old
+
+        old = swap(1)
+        obeys = get() == 1
+        swap(old)
+        if obeys:
+            return swap
+    return None
+
+
+class _OneBlasThread:
+    """Context manager that runs scipy's OpenBLAS on one thread inside it.
+
+    Entries nest, from any thread: the first sets the count to one and
+    the last restores it.  Where ``_openblas_swap`` finds no runtime it
+    does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = None
+
+    def __enter__(self):
+        swap = _openblas_swap()
+        with self._lock:
+            if self._depth == 0 and swap is not None:
+                self._saved = swap(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._saved is not None:
+                _openblas_swap()(self._saved)
+                self._saved = None
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 def arccos_kernel(dots: np.ndarray) -> np.ndarray:
@@ -189,14 +278,16 @@ def gram_matrix(rows: np.ndarray, ridge: float = 0.0) -> GramMatrix:
     ``rows @ rows.T``; the diagonal is pinned to exact unit dot products,
     so H[i, i] is 0.5 to the last bit.  ``ridge`` is where the
     factorization starts (see ``_factor_with_ridge``): an edge removal
-    is scored under the ridge its base graph got.
+    is scored under the ridge its base graph got.  It runs on one
+    OpenBLAS thread.
     """
-    tri = _lower_dots(np.asarray(rows, dtype=np.float64))
-    dots = tri.T + tri
-    tri = None  # freed before the kernel map takes its temporary
-    np.fill_diagonal(dots, 1.0)
-    h = arccos_kernel(dots)
-    ridge, chol = _factor_with_ridge(h, ridge)
+    with _one_blas_thread:
+        tri = _lower_dots(np.asarray(rows, dtype=np.float64))
+        dots = tri.T + tri
+        tri = None  # freed before the kernel map takes its temporary
+        np.fill_diagonal(dots, 1.0)
+        h = arccos_kernel(dots)
+        ridge, chol = _factor_with_ridge(h, ridge)
     return GramMatrix(h, ridge, chol)
 
 
@@ -216,6 +307,7 @@ class GramPatcher:
     The matrix and its factor live in two N x N buffers that every call
     reuses, so a returned GramMatrix holds only until the next call.  The
     syrk writes into the factor's buffer before the factorization does.
+    Like ``gram_matrix``, it runs on one OpenBLAS thread.
     """
 
     def __init__(self, base: GramMatrix):
@@ -232,23 +324,24 @@ class GramPatcher:
             # never touches them.
             self._h = np.empty((n, n))
             self._work = np.empty((n, n), order="F")
-        tri = _lower_dots(rows, self._work)
-        # Column c of the mirrored products is tri[i, c] on and below the
-        # diagonal and tri[c, i] above it; the syrk does not touch the
-        # upper triangle, which holds what the last call left there.
-        panel = tri[:, changed]
-        above = np.arange(n)[:, None] < changed
-        panel[above] = tri[changed].T[above]
-        # gram_matrix's mirror adds a zero to every entry, turning -0.0
-        # into 0.0; so does this.
-        panel += 0.0
-        panel[changed, np.arange(changed.size)] = 1.0
-        panel = arccos_kernel(panel)
-        h = self._h
-        np.copyto(h, self.base_h)
-        h[:, changed] = panel
-        h[changed] = panel.T
-        ridge, chol = _factor_with_ridge(h, self.ridge, self._work)
+        with _one_blas_thread:
+            tri = _lower_dots(rows, self._work)
+            # Column c of the mirrored products is tri[i, c] on and below the
+            # diagonal and tri[c, i] above it; the syrk does not touch the
+            # upper triangle, which holds what the last call left there.
+            panel = tri[:, changed]
+            above = np.arange(n)[:, None] < changed
+            panel[above] = tri[changed].T[above]
+            # gram_matrix's mirror adds a zero to every entry, turning -0.0
+            # into 0.0; so does this.
+            panel += 0.0
+            panel[changed, np.arange(changed.size)] = 1.0
+            panel = arccos_kernel(panel)
+            h = self._h
+            np.copyto(h, self.base_h)
+            h[:, changed] = panel
+            h[changed] = panel.T
+            ridge, chol = _factor_with_ridge(h, self.ridge, self._work)
         # Read-only views: the buffers stay writable for the next call.
         return GramMatrix(h.view(), ridge, chol.view())
 

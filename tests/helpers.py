@@ -9,7 +9,8 @@ aggregation, initial draw, step-size rule and forward pass around the
 one-model training loop ``oracle_train_gd``.
 
 The manifest readers check a CLI run's record against the files on disk
-with ``json`` and ``hashlib`` alone.  The two builders at the end are not
+with ``json`` and ``hashlib`` alone, and ``run_in_child`` runs code in a
+fresh interpreter at a chosen OpenBLAS thread count.  The two builders at the end are not
 oracles: they wrap raw arrays as the library's own inputs, for tests that
 start from a chosen matrix.
 """
@@ -17,6 +18,10 @@ start from a chosen matrix.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -274,6 +279,25 @@ def verify_outputs(manifest):
             if hashlib.sha256(fh.read()).hexdigest() != entry["sha256"]:
                 stale.append(name)
     return stale
+
+
+def run_in_child(code, *args, blas_threads=None):
+    """Run the Python source ``code`` with ``args`` in a fresh interpreter
+    that imports this checkout's kces, with ``OPENBLAS_NUM_THREADS`` set
+    to ``blas_threads`` or, for None, unset (OpenBLAS's default); return
+    its standard output."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout
 
 
 def gram_from_matrix(h):

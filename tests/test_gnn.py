@@ -185,6 +185,14 @@ def test_forward_closed_form():
     assert out == pytest.approx([1.0 / math.sqrt(2.0), -math.sqrt(2.0)], abs=1e-15)
 
 
+@pytest.mark.parametrize("rows", [np.ones((5, 4)), np.ones(3), np.ones((2, 5, 3))])
+def test_forward_refuses_rows_of_the_wrong_width(rows):
+    # as train_gd does, rather than failing inside numpy's matmul
+    state = init_model(TrainConfig(m=4, steps=1), 3)
+    with pytest.raises(ConfigError, match="input width 3"):
+        forward(state, rows)
+
+
 def test_train_trace_bookkeeping():
     g = random_graph(10, 0.3, 6, seed=1)
     xt = aggregate_features(g)

@@ -1,5 +1,7 @@
 """Per-edge complexity scores: naive route, fast route, golden case."""
 
+import os
+import threading
 import time
 import tracemalloc
 import warnings
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import oracle_gkc_from_graph, oracle_kc, oracle_one_hot
+from helpers import oracle_gkc_from_graph, oracle_kc, oracle_one_hot, run_in_child
 
 from kces.errors import ConfigError, InputError, KcesWarning, NumericError
 from kces import kcscore
@@ -814,6 +816,194 @@ def test_degenerate_naive_removal_reports_the_full_rebuilds_error():
         kc_score_naive(g, lm, 1, 2)
     with pytest.raises(NumericError, match=message):
         kc_scores_all(g, lm)
+
+
+def _degenerate_ring_graph(rings=1):
+    # per ring of 20 nodes: x1 = -x0, node 0 hangs off node 1 alone, and
+    # nodes 2..19 close a ring; removing (1, 2) leaves nodes 0 and 1 with
+    # the closed neighborhood {0, 1} and equal degrees, so their rows sum
+    # to zero, and it touches 5 nodes, so it takes the fast route
+    rng = np.random.default_rng(0)
+    feats, edges = [], []
+    for r in range(rings):
+        x = rng.standard_normal((20, 3))
+        x[1] = -x[0]
+        feats.append(x)
+        o = 20 * r
+        edges += [(o, o + 1), (o + 1, o + 2), (o + 2, o + 19)]
+        edges += [(o + i, o + i + 1) for i in range(2, 19)]
+    return Graph(features=np.concatenate(feats), edges=edges)
+
+
+def _in_workers(monkeypatch, workers):
+    # every run is split into segments; 0 workers scores them in-process
+    monkeypatch.setattr(kcscore, "_WORKER_MIN_ENTRIES", 0)
+    monkeypatch.setattr(kcscore, "_worker_count", lambda segments: workers)
+
+
+@pytest.mark.parametrize("workers", [None, 0, 2], ids=["one-segment", "in-process", "workers"])
+def test_degenerate_fast_removal_words_its_error_as_the_naive_route(workers, monkeypatch):
+    g = _degenerate_ring_graph()
+    lm = encode_labels(np.arange(20) % 2, "one-hot")
+    assert 2 * affected_nodes(g, 1, 2).size < g.n_nodes
+    if workers is not None:
+        _in_workers(monkeypatch, workers)
+        assert kcscore._key_pass(g).segment_cut.size == 3
+    message = (
+        r"removing edge \(1, 2\) degenerates aggregation: "
+        r"aggregated features vanish at node 0 \(norm 0\.000e\+00\)$"
+    )
+    with pytest.raises(NumericError, match=message):
+        kc_score_naive(g, lm, 1, 2)
+    with pytest.raises(NumericError, match=message):
+        kc_scores_all(g, lm)
+
+
+def _forks(monkeypatch):
+    """The pids of the children os.fork makes from here on."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def _assert_reaped(pids):
+    assert pids and all(pid > 0 for pid in pids)
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("make_graph", [_sparse_sbm_204, _sparse_sbm_202, _star_ring_graph])
+def test_worker_processes_score_the_bytes_of_the_in_process_run(make_graph, monkeypatch, tmp_path):
+    g = make_graph()
+    sets = [encode_labels(kmeans_pseudo_labels(g, 2, seed), "one-hot") for seed in range(2)]
+    # (segments, workers) -> the tables of both label sets
+    runs = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KcesWarning)
+        ref = np.array([kc_score_naive(g, sets[0], u, v) for u, v in g.edges.tolist()])
+        # with three segments over two workers, one worker scores two
+        for segments, workers in ((2, 0), (2, 1), (2, 2), (3, 0), (3, 2), (3, 3)):
+            with monkeypatch.context() as m:
+                m.setattr(kcscore, "_SEGMENTS", segments)
+                _in_workers(m, workers)
+                assert kcscore._key_pass(g).segment_cut.size == segments + 1
+                pids = _forks(m)
+                runs[segments, workers] = kcscore._kc_scores_each(g, sets)
+            if workers:
+                _assert_reaped(pids)
+            else:
+                assert pids == []
+    for (segments, workers), tables in runs.items():
+        for table, base in zip(tables, runs[segments, 0]):
+            table.write_tsv(tmp_path / "a.tsv")
+            base.write_tsv(tmp_path / "b.tsv")
+            assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+            assert np.array_equal(table.gkc_removed, base.gkc_removed)
+            assert np.array_equal(table.fast, base.fast)
+        table = tables[0]
+        fast = table.fast
+        assert fast.any()
+        assert np.array_equal(table.scores[~fast], ref[~fast])
+        assert np.all(np.abs(table.scores - ref)[fast] <= np.maximum(1e-8 * np.abs(ref), 1e-12)[fast])
+
+
+def test_runs_stay_in_process_on_one_cpu_or_beside_other_threads(monkeypatch):
+    monkeypatch.setattr(kcscore, "_usable_cpus", lambda: 4)
+    assert kcscore._worker_count(1) == 0
+    alone = threading.active_count() == 1
+    if alone and hasattr(os, "fork") and kcscore._openblas_swap() is not None:
+        assert kcscore._worker_count(2) == 2
+        assert kcscore._worker_count(8) == 4
+    release = threading.Event()
+    beside = threading.Thread(target=release.wait, args=(60,))
+    beside.start()
+    try:
+        assert kcscore._worker_count(2) == 0
+    finally:
+        release.set()
+        beside.join(60)
+    assert not beside.is_alive()
+    monkeypatch.setattr(kcscore, "_usable_cpus", lambda: 1)
+    assert kcscore._worker_count(2) == 0
+
+
+def _naive_with(monkeypatch, act):
+    """Send every edge naive, and call ``act(u, v)`` as each is rebuilt."""
+    removed_rows = kcscore._removed_rows
+
+    def acting(g, u, v):
+        act(u, v)
+        return removed_rows(g, u, v)
+
+    monkeypatch.setattr(kcscore, "CAPACITANCE_COND_LIMIT", 1.0)
+    monkeypatch.setattr(kcscore, "_removed_rows", acting)
+
+
+def test_worker_warnings_are_reissued_in_edge_order(monkeypatch):
+    g = _star_ring_graph()
+    lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
+    _naive_with(monkeypatch, lambda u, v: warnings.warn(f"rebuilding ({u}, {v})", KcesWarning))
+    said = {}
+    for workers in (0, 2):
+        _in_workers(monkeypatch, workers)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", KcesWarning)
+            assert not kc_scores_all(g, lm).fast.any()
+        said[workers] = [(w.category, str(w.message)) for w in caught]
+    assert said[2] == said[0] == [(KcesWarning, f"rebuilding ({u}, {v})") for u, v in g.edges.tolist()]
+
+
+def test_the_error_of_the_earliest_edge_wins_across_segments(monkeypatch):
+    g = _star_ring_graph()
+    lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
+    _in_workers(monkeypatch, 2)
+    cut = kcscore._key_pass(g).segment_cut
+    assert cut.size == 3
+    # the later segment fails at its first edge, long before the earlier
+    # one reaches its last
+    edges = g.edges.tolist()
+    late, first = edges[cut[1] * BLOCK_EDGES - 1], edges[cut[1] * BLOCK_EDGES]
+
+    def failing(u, v):
+        if [u, v] in (late, first):
+            raise NumericError(f"cannot rebuild ({u}, {v})")
+
+    _naive_with(monkeypatch, failing)
+    for workers in (0, 1, 2):
+        _in_workers(monkeypatch, workers)
+        pids = _forks(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", KcesWarning)
+            with pytest.raises(NumericError, match=rf"^cannot rebuild \({late[0]}, {late[1]}\)$"):
+                kc_scores_all(g, lm)
+        if workers:
+            _assert_reaped(pids)
+
+
+_SCORE_TSV = """
+import sys, warnings
+from kces import KcesWarning, encode_labels, kc_scores_all, kmeans_pseudo_labels, make_sbm_benchmark
+warnings.simplefilter("ignore", KcesWarning)
+g = make_sbm_benchmark(0, n=200, p_in=20 / 200, p_out=2 / 200)
+kc_scores_all(g, encode_labels(kmeans_pseudo_labels(g, 2, 0))).write_tsv(sys.argv[1])
+"""
+
+
+def test_score_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # from N = 128 on, OpenBLAS's one-thread Cholesky factor differs from
+    # its threaded one in the last bits, so every scoring run and Gram
+    # factorization runs on one thread
+    run_in_child(_SCORE_TSV, str(tmp_path / "one.tsv"), blas_threads=1)
+    run_in_child(_SCORE_TSV, str(tmp_path / "default.tsv"))
+    assert (tmp_path / "one.tsv").read_bytes() == (tmp_path / "default.tsv").read_bytes()
 
 
 def _sparse_sbm_400():
