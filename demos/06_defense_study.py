@@ -4,7 +4,11 @@ on held-out ones.
 Each seed plants a two-block graph, attacks it with DICE at half the
 edge budget, scores the attacked graph's edges against K-means
 pseudo-labels, and prunes a quarter of them by high-kc, random and
-low-kc choice, exactly as criterion 08's fixture does.  Seeds 0-9 are
+low-kc choice, exactly as criterion 08's fixture does.  A fourth
+prune, label-cut, is a control with no kernel at all: it takes a seeded
+uniform k-subset of the attacked edges whose ends the labels put in
+different classes, or all of them when fewer than k are, which the
+"label-cut share of k" row shows as a value below 1.  Seeds 0-9 are
 the criterion's own, so their accuracies equal its scoreboard; seeds
 10-19 are held out.  Beside accuracy the study prints what the top-k
 prune hit: the share of it the attack injected, the share of it that
@@ -18,6 +22,7 @@ import time
 import numpy as np
 
 from kces.gnn import TrainConfig, evaluate_classifiers, make_split
+from kces.graph import with_edges
 from kces.kcscore import kc_scores_all
 from kces.perturb import dice_attack
 from kces.pseudolabel import encode_labels, kmeans_pseudo_labels
@@ -25,7 +30,19 @@ from kces.sanitize import PruneConfig, apply_prune, prune_count, select_edges
 from kces.synth import make_sbm_benchmark
 
 STRATEGIES = ("high-kc", "random", "low-kc")
+ROWS = (*STRATEGIES, "label-cut")
 SOURCES = ("K-means", "true")
+
+
+def label_cut(g, labels, k, seed):
+    """g without a seeded uniform k-subset of its edges whose labels
+    differ, or without all of them when fewer than k do."""
+    u, v = g.edges.T
+    cut = np.flatnonzero(labels[u] != labels[v])
+    drop = np.random.default_rng(seed).choice(cut, size=min(k, cut.size), replace=False)
+    keep = np.ones(g.n_edges, dtype=bool)
+    keep[drop] = False
+    return with_edges(g, g.edges[keep]), drop.size / k
 
 
 def study(seeds):
@@ -56,13 +73,16 @@ def study(seeds):
                     seed=seed if strategy == "random" else None,
                 )
                 graphs.append(apply_prune(attacked, select_edges(table, config)))
+            cut, share = label_cut(attacked, labels, k, seed)
+            graphs.append(cut)
+            add("label-cut share of k", source, share)
         split = make_split(g.n_nodes, seed)
         cfg = TrainConfig(m=256, steps=200, kappa=0.1, seed=seed)
         acc = [r.test_accuracy for r in evaluate_classifiers(graphs, g.labels, split, cfg)]
         for source in SOURCES:
             add("clean accuracy", source, acc[0])
             add("attacked accuracy", source, acc[1])
-        for i, (source, strategy) in enumerate((s, t) for s in SOURCES for t in STRATEGIES):
+        for i, (source, strategy) in enumerate((s, t) for s in SOURCES for t in ROWS):
             add(f"{strategy} accuracy", source, acc[2 + i])
     return {key: float(np.mean(values)) for key, values in rows.items()}
 
@@ -70,7 +90,8 @@ def study(seeds):
 NAMES = (
     "clean accuracy",
     "attacked accuracy",
-    *(f"{strategy} accuracy" for strategy in STRATEGIES),
+    *(f"{strategy} accuracy" for strategy in ROWS),
+    "label-cut share of k",
     "injected precision",
     "cross-class precision",
     "label agreement",

@@ -29,7 +29,6 @@ same values.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -38,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, KcesWarning, NumericError
 from .graph import Graph, aggregate_features, class_labels, format_float, seed_key
-from .kernel import GramMatrix, arccos_kernel
+from .kernel import GramMatrix, _usable_cpus, arccos_kernel
 
 
 @dataclass(frozen=True)
@@ -379,15 +378,6 @@ def _report(x, finals, classes, lab, split: Split, eta: float) -> AccuracyReport
         eta=eta,
         n_classes=int(classes.shape[0]),
     )
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or the host's count where the
-    platform cannot tell."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _evaluate(graphs, labels, split: Split, cfg: TrainConfig):

@@ -54,13 +54,14 @@ one symmetric rank-k product; it is factored, condition-estimated and
 solved with LAPACK's symmetric indefinite routines.
 
 A large run's blocks are cut into a fixed number of contiguous
-segments, each with a pool of its own, and forked worker processes
-score the segments side by side; a small run is one segment.  A run
-holds scipy's OpenBLAS to one thread throughout, in-process and in the
-workers.  The partition, the segments and the pool's slots depend on
-the edge list alone, so a score's bits do not depend on the CPU count,
-on whether the segments run in workers, or (on the OpenBLAS builds
-checked) on the BLAS thread count the process was started with.
+segments, each with a column pool of its own, and a process pool of
+forked workers scores the segments side by side; a small run is one
+segment.  A run holds scipy's OpenBLAS to one thread throughout,
+in-process and in the workers.  The partition, the segments and the
+column pool's slots depend on the edge list alone, so a score's bits do
+not depend on the CPU count, on whether the segments run in workers, or
+(on the OpenBLAS builds checked) on the BLAS thread count the process
+was started with.
 
 A ridged base changes nothing here: its removals are scored under its
 ridge, so the update is exact against the factor of H + ridge I.  An
@@ -69,7 +70,9 @@ graph, which leaves it no rows in the plan, when one of its replayed
 rows vanishes (the full re-aggregation then decides, and words any
 error as ``kc_score_naive`` does), or when its capacitance system is
 not finite, singular or ill-conditioned by its 1-norm condition
-estimate.
+estimate.  Labels that differ between twins, nodes whose aggregated
+rows are equal, make every score measure the ridge; a run warns of
+them and scores them all the same.
 
 Every BLAS and LAPACK call of the fast route goes through scipy, the
 runtime the Gram rebuild uses (see ``kernel``).
@@ -77,16 +80,18 @@ runtime the Gram rebuild uses (see ``kernel``).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 import warnings
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, KcesWarning, NumericError
 from .graph import (
     DEGENERATE_ROW_NORM,
     Graph,
@@ -97,11 +102,11 @@ from .graph import (
     open_text,
     remove_edge,
 )
-from .gnn import _usable_cpus
 from .kernel import (
     GramPatcher,
     _one_blas_thread,
     _openblas_swap,
+    _usable_cpus,
     arccos_kernel,
     gkc,
     gram_matrix,
@@ -740,7 +745,9 @@ def _worker_count(segments: int) -> int:
 
     A run stays in-process when it is one segment or the process has
     one usable CPU, and also where it cannot fork safely, with other
-    Python threads alive, or cannot pin OpenBLAS to one thread.
+    Python threads alive, or cannot pin OpenBLAS to one thread.  A
+    worker run's own pool threads are joined before it returns, so they
+    keep no later run in-process.
     """
     workers = min(segments, _usable_cpus())
     if (
@@ -753,94 +760,79 @@ def _worker_count(segments: int) -> int:
     return workers
 
 
-def _worker(write, cache: _ScoreCache, g: Graph, plan: _Plan, runs, out, segments):
-    """The body of a forked worker; it never returns.
+def _enter_worker(*run):
+    """Keep the run a forked worker inherits: cache, graph, plan, label
+    set runs and ``fast`` flags.  Only worker processes set it."""
+    global _worker_run
+    _worker_run = run
 
-    Scores ``segments`` in order into ``out``, and writes to the pipe
-    ``write`` one pickled list: per segment scored, its index, its
-    warnings and the error that stopped it, if any.  It stops at the
-    first error, since no later segment's result can be used.
-    """
-    import pickle
 
-    try:
-        for i, run in enumerate(runs):
-            run.gkc_removed = out[i]
-        report = []
-        for i in segments:
-            with warnings.catch_warnings(record=True) as caught:
-                try:
-                    _score_segment(cache, g, plan, i, runs, out[-1])
-                    error = None
-                except Exception as exc:
-                    error = exc
-            said = [(m.message, m.category, m.filename, m.lineno) for m in caught]
-            report.append((i, said, error))
-            if error is not None:
-                break
-        data = pickle.dumps(report)
-        with os.fdopen(write, "wb") as fh:
-            fh.write(data)
-    finally:
-        os._exit(0)
+def _score_in_worker(i, edges):
+    """Score segment i in a worker, and return its warnings, the error
+    that stopped it or None, and its rows ``edges`` of ``fast`` and of
+    each run's ``gkc_removed``."""
+    cache, g, plan, runs, fast = _worker_run
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            _score_segment(cache, g, plan, i, runs, fast)
+        except Exception as exc:
+            error = exc
+    said = [(m.message, m.category, m.filename, m.lineno) for m in caught]
+    return said, error, fast[edges], [run.gkc_removed[edges] for run in runs]
 
 
 def _score_in_workers(cache: _ScoreCache, g: Graph, plan: _Plan, runs, fast, workers):
-    """Score every segment in ``workers`` forked processes, worker w
-    taking segments w, w + workers, ... in order, and gather their
-    results as ``_score_segment`` leaves them in-process.
+    """Score the segments on a pool of ``workers`` forked processes, to
+    the results ``_score_segment`` leaves in-process.
 
-    The children inherit the cache and write each edge's ``fast`` flag
-    and ``gkc_removed`` into one shared anonymous mapping, and report
-    their warnings and errors through a pipe each (see ``_worker``).
-    The parent re-issues the warnings segment by segment and raises the
-    first segment's error, so both are those of scoring the segments in
-    order.  A segment with no report, from a worker that died, is a
-    ``ChildProcessError``.  Every child is reaped before this returns or
-    raises.
+    The workers inherit the run.  The parent takes the segments' results
+    in order: it re-issues their warnings and raises the first error, as
+    an in-process run would.  A segment left without a result by a worker
+    that died is a ``ChildProcessError``.  Every child is reaped before
+    this returns or raises.
     """
-    import mmap
-    import pickle
-    import signal
-
-    n_segments = plan.segment_cut.size - 1
-    shared = mmap.mmap(-1, 8 * (len(runs) + 1) * g.n_edges)
-    out = np.frombuffer(shared, dtype=np.float64).reshape(len(runs) + 1, g.n_edges)
-    pids, pipes, reports, finished = [], [], {}, False
-    try:
-        for w in range(workers):
-            read, write = os.pipe()
-            pipes.append(os.fdopen(read, "rb"))
+    cut = plan.segment_cut * BLOCK_EDGES
+    segments = [slice(a, b) for a, b in zip(cut[:-1], cut[1:])]
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_enter_worker,
+        initargs=(cache, g, plan, runs, fast),
+    ) as pool:
+        results = pool.map(_score_in_worker, range(len(segments)), segments)
+        for i, edges in enumerate(segments):
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _worker(write, cache, g, plan, runs, out, range(w, n_segments, workers))
-            finally:
-                os.close(write)
-            pids.append(pid)
-        for pipe in pipes:
-            data = pipe.read()
-            if data:
-                reports.update((i, (said, error)) for i, said, error in pickle.loads(data))
-        finished = True
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for i in range(n_segments):
-        if i not in reports:
-            raise ChildProcessError(f"the scoring worker of segment {i} exited without a result")
-        said, error = reports[i]
-        for message, category, filename, lineno in said:
-            warnings.warn_explicit(message, category, filename, lineno)
-        if error is not None:
-            raise error
-    fast[:] = out[-1] != 0.0
-    for i, run in enumerate(runs):
-        run.gkc_removed[:] = out[i]
+                said, error, flags, removed = next(results)
+            except BrokenProcessPool as exc:
+                raise ChildProcessError(f"the scoring worker of segment {i} exited without a result") from exc
+            for message, category, filename, lineno in said:
+                warnings.warn_explicit(message, category, filename, lineno)
+            if error is not None:
+                pool.shutdown(cancel_futures=True)
+                raise error
+            fast[edges] = flags
+            for run, part in zip(runs, removed):
+                run.gkc_removed[edges] = part
+
+
+def _warn_on_split_twins(rows, label_sets):
+    """Warn of each label set that splits a group of twins, nodes whose
+    aggregated ``rows`` are bitwise equal: the kernel cannot tell twins
+    apart, so such labels make every score measure the ridge."""
+    _, first, group = np.unique(rows.view(np.int64), axis=0, return_index=True, return_inverse=True)
+    group = group.ravel()
+    for labels in label_sets:
+        cols = labels.columns
+        split = np.unique(group[(cols != cols[first[group]]).any(axis=1)])
+        if split.size:
+            nodes = np.flatnonzero(group == split[np.argmin(first[split])])
+            warnings.warn(
+                f"the labels split {split.size} group(s) of nodes with equal aggregated rows, first "
+                f"nodes {nodes.tolist()}: the kernel cannot tell them apart, so the scores measure the ridge",
+                KcesWarning,
+                stacklevel=3,
+            )
 
 
 def _kc_scores_each(g: Graph, label_sets) -> list:
@@ -852,11 +844,13 @@ def _kc_scores_each(g: Graph, label_sets) -> list:
     edge's route with its capacitance factorization or its naive rebuild.
     Each label set adds its own solves, one product per block and one
     small solve per fast edge, so every edge takes one route for every
-    set.  The first error any set meets is raised.
+    set.  The first error any set meets is raised, and a set that splits
+    twins is warned of (``_warn_on_split_twins``).
 
     The run holds scipy's OpenBLAS to one thread, so no score depends on
     the thread count.  Its segments are scored in order, in-process or
-    in worker processes (see ``_worker_count``), to the same bits.
+    on a pool of forked worker processes (see ``_worker_count`` and
+    ``_score_in_workers``), to the same bits.
     """
     if g.n_edges == 0:
         raise ConfigError("cannot score a graph with no edges")
@@ -867,6 +861,7 @@ def _kc_scores_each(g: Graph, label_sets) -> list:
     plan = _key_pass(g)
     with _one_blas_thread:
         cache = _ScoreCache(g, runs)
+        _warn_on_split_twins(cache.base_rows, label_sets)
         workers = _worker_count(plan.segment_cut.size - 1)
         if workers:
             _score_in_workers(cache, g, plan, runs, fast, workers)

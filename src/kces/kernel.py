@@ -147,6 +147,15 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the host's count where the
+    platform cannot tell."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def arccos_kernel(dots: np.ndarray) -> np.ndarray:
     """Apply the kernel map entrywise to a matrix of inner products.
 

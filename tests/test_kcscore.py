@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -770,8 +771,12 @@ def test_removal_from_ridged_base_keeps_the_base_ridge(monkeypatch):
         ridge = gram_matrix(aggregate_features(g)).ridge
         table = kc_scores_all(g, lm)
     assert ridge > 0.0
-    # one warning per base; the removals take the base's ridge silently
-    assert len(caught) == 2
+    # one ridge warning per base, and the removals take the base's ridge
+    # silently; the labels split twins 8 and 9, which warns once more
+    said = [str(w.message) for w in caught]
+    assert sum(m.startswith("Gram matrix not positive definite") for m in said) == 2
+    assert sum(m.startswith("the labels split 1 group(s)") for m in said) == 1
+    assert len(said) == 3
 
     # removing (8, 9) gives the twins the distinct neighborhoods {0, 8}
     # and {0, 9}: the removed graph's Gram matrix would factor plainly,
@@ -799,6 +804,32 @@ def test_removal_from_ridged_base_keeps_the_base_ridge(monkeypatch):
         table = kc_scores_all(g, lm)
     # one factorization per naive edge, after the base's
     assert len(calls) == 2 * base_calls + (~table.fast).sum()
+
+
+def _twin_warnings(g, label_sets):
+    """The split-twin warnings of scoring g under ``label_sets``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", KcesWarning)
+        kcscore._kc_scores_each(g, label_sets)
+    return [str(w.message) for w in caught if "the labels split" in str(w.message)]
+
+
+def test_labels_that_split_twins_are_warned_of():
+    # twins 8 and 9 take labels 0 and 1; the second set keeps them together
+    g = _ridged_twin_graph()
+    split = encode_labels(np.array([0, 0, 0, 0, 1, 1, 1, 1, 0, 1]), "one-hot")
+    kept = encode_labels(np.array([0, 0, 0, 0, 1, 1, 1, 1, 1, 1]), "one-hot")
+    assert _twin_warnings(g, [split, kept]) == [
+        "the labels split 1 group(s) of nodes with equal aggregated rows, first nodes [8, 9]: "
+        "the kernel cannot tell them apart, so the scores measure the ridge"
+    ]
+    assert _twin_warnings(g, [kept]) == []
+
+
+def test_kmeans_labels_keep_twins_together():
+    g = _ridged_twin_graph()
+    sets = [encode_labels(kmeans_pseudo_labels(g, k, seed), "one-hot") for k in (2, 3) for seed in range(3)]
+    assert _twin_warnings(g, sets) == []
 
 
 def test_degenerate_naive_removal_reports_the_full_rebuilds_error():
@@ -986,6 +1017,65 @@ def test_the_error_of_the_earliest_edge_wins_across_segments(monkeypatch):
                 kc_scores_all(g, lm)
         if workers:
             _assert_reaped(pids)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_worker_that_dies_is_a_child_process_error(workers, monkeypatch):
+    g = _star_ring_graph()
+    lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
+    _in_workers(monkeypatch, workers)
+    score_segment = kcscore._score_segment
+
+    def dying(cache, g, plan, i, runs, fast):
+        if i == 1:
+            os._exit(3)
+        score_segment(cache, g, plan, i, runs, fast)
+
+    monkeypatch.setattr(kcscore, "_score_segment", dying)
+    pids = _forks(monkeypatch)
+    threads = threading.active_count()
+    # one worker sends segment 0's result before it dies in segment 1; of
+    # two, the pool ends the other, which may still be scoring segment 0
+    missing = "1" if workers == 1 else "[01]"
+    message = rf"^the scoring worker of segment {missing} exited without a result$"
+    with pytest.raises(ChildProcessError, match=message) as info:
+        kc_scores_all(g, lm)
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
+    assert len(pids) == workers
+    _assert_reaped(pids)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or kcscore._openblas_swap() is None,
+    reason="needs os.fork and scipy's OpenBLAS",
+)
+def test_the_worker_pool_leaves_no_thread_behind(monkeypatch):
+    # _worker_count keeps a run in-process while another thread is alive,
+    # so a thread left behind by one run's pool would keep the next from
+    # forking
+    if threading.active_count() > 1:
+        pytest.skip("other threads are alive")
+    g = _star_ring_graph()
+    lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
+    monkeypatch.setattr(kcscore, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(kcscore, "_WORKER_MIN_ENTRIES", 0)
+    pids = _forks(monkeypatch)
+    for runs in (1, 2):
+        kc_scores_all(g, lm)
+        assert len(pids) == 2 * runs
+        _assert_reaped(pids)
+        assert threading.active_count() == 1
+
+    def failing(u, v):
+        raise NumericError(f"cannot rebuild ({u}, {v})")
+
+    _naive_with(monkeypatch, failing)
+    with pytest.raises(NumericError, match=r"^cannot rebuild \(0, 1\)$"):
+        kc_scores_all(g, lm)
+    assert len(pids) == 6
+    _assert_reaped(pids)
+    assert threading.active_count() == 1
 
 
 _SCORE_TSV = """
