@@ -9,7 +9,7 @@ graph once for all its seeds, so it warns of a ridged base once per
 graph, not once per seed.
 
 Exit codes: 0 success, 2 input error, 3 numeric error, 4 infeasible
-configuration.
+configuration, 5 a scoring worker process died (the input may be fine).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ SWEEP_ALPHAS = tuple(round(0.05 * i, 2) for i in range(1, 20))
 _EXIT_INPUT = 2
 _EXIT_NUMERIC = 3
 _EXIT_CONFIG = 4
+_EXIT_WORKER = 5
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -352,6 +353,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         inputs, outputs, primary = args.handler(args)
         _write_manifest(args.manifest_out or primary + ".manifest.json", args, inputs, outputs, argv)
+    except ChildProcessError as exc:
+        # an OSError, but no input's fault
+        print(f"kces: worker error: {exc}", file=sys.stderr)
+        return _EXIT_WORKER
     except (InputError, OSError) as exc:
         print(f"kces: input error: {exc}", file=sys.stderr)
         return _EXIT_INPUT

@@ -53,9 +53,9 @@ with V = [Y~_e, L^-1[:, s]] the capacitance matrix is C~^-1 + V^T V,
 one symmetric rank-k product; it is factored, condition-estimated and
 solved with LAPACK's symmetric indefinite routines.
 
-A large run's blocks are cut into a fixed number of contiguous
-segments, each with a column pool of its own, and a process pool of
-forked workers scores the segments side by side; a small run is one
+A run's blocks are cut into a fixed number of contiguous segments,
+each with a column pool of its own, and a process pool of forked
+workers scores the segments side by side; a run of one block is one
 segment.  A run holds scipy's OpenBLAS to one thread throughout,
 in-process and in the workers.  The partition, the segments and the
 column pool's slots depend on the edge list alone, so a score's bits do
@@ -134,17 +134,9 @@ BLOCK_EDGES = 16
 #: pool then takes the memory of the base's Cholesky factor, which the
 #: scoring run releases.
 _POOL_COLUMNS_PER_NODE = 1
-#: A run whose plan holds at least this many column entries, N times its
-#: affected rows, is cut into ``_SEGMENTS`` segments, which worker
-#: processes score; a smaller run is one segment, scored in-process.  On
-#: a 2-vCPU host, two workers took ``dense-sbm-1000`` (1.3e8 entries) from
-#: 3.7 to 2.0 s and N = 400 at its density (2.0e7) from 0.88 to 0.49 s.
-#: The ``sparse-sbm-400`` and ``defense-sweep-200`` graphs (1.4e6 and
-#: 5.5e6 at most, seeds 0-9) stay in-process, where the fork's cost is
-#: not clearly repaid.
-_WORKER_MIN_ENTRIES = 2**24
-#: Segments of a run that goes to workers.  The cut depends on the plan
-#: alone, so the scores do not depend on how many CPUs run them.
+#: Segments of a run of two or more blocks, which worker processes score
+#: side by side.  The cut depends on the plan alone, so the scores do not
+#: depend on how many CPUs run them.
 _SEGMENTS = 2
 TSV_HEADER = "u\tv\tkc_score\tmethod"
 #: The ``method`` column's route names, indexed by the ``fast`` flag.
@@ -387,9 +379,10 @@ class _Plan:
     block builds it if ``built[j]``, and after block t the pool copies the
     slots of row 0 of ``moves[t]`` to those of row 1.  Built columns fill
     the slots from ``main`` on, of ``n_slots`` in all.  The blocks fall
-    into segments, segment i being blocks ``segment_cut[i]`` ..
-    ``segment_cut[i + 1]`` - 1: no column is kept from one segment into
-    the next, so each can be scored with a pool of its own.
+    into ``_SEGMENTS`` segments, or one for a run of one block, segment i
+    being blocks ``segment_cut[i]`` .. ``segment_cut[i + 1]`` - 1: no
+    column is kept from one segment into the next, so each can be scored
+    with a pool of its own.
     """
 
     indptr: np.ndarray
@@ -419,10 +412,10 @@ def _key_pass(g: Graph) -> _Plan:
     endpoint or a common neighbor gets a column of its own edge.  A run
     keys its edges once, before the Gram matrix is built, so the
     keying's temporaries are freed before that memory is taken; the plan
-    it keeps holds int32 indices and slots, and int8 sides.  A run whose
-    plan reads ``_WORKER_MIN_ENTRIES`` column entries or more is cut into
-    ``_SEGMENTS`` segments of about equal rows, at block boundaries, and a
-    key then names a column within its segment only.
+    it keeps holds int32 indices and slots, and int8 sides.  A run is cut
+    into ``_SEGMENTS`` segments of about equal rows, at block boundaries,
+    and a key then names a column within its segment only; a run of one
+    block, or whose rows a cut cannot split, is one segment.
     """
     n, edges = g.n_nodes, g.edges
     ne = edges.shape[0]
@@ -456,9 +449,9 @@ def _key_pass(g: Graph) -> _Plan:
     col, indptr = col.astype(np.int32), hit.indptr
     # Each column is replayed from the first row that takes it.
     node, eu, ev, side = s[first], eu[first], ev[first], side[first]
-    segments = _SEGMENTS if n * s.size >= _WORKER_MIN_ENTRIES else 1
+    # A cut that lands on either end of the run collapses into it.
     block_rows = indptr[np.arange(n_blocks) * BLOCK_EDGES]
-    cuts = np.searchsorted(block_rows, np.arange(1, segments) * s.size / segments)
+    cuts = np.searchsorted(block_rows, np.arange(1, _SEGMENTS) * s.size / _SEGMENTS)
     segment_cut = np.unique(np.concatenate(([0], cuts, [n_blocks])))
     in_segment = np.searchsorted(segment_cut, block[first], side="right") - 1
     key = np.where(side == 3, -1, key[first] + in_segment * n * n)
@@ -743,11 +736,11 @@ def _worker_count(segments: int) -> int:
     """Worker processes for a run of ``segments`` segments: one per
     segment, on up to one per usable CPU, or 0 to score in-process.
 
-    A run stays in-process when it is one segment or the process has
-    one usable CPU, and also where it cannot fork safely, with other
-    Python threads alive, or cannot pin OpenBLAS to one thread.  A
-    worker run's own pool threads are joined before it returns, so they
-    keep no later run in-process.
+    These rules alone keep a run in-process: it is one segment (a run
+    of one block), the process has one usable CPU, it cannot fork
+    safely (no ``os.fork``, or other Python threads alive), or it cannot
+    pin OpenBLAS to one thread.  A worker run's own pool threads are
+    joined before it returns, so they keep no later run in-process.
     """
     workers = min(segments, _usable_cpus())
     if (
@@ -788,9 +781,10 @@ def _score_in_workers(cache: _ScoreCache, g: Graph, plan: _Plan, runs, fast, wor
 
     The workers inherit the run.  The parent takes the segments' results
     in order: it re-issues their warnings and raises the first error, as
-    an in-process run would.  A segment left without a result by a worker
-    that died is a ``ChildProcessError``.  Every child is reaped before
-    this returns or raises.
+    an in-process run would.  A worker that dies breaks the pool, which
+    ends the others: that is a ``ChildProcessError`` naming every
+    segment left without a result, since which worker died is not
+    known.  Every child is reaped before this returns or raises.
     """
     cut = plan.segment_cut * BLOCK_EDGES
     segments = [slice(a, b) for a, b in zip(cut[:-1], cut[1:])]
@@ -800,12 +794,15 @@ def _score_in_workers(cache: _ScoreCache, g: Graph, plan: _Plan, runs, fast, wor
         initializer=_enter_worker,
         initargs=(cache, g, plan, runs, fast),
     ) as pool:
-        results = pool.map(_score_in_worker, range(len(segments)), segments)
-        for i, edges in enumerate(segments):
+        futures = [pool.submit(_score_in_worker, i, edges) for i, edges in enumerate(segments)]
+        for future, edges in zip(futures, segments):
             try:
-                said, error, flags, removed = next(results)
+                said, error, flags, removed = future.result()
             except BrokenProcessPool as exc:
-                raise ChildProcessError(f"the scoring worker of segment {i} exited without a result") from exc
+                lost = [str(i) for i, f in enumerate(futures) if f.exception() is not None]
+                raise ChildProcessError(
+                    f"a scoring worker exited, leaving segment(s) {', '.join(lost)} without a result"
+                ) from exc
             for message, category, filename, lineno in said:
                 warnings.warn_explicit(message, category, filename, lineno)
             if error is not None:

@@ -5,8 +5,10 @@ import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -504,6 +506,46 @@ def test_sweep_divergence_reports_the_per_cell_loops_first_error(tmp_path, graph
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or kcscore._openblas_swap() is None,
+    reason="needs os.fork and scipy's OpenBLAS",
+)
+def test_a_dead_scoring_worker_is_not_an_input_error(tmp_path, capsys, monkeypatch):
+    if threading.active_count() > 1:
+        pytest.skip("other threads are alive")
+    g = make_sbm_benchmark(seed=0, n=200, p_in=20 / 200, p_out=2 / 200)
+    write_edge_tsv(g, tmp_path / "edges.tsv")
+    write_features_csv(g, tmp_path / "features.csv")
+    monkeypatch.setattr(kcscore, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+    score_segment = kcscore._score_segment
+
+    def dying(cache, g, plan, i, runs, fast):
+        if i == 1 and os.getpid() != parent:
+            os._exit(3)
+        score_segment(cache, g, plan, i, runs, fast)
+
+    monkeypatch.setattr(kcscore, "_score_segment", dying)
+    out = tmp_path / "scores.tsv"
+    rc = main(
+        [
+            "score",
+            "--edges", str(tmp_path / "edges.tsv"),
+            "--features", str(tmp_path / "features.csv"),
+            "--k", "2",
+            "--out", str(out),
+        ]
+    )
+    # segment 1's worker died, and the pool may have ended segment 0's
+    # before it sent its result: both are named, not blamed
+    assert rc == 5
+    assert re.fullmatch(
+        r"kces: worker error: a scoring worker exited, leaving segment\(s\) (0, )?1 without a result\n",
+        capsys.readouterr().err,
+    )
+    assert not out.exists()
+
+
 def test_sweep_factors_each_edge_once_for_all_seeds(tmp_path, graph_files, monkeypatch):
     g = load_graph(graph_files["edges"], graph_files["features"], graph_files["labels"])
     k = int(np.unique(g.labels).size)
@@ -520,6 +562,8 @@ def test_sweep_factors_each_edge_once_for_all_seeds(tmp_path, graph_files, monke
 
     monkeypatch.setattr(kcscore.lapack, "dsytrf", counting_dsytrf)
     monkeypatch.setattr(kcscore.blas, "dtrmm", counting_dtrmm)
+    # the counts are the parent's, so the segments are scored in-process
+    monkeypatch.setattr(kcscore, "_usable_cpus", lambda: 1)
     kc_scores_all(g, encode_labels(kmeans_pseudo_labels(g, k, 0), "one-hot"))
     alone = dict(calls)
     calls.update(dsytrf=0, dtrmm=0)

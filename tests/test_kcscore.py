@@ -521,14 +521,15 @@ def test_scores_do_not_depend_on_the_block_partition(make_graph, monkeypatch):
     assert tables[0].fast.any()
 
 
-def _kernel_columns(g, block_edges):
-    """Kernel columns the fast route builds: per block, one per distinct
-    (node, endpoint) key of a node off one endpoint only, and one per
-    endpoint or common neighbor of each edge; and the sum of |S|."""
+def _kernel_columns(g, block_edges, edges=None):
+    """Kernel columns the fast route builds for ``edges`` (default: all
+    of g's): per block, one per distinct (node, endpoint) key of a node
+    off one endpoint only, and one per endpoint or common neighbor of
+    each edge; and the sum of |S|."""
     columns = total = 0
     adj = g.adjacency_with_self_loops()
     near = [set(adj.indices[adj.indptr[i] : adj.indptr[i + 1]].tolist()) for i in range(g.n_nodes)]
-    edges = g.edges.tolist()
+    edges = g.edges.tolist() if edges is None else edges
     for start in range(0, len(edges), block_edges):
         keys = set()
         for u, v in edges[start : start + block_edges]:
@@ -554,9 +555,16 @@ def test_pool_builds_each_distinct_kernel_column_once(monkeypatch):
         return dtrmm(alpha, a, b, *args, **kwargs)
 
     monkeypatch.setattr(kcscore.blas, "dtrmm", counting)
+    # the counts are the parent's, so the segments are scored in-process
+    monkeypatch.setattr(kcscore, "_usable_cpus", lambda: 1)
     per_block, total = _kernel_columns(g, BLOCK_EDGES)
-    # one block holding every edge has each distinct column once
-    distinct, _ = _kernel_columns(g, g.n_edges)
+    # each segment keeps a pool of its own, so an unbounded pool builds
+    # each distinct column of a segment once, as one block holding all
+    # of the segment's edges would
+    cut = kcscore._key_pass(g).segment_cut * BLOCK_EDGES
+    assert cut.size == 3
+    edges = g.edges.tolist()
+    distinct = sum(_kernel_columns(g, b - a, edges[a:b])[0] for a, b in zip(cut[:-1], cut[1:]))
     assert distinct < per_block < total
     # the cache maps the label columns once; the blocks map the rest
     for pool, columns in ((0, per_block), (np.inf, distinct)):
@@ -695,7 +703,11 @@ def test_pool_schedule_builds_what_a_plain_pool_builds(monkeypatch):
                 plan.node.astype(np.int64) * n + np.where(plan.side == 2, plan.ev, plan.eu),
             )
             blocks = [key[a:b] for a, b in zip(plan.col_cut[:-1], plan.col_cut[1:])]
-            assert np.count_nonzero(plan.built) == _pool_builds(blocks, pool * n)
+            # each segment starts with an empty pool of its own
+            cut = plan.segment_cut.tolist()
+            assert len(cut) == 3
+            builds = sum(_pool_builds(blocks[a:b], pool * n) for a, b in zip(cut[:-1], cut[1:]))
+            assert np.count_nonzero(plan.built) == builds
             _replay_pool(key, plan.col_cut, plan.slot, plan.built, plan.moves, plan.main)
             assert plan.main <= pool * n
 
@@ -849,37 +861,33 @@ def test_degenerate_naive_removal_reports_the_full_rebuilds_error():
         kc_scores_all(g, lm)
 
 
-def _degenerate_ring_graph(rings=1):
-    # per ring of 20 nodes: x1 = -x0, node 0 hangs off node 1 alone, and
-    # nodes 2..19 close a ring; removing (1, 2) leaves nodes 0 and 1 with
+def _degenerate_ring_graph(n=20):
+    # n nodes and n edges: x1 = -x0, node 0 hangs off node 1 alone, and
+    # nodes 2..n-1 close a ring; removing (1, 2) leaves nodes 0 and 1 with
     # the closed neighborhood {0, 1} and equal degrees, so their rows sum
-    # to zero, and it touches 5 nodes, so it takes the fast route
-    rng = np.random.default_rng(0)
-    feats, edges = [], []
-    for r in range(rings):
-        x = rng.standard_normal((20, 3))
-        x[1] = -x[0]
-        feats.append(x)
-        o = 20 * r
-        edges += [(o, o + 1), (o + 1, o + 2), (o + 2, o + 19)]
-        edges += [(o + i, o + i + 1) for i in range(2, 19)]
-    return Graph(features=np.concatenate(feats), edges=edges)
+    # to zero, and it touches 5 nodes, so for n > 10 it takes the fast route
+    x = np.random.default_rng(0).standard_normal((n, 3))
+    x[1] = -x[0]
+    edges = [(0, 1), (1, 2), (2, n - 1)] + [(i, i + 1) for i in range(2, n - 1)]
+    return Graph(features=x, edges=edges)
 
 
 def _in_workers(monkeypatch, workers):
-    # every run is split into segments; 0 workers scores them in-process
-    monkeypatch.setattr(kcscore, "_WORKER_MIN_ENTRIES", 0)
+    # a run of two or more blocks is split into segments; 0 workers
+    # scores them in-process
     monkeypatch.setattr(kcscore, "_worker_count", lambda segments: workers)
 
 
 @pytest.mark.parametrize("workers", [None, 0, 2], ids=["one-segment", "in-process", "workers"])
 def test_degenerate_fast_removal_words_its_error_as_the_naive_route(workers, monkeypatch):
-    g = _degenerate_ring_graph()
-    lm = encode_labels(np.arange(20) % 2, "one-hot")
+    # one block of 16 edges is one segment; 20 edges are two blocks, cut
+    # into two segments
+    g = _degenerate_ring_graph(BLOCK_EDGES if workers is None else 20)
+    lm = encode_labels(np.arange(g.n_nodes) % 2, "one-hot")
     assert 2 * affected_nodes(g, 1, 2).size < g.n_nodes
     if workers is not None:
         _in_workers(monkeypatch, workers)
-        assert kcscore._key_pass(g).segment_cut.size == 3
+    assert kcscore._key_pass(g).segment_cut.size == (2 if workers is None else 3)
     message = (
         r"removing edge \(1, 2\) degenerates aggregation: "
         r"aggregated features vanish at node 0 \(norm 0\.000e\+00\)$"
@@ -1036,8 +1044,8 @@ def test_a_worker_that_dies_is_a_child_process_error(workers, monkeypatch):
     threads = threading.active_count()
     # one worker sends segment 0's result before it dies in segment 1; of
     # two, the pool ends the other, which may still be scoring segment 0
-    missing = "1" if workers == 1 else "[01]"
-    message = rf"^the scoring worker of segment {missing} exited without a result$"
+    missing = "1" if workers == 1 else "(0, )?1"
+    message = rf"^a scoring worker exited, leaving segment\(s\) {missing} without a result$"
     with pytest.raises(ChildProcessError, match=message) as info:
         kc_scores_all(g, lm)
     assert isinstance(info.value.__cause__, BrokenProcessPool)
@@ -1059,7 +1067,6 @@ def test_the_worker_pool_leaves_no_thread_behind(monkeypatch):
     g = _star_ring_graph()
     lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
     monkeypatch.setattr(kcscore, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(kcscore, "_WORKER_MIN_ENTRIES", 0)
     pids = _forks(monkeypatch)
     for runs in (1, 2):
         kc_scores_all(g, lm)
@@ -1076,6 +1083,34 @@ def test_the_worker_pool_leaves_no_thread_behind(monkeypatch):
     assert len(pids) == 6
     _assert_reaped(pids)
     assert threading.active_count() == 1
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or kcscore._openblas_swap() is None,
+    reason="needs os.fork and scipy's OpenBLAS",
+)
+def test_a_run_of_two_blocks_forks_its_workers_and_one_block_forks_none(monkeypatch, tmp_path):
+    if threading.active_count() > 1:
+        pytest.skip("other threads are alive")
+    two_blocks = _half_hub_graph()
+    ring = [(i, (i + 1) % BLOCK_EDGES) for i in range(BLOCK_EDGES)]
+    one_block = Graph(features=np.random.default_rng(5).standard_normal((BLOCK_EDGES, 4)), edges=ring)
+    assert BLOCK_EDGES < two_blocks.n_edges <= 2 * BLOCK_EDGES and one_block.n_edges == BLOCK_EDGES
+    pids = _forks(monkeypatch)
+    for g, forks in ((two_blocks, 2), (one_block, 0)):
+        lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
+        monkeypatch.setattr(kcscore, "_usable_cpus", lambda: 1)
+        kc_scores_all(g, lm).write_tsv(tmp_path / "in-process.tsv")
+        assert pids == []
+        monkeypatch.setattr(kcscore, "_usable_cpus", lambda: 2)
+        table = kc_scores_all(g, lm)
+        table.write_tsv(tmp_path / "default.tsv")
+        assert len(pids) == forks
+        assert table.fast.any()
+        assert (tmp_path / "default.tsv").read_bytes() == (tmp_path / "in-process.tsv").read_bytes()
+        if forks:
+            _assert_reaped(pids)
+            pids.clear()
 
 
 _SCORE_TSV = """
@@ -1173,6 +1208,8 @@ def test_each_matrix_is_solved_once_per_label_set(monkeypatch):
         return dpotrs(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", counting)
+    # the counts are the parent's, so the segments are scored in-process
+    monkeypatch.setattr(kcscore, "_usable_cpus", lambda: 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", KcesWarning)
         each = kcscore._kc_scores_each(g, sets)
@@ -1192,6 +1229,8 @@ def test_each_matrix_takes_its_norm_once(monkeypatch):
         return dlange(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg.lapack, "dlange", counting)
+    # the counts are the parent's, so the segments are scored in-process
+    monkeypatch.setattr(kcscore, "_usable_cpus", lambda: 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", KcesWarning)
         each = kcscore._kc_scores_each(g, sets)
