@@ -128,7 +128,8 @@ CAPACITANCE_COND_LIMIT = 1e6
 #: edges built 43,721, 43,646 and 43,487 kernel columns on seed 0 and
 #: took a median ``pipeline_s`` of 1.33, 1.26 and 1.23 s.  32 beat 16 on
 #: 5 of the 8 seeds only, and its wider pool tail peaked at 110.6 MB RSS
-#: against 106.0 MB.
+#: against 106.0 MB.  Those counts are of a run in one segment; cut into
+#: today's two, seed 0 builds 44,626, 44,554 and 44,372.
 BLOCK_EDGES = 16
 #: Kernel columns the fast route keeps between blocks, per node: the
 #: pool then takes the memory of the base's Cholesky factor, which the
@@ -138,6 +139,14 @@ _POOL_COLUMNS_PER_NODE = 1
 #: side by side.  The cut depends on the plan alone, so the scores do not
 #: depend on how many CPUs run them.
 _SEGMENTS = 2
+#: Blocks a run keys at once.  Chunks of 8, 16, 32 and 128 blocks, and
+#: one chunk for the run, peaked at 4.69, 4.73, 4.85, 5.75 and 10.29 MiB
+#: (tracemalloc) in 47.9, 44.7, 44.0, 44.2 and 45.9 ms on the
+#: ``dense-sbm-1000`` seed-0 graph, whose plan holds 2.62 MiB, and at
+#: 0.87, 0.91, 1.33, 2.03 and 2.03 MiB in 8.3, 8.0, 7.8, 7.4 and 7.4 ms
+#: on the attacked ``defense-sweep-200`` seed-0 graph, whose plan holds
+#: 0.48 MiB (medians of 31 calls, 2-vCPU Intel Xeon).
+_KEY_CHUNK_BLOCKS = 16
 TSV_HEADER = "u\tv\tkc_score\tmethod"
 #: The ``method`` column's route names, indexed by the ``fast`` flag.
 ROUTES = ("naive", "fast")
@@ -408,58 +417,55 @@ def _key_pass(g: Graph) -> _Plan:
     A node k in N(u) but not N[v] gets a new row that depends on (k, u)
     alone when (u, v) is removed, and likewise for N(v) without N[u]; the
     edges of a block that share such a key share its column, and the
-    key, ``k * N + u``, names the same column in every block.  An
-    endpoint or a common neighbor gets a column of its own edge.  A run
-    keys its edges once, before the Gram matrix is built, so the
-    keying's temporaries are freed before that memory is taken; the plan
-    it keeps holds int32 indices and slots, and int8 sides.  A run is cut
-    into ``_SEGMENTS`` segments of about equal rows, at block boundaries,
-    and a key then names a column within its segment only; a run of one
-    block, or whose rows a cut cannot split, is one segment.
+    key, numbered as the entry (u, k) of A + I, names the same column in
+    every block.  An endpoint or a common neighbor gets a column of its
+    own edge.  A run keys its edges once, before the Gram matrix is
+    built, ``_KEY_CHUNK_BLOCKS`` blocks at a time (``_key_chunk``): each
+    chunk's columns follow the last one's, so the plan does not depend
+    on the chunk size, and a temporary of one entry per row holds the
+    rows of one chunk only.  The plan it keeps holds int32 indices and
+    slots, and int8 sides.  A run is cut into ``_SEGMENTS`` segments of
+    about equal rows, at block boundaries, and a key then names a column
+    within its segment only; a run of one block, or whose rows a cut
+    cannot split, is one segment.
     """
     n, edges = g.n_nodes, g.edges
     ne = edges.shape[0]
     n_blocks = -(-ne // BLOCK_EDGES)
+    adj = g.adjacency_with_self_loops()
     # Row e of hit is 1 on N[u] only, 2 on N[v] only and 3 on both.
     pick = sp.csr_matrix(
         (np.tile([1.0, 2.0], ne), edges.ravel(), np.arange(0, 2 * ne + 1, 2)),
         shape=(ne, n),
     )
-    hit = pick @ g.adjacency_with_self_loops()
+    hit = pick @ adj
     hit.sort_indices()
     # An edge whose affected set covers half the graph goes naive: it
     # keeps its range of indptr, but no rows.
     sizes = np.diff(hit.indptr)
     hit.data[np.repeat(2 * sizes >= n, sizes)] = 0.0
     hit.eliminate_zeros()
-    owner = np.repeat(np.arange(ne), np.diff(hit.indptr))
-    s, side = hit.indices, hit.data.astype(np.int8)
-    eu, ev = edges[owner, 0].astype(np.int32), edges[owner, 1].astype(np.int32)
-    block = owner // BLOCK_EDGES
-    key = np.where(
-        side == 3,
-        n * n + np.arange(s.size),
-        s.astype(np.int64) * n + np.where(side == 2, ev, eu),
-    )
-    # Sorted by block first, so each block's columns are consecutive.
-    _, first, col = np.unique(
-        key + block * (n * n + s.size), return_index=True, return_inverse=True
-    )
-    col_cut = np.searchsorted(block[first], np.arange(n_blocks + 1))
-    col, indptr = col.astype(np.int32), hit.indptr
-    # Each column is replayed from the first row that takes it.
-    node, eu, ev, side = s[first], eu[first], ev[first], side[first]
+    indptr, s, sides = hit.indptr, hit.indices, hit.data.astype(np.int8)
+    del hit
     # A cut that lands on either end of the run collapses into it.
     block_rows = indptr[np.arange(n_blocks) * BLOCK_EDGES]
     cuts = np.searchsorted(block_rows, np.arange(1, _SEGMENTS) * s.size / _SEGMENTS)
     segment_cut = np.unique(np.concatenate(([0], cuts, [n_blocks])))
-    in_segment = np.searchsorted(segment_cut, block[first], side="right") - 1
-    key = np.where(side == 3, -1, key[first] + in_segment * n * n)
-    # The rows' temporaries go before the walk, whose own then take
-    # their memory instead of growing the process heap.
-    del owner, block, first, hit, in_segment
+    ends = edges.astype(np.int32)
+    col = np.empty(s.size, dtype=np.int32)
+    col_cut = np.zeros(n_blocks + 1, dtype=np.intp)
+    parts = []
+    for b0 in range(0, n_blocks, _KEY_CHUNK_BLOCKS):
+        b1 = min(b0 + _KEY_CHUNK_BLOCKS, n_blocks)
+        e0, e1 = b0 * BLOCK_EDGES, min(b1 * BLOCK_EDGES, ne)
+        inv, per_block, columns = _key_chunk(n, adj.indptr, ends[e0:e1], indptr[e0 : e1 + 1], s, sides)
+        col[indptr[e0] : indptr[e1]] = col_cut[b0] + inv
+        col_cut[b0 + 1 : b1 + 1] = col_cut[b0] + np.cumsum(per_block)
+        parts.append(columns)
+    node, eu, ev, side, key = map(np.concatenate, zip(*parts))
+    del parts
     slot, built, moves, main, n_slots = _schedule(
-        key, col_cut, _POOL_COLUMNS_PER_NODE * n
+        key, col_cut, segment_cut, _POOL_COLUMNS_PER_NODE * n
     )
     return _Plan(
         indptr=indptr,
@@ -479,49 +485,97 @@ def _key_pass(g: Graph) -> _Plan:
     )
 
 
-def _schedule(key, col_cut, cap):
+def _key_chunk(n, adj_indptr, ends, indptr, s, sides):
+    """Key the rows of a run of whole blocks, whose edges are ``ends``
+    and whose rows of ``s`` and ``sides`` are ``indptr[0]`` ..
+    ``indptr[-1]`` - 1.
+
+    Returns each row's column, counted from the chunk's first, the
+    number of columns of each block, and each column's node, endpoints
+    (int32), side and key (-1 for a column of one edge).  Only here
+    are keys int64, one per row: k * N + u alone outgrows int32 once N
+    passes 46,340.
+    """
+    r0, r1 = int(indptr[0]), int(indptr[-1])
+    owner = np.repeat(np.arange(ends.shape[0], dtype=np.int32), np.diff(indptr))
+    node, side = s[r0:r1], sides[r0:r1]
+    eu, ev = ends[owner, 0], ends[owner, 1]
+    # Sorted by block first, so each block's columns are consecutive,
+    # then by key, with a common neighbor's row, a column of its own,
+    # after them.
+    key = np.where(side == 3, n * n + np.arange(r1 - r0), node * np.int64(n) + np.where(side == 2, ev, eu))
+    key += owner // BLOCK_EDGES * np.int64(n * n + r1 - r0)
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    per_block = np.bincount(owner[first] // BLOCK_EDGES, minlength=-(-ends.shape[0] // BLOCK_EDGES))
+    # An edge's rows on N[u] are the entries of row u of A + I, in order,
+    # so the entry (u, k) of a column off u is row u's first plus the
+    # edge's rows on N[u] before k's; and likewise for v.
+    on_u = np.concatenate(([0], np.cumsum(side & 1)))
+    on_v = np.concatenate(([0], np.cumsum(side >> 1)))
+    start = indptr[owner[first]] - r0
+    eu, ev, side = eu[first], ev[first], side[first]
+    key = np.where(
+        side == 1,
+        adj_indptr[eu] + on_u[first] - on_u[start],
+        adj_indptr[ev] + on_v[first] - on_v[start],
+    ).astype(adj_indptr.dtype)
+    key[side == 3] = -1
+    # Each column is replayed from the first row that takes it.
+    return inv, per_block, (node[first], eu, ev, side, key)
+
+
+def _schedule(key, col_cut, segment_cut, cap):
     """Walk a run's blocks once and fix every slot of the column pool.
 
-    ``key[j]`` names column j (-1 for a column of one edge), and the
-    columns of block t are ``col_cut[t]`` .. ``col_cut[t + 1]`` - 1.  For
-    each block in order: a column whose key the pool holds takes the
-    holder's slot, and the others are built in column order, into the
-    slots from ``main`` on.  The pool then keeps the columns whose key a
-    later block has, at most ``cap`` of them: past that, the farthest
-    next use goes first, and of a tie the column held latest, which
-    builds the fewest columns for a sequence known in advance (Belady,
-    IBM Systems Journal 5(2), 1966).  The dropped columns free their
-    slots, and each built column that stays moves into the lowest free
-    one, so the pool needs ``main`` slots below the built ones, its most
-    columns kept at once.
+    ``key[j]`` names column j by a small non-negative integer (-1 for a
+    column of one edge), and the columns of block t are ``col_cut[t]``
+    .. ``col_cut[t + 1]`` - 1.  Segment i is blocks ``segment_cut[i]``
+    .. ``segment_cut[i + 1]`` - 1, and a key names a column within its
+    segment only.  For each block in order: a column whose key the pool
+    holds takes the holder's slot, and the others are built in column
+    order, into the slots from ``main`` on.  The pool then keeps the
+    columns whose key a later block of the segment has, at most ``cap``
+    of them: past that, the farthest next use goes first, and of a tie
+    the column held latest, which builds the fewest columns for a
+    sequence known in advance (Belady, IBM Systems Journal 5(2), 1966).
+    The dropped columns free their slots, and each built column that
+    stays moves into the lowest free one, so the pool needs ``main``
+    slots below the built ones, its most columns kept at once.
 
     Returns the slot each column is read from in its block, whether its
     block builds it, each block's moves (a row of sources over a row of
     destinations), ``main`` and the number of slots.
     """
     n_blocks, n_cols = col_cut.size - 1, key.size
-    block = np.repeat(np.arange(n_blocks, dtype=np.int32), np.diff(col_cut))
-    keyed = np.flatnonzero(key >= 0)
-    order = keyed[np.argsort(key[keyed], kind="stable")]
-    again = key[order[1:]] == key[order[:-1]]
-    here, there = order[:-1][again], order[1:][again]
-    # Column j's key was last used by column prev[j] (-1 for none) and is
-    # next used in block nxt[j] (n_blocks for none).
-    prev = np.full(n_cols, -1, dtype=np.int32)
-    prev[there] = here
-    nxt = np.full(n_cols, n_blocks, dtype=np.int32)
-    nxt[here] = block[there]
-    # pool lists the columns held after a block, in column order, and
-    # held flags them; its last entry, read for prev -1, stays False.
+    cuts, starts = col_cut.tolist(), segment_cut.tolist()
+    # Two walks hold one entry per key, the last for key -1, which they
+    # never write.  Walking back, column j's key is next used in block
+    # nxt[j] of its segment (n_blocks for none).
+    at = np.empty(int(key.max(initial=-1)) + 2, dtype=np.int32)
+    nxt = np.empty(n_cols, dtype=np.int32)
+    for t in reversed(range(n_blocks)):
+        if t + 1 in starts:
+            at.fill(n_blocks)
+        k = key[cuts[t] : cuts[t + 1]]
+        nxt[cuts[t] : cuts[t + 1]] = at[k]
+        at[k[k >= 0]] = t
+    # Walking forward, ``at`` holds the latest column of each key (-1 for
+    # none).  pool lists the columns held after a block, in column order,
+    # and held flags them; its last entry, read for -1, stays False.  No
+    # column is held from one segment into the next, since none has a
+    # next use there.
+    at.fill(-1)
     pool = np.empty(0, dtype=np.intp)
     held = np.zeros(n_cols + 1, dtype=bool)
     slot = np.empty(n_cols, dtype=np.int32)
     built = np.empty(n_cols, dtype=bool)
     main, moved, dsts = 0, [], []
-    cuts = col_cut.tolist()
     for t in range(n_blocks):
         c0, c1 = cuts[t], cuts[t + 1]
-        p = prev[c0:c1]
+        k = key[c0:c1]
+        p = at[k]
+        keyed = k >= 0
+        at[k[keyed]] = np.arange(c0, c1)[keyed]
         taken = held[p]
         slot[c0:c1][taken] = slot[p[taken]]
         built[c0:c1] = ~taken
@@ -553,13 +607,16 @@ def _schedule(key, col_cut, cap):
         moved.append(go)
         dsts.append(dst)
     # The built columns of each block are read from the slots from main on.
-    at = np.flatnonzero(built)
-    start = np.searchsorted(at, col_cut)
-    slot[at] = main + np.arange(at.size) - start[block[at]]
+    width = 0
+    for c0, c1 in zip(cuts[:-1], cuts[1:]):
+        new = built[c0:c1]
+        count = int(np.count_nonzero(new))
+        slot[c0:c1][new] = np.arange(main, main + count)
+        width = max(width, count)
     # Every block's moves are views of one buffer.
     moves = np.array([slot[np.concatenate(moved)], np.concatenate(dsts)], dtype=np.int32)
     moves = np.split(moves, np.cumsum([go.size for go in moved[:-1]]), axis=1)
-    return slot, built, moves, main, main + int(np.diff(start).max(initial=0))
+    return slot, built, moves, main, main + width
 
 
 def _corners(cache: _ScoreCache, s, bounds, rows):

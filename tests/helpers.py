@@ -10,9 +10,10 @@ one-model training loop ``oracle_train_gd``.
 
 The manifest readers check a CLI run's record against the files on disk
 with ``json`` and ``hashlib`` alone, and ``run_in_child`` runs code in a
-fresh interpreter at a chosen OpenBLAS thread count.  The two builders at the end are not
-oracles: they wrap raw arrays as the library's own inputs, for tests that
-start from a chosen matrix.
+fresh interpreter at a chosen OpenBLAS thread count.  ``traced_peak``
+measures the memory one call allocates.  The two builders at the end are
+not oracles: they wrap raw arrays as the library's own inputs, for tests
+that start from a chosen matrix.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +300,26 @@ def run_in_child(code, *args, blas_threads=None):
     )
     assert child.returncode == 0, child.stderr
     return child.stdout
+
+
+def traced_peak(fn, *args):
+    """Call ``fn(*args)`` and return its result and the peak bytes that
+    tracemalloc saw allocated during the call, beyond what was allocated
+    before it."""
+    tracing = tracemalloc.is_tracing()
+    if tracing:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+    else:
+        before = 0
+        tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak
 
 
 def gram_from_matrix(h):

@@ -3,7 +3,6 @@
 import os
 import threading
 import time
-import tracemalloc
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import oracle_gkc_from_graph, oracle_kc, oracle_one_hot, run_in_child
+from helpers import oracle_gkc_from_graph, oracle_kc, oracle_one_hot, run_in_child, traced_peak
 
 from kces.errors import ConfigError, InputError, KcesWarning, NumericError
 from kces import kcscore
@@ -686,9 +685,13 @@ def test_pool_schedule_builds_what_a_plain_pool_builds(monkeypatch):
         blocks = [np.where(b < 0, -1, b) for b in blocks]
         key = np.concatenate(blocks).astype(np.int64)
         col_cut = np.cumsum([0] + [b.size for b in blocks])
+        # each segment starts with an empty pool of its own
+        inner = rng.choice(np.arange(1, len(blocks) + 1), size=rng.integers(0, 3))
+        cut = np.unique(np.concatenate(([0], inner, [len(blocks)])))
         for cap in (0, 1, 3, 6, 100):
-            slot, built, moves, main, n_slots = kcscore._schedule(key, col_cut, cap)
-            assert np.count_nonzero(built) == _pool_builds(blocks, cap)
+            slot, built, moves, main, n_slots = kcscore._schedule(key, col_cut, cut, cap)
+            builds = sum(_pool_builds(blocks[a:b], cap) for a, b in zip(cut[:-1], cut[1:]))
+            assert np.count_nonzero(built) == builds
             _replay_pool(key, col_cut, slot, built, moves, main)
             assert main <= cap and np.all(slot < n_slots)
     # the plans scoring runs on, with no pool and with an N-column pool
@@ -739,13 +742,61 @@ def test_pool_fits_in_the_memory_of_the_released_factor():
     # throughout
     g = make_sbm_benchmark(0, n=400, p_in=12 / 400, p_out=2 / 400)
     lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
-    tracemalloc.start()
-    try:
-        kc_scores_all(g, lm)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(kc_scores_all, g, lm)
     assert peak <= 5.7 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def _dense_sbm_1000():
+    # the dense-sbm-1000 benchmark's seed-0 graph
+    return make_sbm_benchmark(0, n=1000, p_in=0.02, p_out=0.002)
+
+
+def _plan_bytes(plan):
+    arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+    return sum(a.nbytes for a in arrays + plan.moves)
+
+
+def test_key_pass_memory_stays_within_three_plans():
+    # 131,297 affected rows and a 2.62 MiB plan; keyed all at once through
+    # int64 temporaries of one entry per row, the pass peaked at 13.4 MiB
+    g = _dense_sbm_1000()
+    plan, peak = traced_peak(kcscore._key_pass, g)
+    size = _plan_bytes(plan)
+    assert peak <= 3 * size, f"peak {peak / 2**20:.2f} MiB, plan {size / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize(
+    "make_graph",
+    [_dense_sbm_1000, _half_hub_graph, _star_ring_graph],
+    ids=["_dense_sbm_1000", "_half_hub_graph", "_star_ring_graph"],
+)
+def test_the_plan_does_not_depend_on_the_key_chunk_size(make_graph, monkeypatch):
+    g = make_graph()
+    n_blocks, default = -(-g.n_edges // BLOCK_EDGES), kcscore._KEY_CHUNK_BLOCKS
+    plans = []
+    # one block a chunk, the default, and one chunk for the run
+    for chunk in (1, default, n_blocks):
+        monkeypatch.setattr(kcscore, "_KEY_CHUNK_BLOCKS", chunk)
+        plans.append(kcscore._key_pass(g))
+    ref = vars(plans[0])
+    for plan in plans[1:]:
+        for name, value in vars(plan).items():
+            if name == "moves":
+                assert len(value) == len(ref[name]) == n_blocks
+                pairs = zip(value, ref[name])
+            else:
+                pairs = [(value, ref[name])]
+            for a, b in pairs:
+                assert type(a) is type(b) and np.asarray(a).dtype == np.asarray(b).dtype, name
+                assert np.array_equal(a, b), name
+    # the three graphs hold edges with no rows, two segments, and chunks
+    # of the default size that do not cover the run
+    if make_graph is _half_hub_graph:
+        assert (np.diff(plans[0].indptr) == 0).any()
+    else:
+        assert plans[0].segment_cut.size == 3
+    if make_graph is _dense_sbm_1000:
+        assert n_blocks > 2 * default
 
 
 @pytest.mark.parametrize(
