@@ -6,10 +6,16 @@ re-running a manifest's argv reproduces the outputs byte for byte, given
 the same BLAS build.  Scoring always takes the fast route wherever it can;
 ``kc_score_naive`` is the per-edge reference.  ``sweep`` scores its
 graph once for all its seeds, so it warns of a ridged base once per
-graph, not once per seed.
+graph, not once per seed.  Its (seed, strategy) rows, each the 19
+alphas' prunes and one stacked training, then run on the pool that
+scoring uses (``kcscore._map_jobs``): forked worker processes that
+inherit the graph and the tables, one per usable CPU up to a row each,
+or in-process by the same rule.  The CSV's bytes and the error raised
+are the in-order loop's either way.
 
 Exit codes: 0 success, 2 input error, 3 numeric error, 4 infeasible
-configuration, 5 a scoring worker process died (the input may be fine).
+configuration, 5 a scoring or sweep worker process died (the input may
+be fine).
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .dist import score_distribution, write_distribution_csv
 from .errors import ConfigError, InputError, NumericError
 from .gnn import TrainConfig, _evaluate, evaluate_classifiers, make_split, write_trace_csv
 from .graph import Graph, format_float, load_graph, write_edge_tsv
-from .kcscore import KcScoreTable, _kc_scores_each, kc_scores_all
+from .kcscore import KcScoreTable, _kc_scores_each, _map_jobs, kc_scores_all
 from .perturb import dice_attack, random_attack
 from .pseudolabel import encode_labels, kmeans_pseudo_labels
 from .sanitize import STRATEGIES, PruneConfig, apply_prune, select_edges
@@ -216,27 +222,33 @@ def cmd_sweep(args):
         encode_labels(kmeans_pseudo_labels(g, args.k, seed, restarts=args.restarts))
         for seed in seeds
     ]
+    # One row per (seed, strategy) pair, trained in-process or on forked
+    # workers (``_map_jobs``): either way the earliest failing row raises.
     rows = []
     for seed, table in zip(seeds, _kc_scores_each(g, label_sets)):
         split = make_split(g.n_nodes, seed if args.split_seed is None else args.split_seed)
         cfg = TrainConfig(m=args.m, steps=args.steps, eta=args.eta, kappa=args.kappa, seed=seed)
-        for strategy in strategies:
-            # a row's cells share the split and config, so they train as one stack per class
-            pruned = [
-                apply_prune(g, select_edges(table, PruneConfig(alpha=alpha, strategy=strategy, seed=seed)))
-                for alpha in SWEEP_ALPHAS
-            ]
-            reports = evaluate_classifiers(pruned, g.labels, split, cfg)
-            for alpha, report in zip(SWEEP_ALPHAS, reports):
-                rows.append((strategy, alpha, seed, report.test_accuracy))
-    rows.sort(key=lambda row: (row[0], row[1], row[2]))
+        rows.extend((seed, table, split, cfg, strategy) for strategy in strategies)
+
+    def train_row(i):
+        # a row's cells share the split and config, so they train as one stack per class
+        seed, table, split, cfg, strategy = rows[i]
+        pruned = [
+            apply_prune(g, select_edges(table, PruneConfig(alpha=alpha, strategy=strategy, seed=seed)))
+            for alpha in SWEEP_ALPHAS
+        ]
+        reports = evaluate_classifiers(pruned, g.labels, split, cfg)
+        return [(strategy, alpha, seed, report.test_accuracy) for alpha, report in zip(SWEEP_ALPHAS, reports)]
+
+    cells = [cell for part in _map_jobs(train_row, len(rows), "sweep", "row") for cell in part]
+    cells.sort(key=lambda cell: cell[:3])
 
     lines = ["strategy,alpha,seed,test_accuracy"]
-    for strategy, alpha, seed, acc in rows:
+    for strategy, alpha, seed, acc in cells:
         lines.append(f"{strategy},{format_float(alpha)},{seed},{format_float(acc)}")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    log.info("%d sweep cells -> %s", len(rows), args.out)
+    log.info("%d sweep cells -> %s", len(cells), args.out)
     return _input_paths(args), {"sweep": args.out}, args.out
 
 

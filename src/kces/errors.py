@@ -3,8 +3,8 @@
 Three error families matter to callers: malformed input data, numerical
 failure, and infeasible configuration.  The CLI maps them to exit codes
 2, 3, and 4 respectively.  Library code raises only these three, apart
-from the ``ChildProcessError`` of a scoring worker process that dies
-(exit code 5); the message says what failed.
+from the ``ChildProcessError`` of a scoring or sweep worker process
+that dies (exit code 5); the message says what failed.
 """
 
 

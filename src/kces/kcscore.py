@@ -789,17 +789,18 @@ def _score_segment(cache: _ScoreCache, g: Graph, plan: _Plan, i, runs, fast):
             mt[dst] = mt[src]
 
 
-def _worker_count(segments: int) -> int:
-    """Worker processes for a run of ``segments`` segments: one per
-    segment, on up to one per usable CPU, or 0 to score in-process.
+def _worker_count(jobs: int) -> int:
+    """Worker processes for ``jobs`` jobs: one per job, on up to one per
+    usable CPU, or 0 to run them in-process.
 
-    These rules alone keep a run in-process: it is one segment (a run
-    of one block), the process has one usable CPU, it cannot fork
-    safely (no ``os.fork``, or other Python threads alive), or it cannot
-    pin OpenBLAS to one thread.  A worker run's own pool threads are
-    joined before it returns, so they keep no later run in-process.
+    These rules alone keep jobs in-process: there is one job (a scoring
+    run of one block, or a sweep of one row), the process has one usable
+    CPU, it cannot fork safely (no ``os.fork``, or other Python threads
+    alive), or it cannot pin OpenBLAS to one thread.  A pool's own
+    threads are joined before ``_map_jobs`` returns, so they keep no
+    later jobs in-process.
     """
-    workers = min(segments, _usable_cpus())
+    workers = min(jobs, _usable_cpus())
     if (
         workers < 2
         or not hasattr(os, "fork")
@@ -810,64 +811,66 @@ def _worker_count(segments: int) -> int:
     return workers
 
 
-def _enter_worker(*run):
-    """Keep the run a forked worker inherits: cache, graph, plan, label
-    set runs and ``fast`` flags.  Only worker processes set it."""
-    global _worker_run
-    _worker_run = run
+def _enter_worker(task):
+    """Keep the task a forked worker inherits.  Only worker processes set
+    it."""
+    global _worker_task
+    _worker_task = task
 
 
-def _score_in_worker(i, edges):
-    """Score segment i in a worker, and return its warnings, the error
-    that stopped it or None, and its rows ``edges`` of ``fast`` and of
-    each run's ``gkc_removed``."""
-    cache, g, plan, runs, fast = _worker_run
-    error = None
+def _work(i):
+    """Run job i in a worker, and return its warnings, the error that
+    stopped it or None, and its result."""
+    error = result = None
     with warnings.catch_warnings(record=True) as caught:
         try:
-            _score_segment(cache, g, plan, i, runs, fast)
+            result = _worker_task(i)
         except Exception as exc:
             error = exc
     said = [(m.message, m.category, m.filename, m.lineno) for m in caught]
-    return said, error, fast[edges], [run.gkc_removed[edges] for run in runs]
+    return said, error, result
 
 
-def _score_in_workers(cache: _ScoreCache, g: Graph, plan: _Plan, runs, fast, workers):
-    """Score the segments on a pool of ``workers`` forked processes, to
-    the results ``_score_segment`` leaves in-process.
+def _map_jobs(task, jobs: int, kind: str, unit: str) -> list:
+    """``[task(i) for i in range(jobs)]``, in-process or, as
+    ``_worker_count(jobs)`` decides, on a pool of forked processes.
 
-    The workers inherit the run.  The parent takes the segments' results
-    in order: it re-issues their warnings and raises the first error, as
-    an in-process run would.  A worker that dies breaks the pool, which
-    ends the others: that is a ``ChildProcessError`` naming every
-    segment left without a result, since which worker died is not
-    known.  Every child is reaped before this returns or raises.
+    The workers inherit ``task`` with everything it reads, and only its
+    results travel back.  The parent takes them in job order: it
+    re-issues each job's warnings and raises the first error, cancelling
+    the jobs after it, as the in-process loop would.  A worker that dies
+    breaks the pool, which ends the others: that is a
+    ``ChildProcessError``, "a ``kind`` worker exited, leaving
+    ``unit``(s) ... without a result", naming every job left without a
+    result, since which worker died is not known.  Every child is reaped
+    before this returns or raises.
     """
-    cut = plan.segment_cut * BLOCK_EDGES
-    segments = [slice(a, b) for a, b in zip(cut[:-1], cut[1:])]
+    workers = _worker_count(jobs)
+    if not workers:
+        return [task(i) for i in range(jobs)]
+    results = []
     with ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_enter_worker,
-        initargs=(cache, g, plan, runs, fast),
+        initargs=(task,),
     ) as pool:
-        futures = [pool.submit(_score_in_worker, i, edges) for i, edges in enumerate(segments)]
-        for future, edges in zip(futures, segments):
+        futures = [pool.submit(_work, i) for i in range(jobs)]
+        for future in futures:
             try:
-                said, error, flags, removed = future.result()
+                said, error, result = future.result()
             except BrokenProcessPool as exc:
                 lost = [str(i) for i, f in enumerate(futures) if f.exception() is not None]
                 raise ChildProcessError(
-                    f"a scoring worker exited, leaving segment(s) {', '.join(lost)} without a result"
+                    f"a {kind} worker exited, leaving {unit}(s) {', '.join(lost)} without a result"
                 ) from exc
             for message, category, filename, lineno in said:
                 warnings.warn_explicit(message, category, filename, lineno)
             if error is not None:
                 pool.shutdown(cancel_futures=True)
                 raise error
-            fast[edges] = flags
-            for run, part in zip(runs, removed):
-                run.gkc_removed[edges] = part
+            results.append(result)
+    return results
 
 
 def _warn_on_split_twins(rows, label_sets):
@@ -903,8 +906,8 @@ def _kc_scores_each(g: Graph, label_sets) -> list:
 
     The run holds scipy's OpenBLAS to one thread, so no score depends on
     the thread count.  Its segments are scored in order, in-process or
-    on a pool of forked worker processes (see ``_worker_count`` and
-    ``_score_in_workers``), to the same bits.
+    on a pool of forked worker processes (see ``_map_jobs``), to the
+    same bits.
     """
     if g.n_edges == 0:
         raise ConfigError("cannot score a graph with no edges")
@@ -916,12 +919,18 @@ def _kc_scores_each(g: Graph, label_sets) -> list:
     with _one_blas_thread:
         cache = _ScoreCache(g, runs)
         _warn_on_split_twins(cache.base_rows, label_sets)
-        workers = _worker_count(plan.segment_cut.size - 1)
-        if workers:
-            _score_in_workers(cache, g, plan, runs, fast, workers)
-        else:
-            for i in range(plan.segment_cut.size - 1):
-                _score_segment(cache, g, plan, i, runs, fast)
+        cut = plan.segment_cut * BLOCK_EDGES
+        segments = [slice(a, b) for a, b in zip(cut[:-1], cut[1:])]
+
+        def score(i):
+            _score_segment(cache, g, plan, i, runs, fast)
+            return fast[segments[i]], [run.gkc_removed[segments[i]] for run in runs]
+
+        # in-process, each result is a view of what it is written back to
+        for edges, (flags, removed) in zip(segments, _map_jobs(score, len(segments), "scoring", "segment")):
+            fast[edges] = flags
+            for run, part in zip(runs, removed):
+                run.gkc_removed[edges] = part
     return [
         KcScoreTable(
             edges=g.edges,

@@ -11,9 +11,10 @@ one-model training loop ``oracle_train_gd``.
 The manifest readers check a CLI run's record against the files on disk
 with ``json`` and ``hashlib`` alone, and ``run_in_child`` runs code in a
 fresh interpreter at a chosen OpenBLAS thread count.  ``traced_peak``
-measures the memory one call allocates.  The two builders at the end are
-not oracles: they wrap raw arrays as the library's own inputs, for tests
-that start from a chosen matrix.
+measures the memory one call allocates, and ``record_forks`` and
+``assert_reaped`` check that a run's worker processes are gone.  The two
+builders at the end are not oracles: they wrap raw arrays as the
+library's own inputs, for tests that start from a chosen matrix.
 """
 
 import hashlib
@@ -26,6 +27,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TWO_PI = 2.0 * np.pi
 
@@ -320,6 +322,28 @@ def traced_peak(fn, *args):
         if not tracing:
             tracemalloc.stop()
     return result, peak
+
+
+def record_forks(monkeypatch):
+    """The pids of the children ``os.fork`` makes from here on."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def assert_reaped(pids):
+    """Check that each of ``pids``, forked by this process, is reaped."""
+    assert pids and all(pid > 0 for pid in pids)
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def gram_from_matrix(h):

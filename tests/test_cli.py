@@ -15,10 +15,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import OracleDivergence, load_manifest, oracle_evaluate, verify_outputs
+from helpers import (
+    OracleDivergence,
+    assert_reaped,
+    load_manifest,
+    oracle_evaluate,
+    record_forks,
+    verify_outputs,
+)
 
 import kces
-from kces import gnn, kcscore
+from kces import cli, kcscore
 from kces.cli import SWEEP_ALPHAS, build_parser, main
 from kces.errors import KcesWarning, NumericError
 from kces.gnn import TrainConfig, evaluate_classifier, make_split, write_trace_csv
@@ -456,7 +463,32 @@ def _sweep_cells(graph_files, seeds, m, steps, eta=None):
                 yield strategy, alpha, seed, report.test_accuracy
 
 
-def test_sweep_writes_the_per_cell_loops_csv(tmp_path, graph_files):
+def _on_cpus(monkeypatch, cpus):
+    """Give scoring and the sweep ``cpus`` usable CPUs, and return the
+    pids of the worker processes forked from here on."""
+    if cpus > 1 and (
+        not hasattr(os, "fork") or kcscore._openblas_swap() is None or threading.active_count() > 1
+    ):
+        pytest.skip("needs os.fork, scipy's OpenBLAS and no other thread")
+    monkeypatch.setattr(kcscore, "_usable_cpus", lambda: cpus)
+    return record_forks(monkeypatch)
+
+
+def _assert_workers_gone(cpus, pids):
+    """One CPU forks nothing.  On two, the scoring run forks two workers
+    and the sweep's rows two more, and all four are reaped, leaving no
+    process or thread behind."""
+    if cpus == 1:
+        assert pids == []
+    else:
+        assert len(pids) == 4
+        assert_reaped(pids)
+        assert threading.active_count() == 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "two-workers"])
+def test_sweep_writes_the_per_cell_loops_csv(tmp_path, graph_files, monkeypatch, cpus):
+    pids = _on_cpus(monkeypatch, cpus)
     out = tmp_path / "sweep.csv"
     argv = [
         "sweep",
@@ -469,6 +501,7 @@ def test_sweep_writes_the_per_cell_loops_csv(tmp_path, graph_files):
         "--out", str(out),
     ]
     assert main(argv) == 0
+    _assert_workers_gone(cpus, pids)
     rows = sorted(_sweep_cells(graph_files, (0, 1), m=32, steps=20))
     lines = ["strategy,alpha,seed,test_accuracy"] + [
         f"{strategy},{format_float(alpha)},{seed},{format_float(acc)}"
@@ -477,7 +510,8 @@ def test_sweep_writes_the_per_cell_loops_csv(tmp_path, graph_files):
     assert out.read_text() == "\n".join(lines) + "\n"
 
 
-def test_sweep_divergence_reports_the_per_cell_loops_first_error(tmp_path, graph_files, capsys):
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "two-workers"])
+def test_sweep_divergence_reports_the_per_cell_loops_first_error(tmp_path, graph_files, capsys, monkeypatch, cpus):
     first = None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -487,6 +521,7 @@ def test_sweep_divergence_reports_the_per_cell_loops_first_error(tmp_path, graph
             first = exc.step
     assert first is not None
     capsys.readouterr()
+    pids = _on_cpus(monkeypatch, cpus)
     rc = main(
         [
             "sweep",
@@ -500,6 +535,7 @@ def test_sweep_divergence_reports_the_per_cell_loops_first_error(tmp_path, graph
         ]
     )
     assert rc == 3
+    _assert_workers_gone(cpus, pids)
     assert capsys.readouterr().err == (
         f"kces: numeric error: training loss became non-finite at step {first}\n"
     )
@@ -544,6 +580,42 @@ def test_a_dead_scoring_worker_is_not_an_input_error(tmp_path, capsys, monkeypat
         capsys.readouterr().err,
     )
     assert not out.exists()
+
+
+def test_a_dead_sweep_worker_is_not_an_input_error(tmp_path, graph_files, capsys, monkeypatch):
+    pids = _on_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    evaluate = cli.evaluate_classifiers
+
+    def dying(graphs, labels, split, cfg):
+        if cfg.seed == 1 and os.getpid() != parent:
+            os._exit(3)
+        return evaluate(graphs, labels, split, cfg)
+
+    monkeypatch.setattr(cli, "evaluate_classifiers", dying)
+    out = tmp_path / "sweep.csv"
+    rc = main(
+        [
+            "sweep",
+            "--edges", graph_files["edges"],
+            "--features", graph_files["features"],
+            "--labels", graph_files["labels"],
+            "--strategies", "random",
+            "--seeds", "0,1",
+            "--m", "8",
+            "--steps", "2",
+            "--out", str(out),
+        ]
+    )
+    # row 1's worker died, and the pool may have ended row 0's before it
+    # sent its result: both are named, not blamed
+    assert rc == 5
+    assert re.fullmatch(
+        r"kces: worker error: a sweep worker exited, leaving row\(s\) (0, )?1 without a result\n",
+        capsys.readouterr().err,
+    )
+    assert not out.exists()
+    _assert_workers_gone(2, pids)
 
 
 def test_sweep_factors_each_edge_once_for_all_seeds(tmp_path, graph_files, monkeypatch):
@@ -609,14 +681,16 @@ def test_sweep_stops_at_the_first_scoring_error(tmp_path, capsys, monkeypatch):
             with pytest.raises(NumericError, match=r"removing edge \(0, 40\) degenerates aggregation") as info:
                 kc_scores_all(g, labels)
     capsys.readouterr()
-    descents = []
-    descend = gnn._descend
+    # rows may train in worker processes, whose calls the parent cannot
+    # count, so the check is that no row was handed out at all
+    dispatched = []
+    map_jobs = cli._map_jobs
 
-    def counting_descend(*args):
-        descents.append(1)
-        return descend(*args)
+    def recording(task, jobs, kind, unit):
+        dispatched.append(jobs)
+        return map_jobs(task, jobs, kind, unit)
 
-    monkeypatch.setattr(gnn, "_descend", counting_descend)
+    monkeypatch.setattr(cli, "_map_jobs", recording)
     out = tmp_path / "sweep.csv"
     for seeds in ("0,1", "1,0"):
         rc = main(
@@ -636,7 +710,7 @@ def test_sweep_stops_at_the_first_scoring_error(tmp_path, capsys, monkeypatch):
         assert rc == 3, seeds
         assert capsys.readouterr().err == f"kces: numeric error: {info.value}\n"
         assert not out.exists()
-        assert len(descents) == 0, seeds
+        assert dispatched == [], seeds
 
 
 def test_dist_exports_one_csv_per_variant(tmp_path, graph_files):

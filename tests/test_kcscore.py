@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import oracle_gkc_from_graph, oracle_kc, oracle_one_hot, run_in_child, traced_peak
+from helpers import (
+    assert_reaped,
+    oracle_gkc_from_graph,
+    oracle_kc,
+    oracle_one_hot,
+    record_forks,
+    run_in_child,
+    traced_peak,
+)
 
 from kces.errors import ConfigError, InputError, KcesWarning, NumericError
 from kces import kcscore
@@ -949,27 +957,6 @@ def test_degenerate_fast_removal_words_its_error_as_the_naive_route(workers, mon
         kc_scores_all(g, lm)
 
 
-def _forks(monkeypatch):
-    """The pids of the children os.fork makes from here on."""
-    pids = []
-    fork = os.fork
-
-    def recording():
-        pid = fork()
-        pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
-    return pids
-
-
-def _assert_reaped(pids):
-    assert pids and all(pid > 0 for pid in pids)
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 @pytest.mark.parametrize("make_graph", [_sparse_sbm_204, _sparse_sbm_202, _star_ring_graph])
 def test_worker_processes_score_the_bytes_of_the_in_process_run(make_graph, monkeypatch, tmp_path):
     g = make_graph()
@@ -985,10 +972,10 @@ def test_worker_processes_score_the_bytes_of_the_in_process_run(make_graph, monk
                 m.setattr(kcscore, "_SEGMENTS", segments)
                 _in_workers(m, workers)
                 assert kcscore._key_pass(g).segment_cut.size == segments + 1
-                pids = _forks(m)
+                pids = record_forks(m)
                 runs[segments, workers] = kcscore._kc_scores_each(g, sets)
             if workers:
-                _assert_reaped(pids)
+                assert_reaped(pids)
             else:
                 assert pids == []
     for (segments, workers), tables in runs.items():
@@ -1069,13 +1056,13 @@ def test_the_error_of_the_earliest_edge_wins_across_segments(monkeypatch):
     _naive_with(monkeypatch, failing)
     for workers in (0, 1, 2):
         _in_workers(monkeypatch, workers)
-        pids = _forks(monkeypatch)
+        pids = record_forks(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", KcesWarning)
             with pytest.raises(NumericError, match=rf"^cannot rebuild \({late[0]}, {late[1]}\)$"):
                 kc_scores_all(g, lm)
         if workers:
-            _assert_reaped(pids)
+            assert_reaped(pids)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1091,7 +1078,7 @@ def test_a_worker_that_dies_is_a_child_process_error(workers, monkeypatch):
         score_segment(cache, g, plan, i, runs, fast)
 
     monkeypatch.setattr(kcscore, "_score_segment", dying)
-    pids = _forks(monkeypatch)
+    pids = record_forks(monkeypatch)
     threads = threading.active_count()
     # one worker sends segment 0's result before it dies in segment 1; of
     # two, the pool ends the other, which may still be scoring segment 0
@@ -1101,7 +1088,7 @@ def test_a_worker_that_dies_is_a_child_process_error(workers, monkeypatch):
         kc_scores_all(g, lm)
     assert isinstance(info.value.__cause__, BrokenProcessPool)
     assert len(pids) == workers
-    _assert_reaped(pids)
+    assert_reaped(pids)
     assert threading.active_count() == threads
 
 
@@ -1118,11 +1105,11 @@ def test_the_worker_pool_leaves_no_thread_behind(monkeypatch):
     g = _star_ring_graph()
     lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
     monkeypatch.setattr(kcscore, "_usable_cpus", lambda: 2)
-    pids = _forks(monkeypatch)
+    pids = record_forks(monkeypatch)
     for runs in (1, 2):
         kc_scores_all(g, lm)
         assert len(pids) == 2 * runs
-        _assert_reaped(pids)
+        assert_reaped(pids)
         assert threading.active_count() == 1
 
     def failing(u, v):
@@ -1132,7 +1119,7 @@ def test_the_worker_pool_leaves_no_thread_behind(monkeypatch):
     with pytest.raises(NumericError, match=r"^cannot rebuild \(0, 1\)$"):
         kc_scores_all(g, lm)
     assert len(pids) == 6
-    _assert_reaped(pids)
+    assert_reaped(pids)
     assert threading.active_count() == 1
 
 
@@ -1147,7 +1134,7 @@ def test_a_run_of_two_blocks_forks_its_workers_and_one_block_forks_none(monkeypa
     ring = [(i, (i + 1) % BLOCK_EDGES) for i in range(BLOCK_EDGES)]
     one_block = Graph(features=np.random.default_rng(5).standard_normal((BLOCK_EDGES, 4)), edges=ring)
     assert BLOCK_EDGES < two_blocks.n_edges <= 2 * BLOCK_EDGES and one_block.n_edges == BLOCK_EDGES
-    pids = _forks(monkeypatch)
+    pids = record_forks(monkeypatch)
     for g, forks in ((two_blocks, 2), (one_block, 0)):
         lm = encode_labels(kmeans_pseudo_labels(g, 2, 0), "one-hot")
         monkeypatch.setattr(kcscore, "_usable_cpus", lambda: 1)
@@ -1160,7 +1147,7 @@ def test_a_run_of_two_blocks_forks_its_workers_and_one_block_forks_none(monkeypa
         assert table.fast.any()
         assert (tmp_path / "default.tsv").read_bytes() == (tmp_path / "in-process.tsv").read_bytes()
         if forks:
-            _assert_reaped(pids)
+            assert_reaped(pids)
             pids.clear()
 
 
